@@ -44,20 +44,40 @@ def save_archive(path, entries, meta=None):
             fh.write(blob)
 
 
+def _valid_header(header):
+    """True for {"entries": [{"name": str, "shape": [int >= 0, ...]}...]}."""
+    if not isinstance(header, dict) or not isinstance(
+            header.get("entries"), list):
+        return False
+    for item in header["entries"]:
+        if not (isinstance(item, dict)
+                and isinstance(item.get("name"), str)
+                and isinstance(item.get("shape"), list)):
+            return False
+        if not all(type(d) is int and d >= 0 for d in item["shape"]):
+            return False
+    return True
+
+
 def load_archive(path):
     """Read an archive; returns (ordered name -> array dict, meta dict)."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 16:
+        raise ArchiveError(f"{path}: {len(raw)} bytes, too short for an "
+                           f"archive preamble")
     if raw[:8] != MAGIC:
         raise ArchiveError(f"{path}: bad magic, not a parameter archive")
-    version = struct.unpack("<I", raw[8:12])[0]
+    version, hlen = struct.unpack("<II", raw[8:16])
     if version != VERSION:
         raise ArchiveError(f"{path}: unsupported archive version {version}")
-    hlen = struct.unpack("<I", raw[12:16])[0]
     try:
         header = json.loads(raw[16:16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"{path}: corrupt header: {exc}") from None
+    if not _valid_header(header):
+        raise ArchiveError(f"{path}: header is not an object with an "
+                           f"'entries' list of {{name, shape}} items")
     offset = 16 + hlen
     entries = {}
     for item in header["entries"]:

@@ -7,11 +7,17 @@ directory so a run can be reproduced from its own output.
 
 import copy
 import json
+import math
 
 from chebnet.training import TrainingConfig
 
 TASKS = ("dataco-risk", "sg-product", "sg-product-edges", "sg-plant-edges",
          "synthetic")
+
+
+# Largest edge weight sigmoid(|corr|) can take; any higher threshold empties
+# the adjacency, self-loops included.
+MAX_THRESHOLD = 1.0 / (1.0 + math.exp(-1.0))
 
 
 class ConfigError(ValueError):
@@ -89,8 +95,11 @@ def _validate(cfg):
     if not isinstance(cfg["seed"], int):
         bad("seed", "must be an integer")
     g = cfg["graph"]
-    if not (0.0 <= g["threshold"] < 1.0):
-        bad("graph.threshold", f"must lie in [0, 1), got {g['threshold']}")
+    if not (0.0 <= g["threshold"] <= MAX_THRESHOLD):
+        bad("graph.threshold",
+            f"must lie in [0, sigmoid(1) = {MAX_THRESHOLD:.4f}], got "
+            f"{g['threshold']}; edge weights are sigmoid(|corr|), so a "
+            f"higher threshold removes every edge and self-loop")
     m = cfg["model"]
     if not (0.0 <= m["dropout"] < 1.0):
         bad("model.dropout", "must lie in [0, 1)")

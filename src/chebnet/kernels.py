@@ -1,54 +1,13 @@
-"""Conv1d compute kernels: compiled core with a pure-numpy fallback.
+"""Conv1d compute kernels in numpy.
 
-The Cython extension (``chebnet._accel``) is built at install time; when it
-is missing the numpy implementations below are used instead.  The backend
-can be forced through the ``CHEBNET_BACKEND`` environment variable
-(``c`` or ``python``), which is also how the benchmark compares the two.
+Each kernel lowers the convolution to einsum contractions over a strided
+window view of the input, so the work runs as GEMM-shaped BLAS calls.
 """
-
-import os
 
 import numpy as np
 
-
-def _np_conv1d_forward(x, w, b):
-    # x (B,C,L), w (F,C,T), b (F) -> (B,F,L-T+1); valid cross-correlation
-    t = w.shape[2]
-    windows = np.lib.stride_tricks.sliding_window_view(x, t, axis=2)
-    y = np.einsum("bcpt,fct->bfp", windows, w, optimize=True)
-    y += b[None, :, None]
-    return np.ascontiguousarray(y)
-
-
-def _np_conv1d_backward(x, w, up):
-    t = w.shape[2]
-    p = up.shape[2]
-    windows = np.lib.stride_tricks.sliding_window_view(x, t, axis=2)
-    dw = np.einsum("bcpt,bfp->fct", windows, up, optimize=True)
-    db = up.sum(axis=(0, 2))
-    dx = np.zeros_like(x)
-    for k in range(t):
-        dx[:, :, k:k + p] += np.einsum("bfp,fc->bcp", up, w[:, :, k])
-    return dx, dw, db
-
-
-_requested = os.environ.get("CHEBNET_BACKEND", "").strip().lower()
-if _requested not in ("", "c", "python"):
-    raise ValueError(f"CHEBNET_BACKEND must be 'c' or 'python', got {_requested!r}")
-
-_accel = None
-if _requested != "python":
-    try:
-        from chebnet import _accel  # type: ignore[attr-defined]
-    except ImportError:
-        if _requested == "c":
-            raise ImportError(
-                "CHEBNET_BACKEND=c but the compiled extension is not built; "
-                "reinstall the package or unset the variable"
-            )
-        _accel = None
-
-BACKEND = "c" if _accel is not None else "python"
+# Read by the perfbench env line; kept constant so runs compare across versions.
+BACKEND = "python"
 
 
 def _as_c64(a):
@@ -61,14 +20,22 @@ def conv1d_forward(x, w, b):
     x: (B, C, L), w: (F, C, T), b: (F,); returns (B, F, L-T+1).
     """
     x, w, b = _as_c64(x), _as_c64(w), _as_c64(b)
-    if _accel is not None:
-        return _accel.conv1d_forward(x, w, b)
-    return _np_conv1d_forward(x, w, b)
+    t = w.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, t, axis=2)
+    y = np.einsum("bcpt,fct->bfp", windows, w, optimize=True)
+    y += b[None, :, None]
+    return np.ascontiguousarray(y)
 
 
 def conv1d_backward(x, w, up):
     """Gradients of conv1d_forward; returns (dx, dw, db)."""
     x, w, up = _as_c64(x), _as_c64(w), _as_c64(up)
-    if _accel is not None:
-        return _accel.conv1d_backward(x, w, up)
-    return _np_conv1d_backward(x, w, up)
+    t = w.shape[2]
+    p = up.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, t, axis=2)
+    dw = np.einsum("bcpt,bfp->fct", windows, up, optimize=True)
+    db = up.sum(axis=(0, 2))
+    dx = np.zeros_like(x)
+    for k in range(t):
+        dx[:, :, k:k + p] += np.einsum("bfp,fc->bcp", up, w[:, :, k])
+    return dx, dw, db

@@ -313,7 +313,7 @@ class Conv1D:
     """Valid 1-D cross-correlation, kernel length 5, stride 1.
 
     The activation is applied separately by the model (leaky_relu 0.1).
-    Dispatches to the compiled kernel when available.
+    Forward and backward call the numpy kernels in ``chebnet.kernels``.
     """
 
     KERNEL_LEN = 5

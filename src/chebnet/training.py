@@ -229,26 +229,19 @@ class CVResult:
         return [fr.metrics for fr in self.fold_results]
 
 
-def _node_subset(dataset, mask, features):
+def _subset(dataset, features, mask):
+    """The training rows of ``dataset`` selected by ``mask``, on ``features``.
+
+    ``mask`` picks targets, and for edge tasks the matching edges as well.
+    """
+    edges = dataset.edges[mask] if dataset.task == EDGE_TASK else None
     return Dataset(
         features=features,
         targets=dataset.targets[mask],
         task=dataset.task,
         n_classes=dataset.n_classes,
         channel_names=dataset.channel_names,
-        conv_shape=dataset.conv_shape,
-        class_names=dataset.class_names,
-    )
-
-
-def _edge_subset(dataset, features, mask):
-    return Dataset(
-        features=features,
-        targets=dataset.targets[mask],
-        task=dataset.task,
-        n_classes=dataset.n_classes,
-        channel_names=dataset.channel_names,
-        edges=dataset.edges[mask],
+        edges=edges,
         conv_shape=dataset.conv_shape,
         class_names=dataset.class_names,
     )
@@ -276,7 +269,7 @@ def cross_validate(dataset, config):
     for fold in range(config.folds):
         test = plan == fold
         if dataset.task == EDGE_TASK:
-            train_ds = _edge_subset(dataset, norm_feats, ~test)
+            train_ds = _subset(dataset, norm_feats, ~test)
             model, history = train_model(train_ds, graph, config,
                                          instance=fold)
             preds = predict(model, graph, norm_feats, dataset.edges[test])
@@ -285,7 +278,7 @@ def cross_validate(dataset, config):
                 dataset.features[~test])
             graph = graph_from_features(norm_train, config.threshold,
                                         dataset.channel_names)
-            train_ds = _node_subset(dataset, ~test, norm_train)
+            train_ds = _subset(dataset, norm_train, ~test)
             model, history = train_model(train_ds, graph, config,
                                          instance=fold)
             test_feats = apply_zscore(dataset.features[test], mean, std)
@@ -307,18 +300,14 @@ def fit_full(dataset, config):
     Returns (model, history, graph, mean, std); the normalization record and
     graph are what a later evaluation of new data must reuse.
     """
+    norm_feats, mean, std = zscore_normalize(dataset.features)
     if dataset.task == EDGE_TASK:
-        norm_feats, mean, std = zscore_normalize(dataset.features)
         graph = graph_from_features(
             norm_feats.T, config.threshold,
             [f"n{i}" for i in range(dataset.features.shape[0])])
-        full = _edge_subset(dataset, norm_feats,
-                            np.ones(dataset.n_samples, dtype=bool))
     else:
-        norm_feats, mean, std = zscore_normalize(dataset.features)
         graph = graph_from_features(norm_feats, config.threshold,
                                     dataset.channel_names)
-        full = _node_subset(dataset, np.ones(dataset.n_samples, dtype=bool),
-                            norm_feats)
+    full = _subset(dataset, norm_feats, np.ones(dataset.n_samples, dtype=bool))
     model, history = train_model(full, graph, config, instance=config.folds)
     return model, history, graph, mean, std

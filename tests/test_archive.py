@@ -1,5 +1,8 @@
 """Parameter archive format: roundtrip, manifest checks, corruption."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,15 @@ def make_model(order=2, seed=0):
     rng = np.random.default_rng(seed)
     return build_model("node-class", "cheb", 10, 2, (1, 10), rng=rng,
                        cheb_orders=(order, 1, 1, 1))
+
+
+def write_header(path, header):
+    """Replace an archive's header with the given JSON document."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[12:16])[0]
+    body = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:12] + struct.pack("<I", len(body)) + body
+                     + raw[16 + hlen:])
 
 
 class TestRoundtrip:
@@ -77,6 +89,26 @@ class TestRejections:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ArchiveError):
+            load_archive(path)
+
+    def test_short_file(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        path.write_bytes(b"CHEBARCH\x01")
+        with pytest.raises(ArchiveError, match="too short"):
+            load_archive(path)
+
+    def test_header_without_entries(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_archive(path, [], {})
+        write_header(path, {"meta": {}})
+        with pytest.raises(ArchiveError, match="entries"):
+            load_archive(path)
+
+    def test_entry_without_shape(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_archive(path, [], {})
+        write_header(path, {"entries": [{"name": "x"}], "meta": {}})
+        with pytest.raises(ArchiveError, match="entries"):
             load_archive(path)
 
     def test_trailing_garbage(self, tmp_path):

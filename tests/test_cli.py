@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="graph.threshold"):
             resolve_config(overrides=["graph.threshold=1.5"])
 
+    def test_threshold_that_empties_graph_rejected(self):
+        # edge weights are sigmoid(|corr|) <= sigmoid(1) ~ 0.7311
+        with pytest.raises(ConfigError, match="graph.threshold"):
+            resolve_config(overrides=["graph.threshold=0.74"])
+
     def test_parse_override_json_values(self):
         assert parse_override("model.cheb_orders=[2,2,1,1]") == {
             "model": {"cheb_orders": [2, 2, 1, 1]}}
@@ -84,6 +89,11 @@ class TestTrainCommand:
 
     def test_invalid_threshold_exits_one(self, tmp_path, capsys):
         code = main(["train", "--set", "graph.threshold=1.5"])
+        assert code == 1
+        assert "graph.threshold" in capsys.readouterr().err
+
+    def test_threshold_that_empties_graph_exits_one(self, tmp_path, capsys):
+        code = main(["train", "--set", "graph.threshold=0.74"])
         assert code == 1
         assert "graph.threshold" in capsys.readouterr().err
 
@@ -170,6 +180,13 @@ class TestEvalCommand:
     def test_missing_checkpoint_exits_one(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_short_checkpoint_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"CHEB")
+        assert main(["eval", "--checkpoint", str(path),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "too short" in capsys.readouterr().err
 
 
 class TestExportCommand:

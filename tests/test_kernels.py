@@ -1,9 +1,4 @@
-"""Conv1d backend dispatch: numpy fallback vs compiled extension."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""Conv1d kernels against naive loops and finite differences."""
 
 import numpy as np
 import pytest
@@ -22,7 +17,7 @@ class TestNumpyReference:
     def test_forward_against_naive_loops(self):
         rng = np.random.default_rng(0)
         x, w, bias = random_case(rng)
-        y = kernels._np_conv1d_forward(x, w, bias)
+        y = kernels.conv1d_forward(x, w, bias)
         b_, f_, p_ = y.shape
         for bi in range(b_):
             for fi in range(f_):
@@ -37,11 +32,11 @@ class TestNumpyReference:
         rng = np.random.default_rng(1)
         x, w, bias = random_case(rng, b=2, c=2, length=8, f=2)
         up = rng.standard_normal((2, 2, 4))
-        dx, dw, db = kernels._np_conv1d_backward(x, w, up)
+        dx, dw, db = kernels.conv1d_backward(x, w, up)
         h = 1e-6
 
         def loss():
-            return float((kernels._np_conv1d_forward(x, w, bias) * up).sum())
+            return float((kernels.conv1d_forward(x, w, bias) * up).sum())
 
         for arr, grad in ((x, dx), (w, dw)):
             flat, gflat = arr.reshape(-1), grad.reshape(-1)
@@ -55,60 +50,3 @@ class TestNumpyReference:
                 assert gflat[i] == pytest.approx((hi - lo) / (2 * h),
                                                  abs=1e-4)
         np.testing.assert_allclose(db, up.sum(axis=(0, 2)))
-
-
-@pytest.mark.skipif(kernels.BACKEND != "c",
-                    reason="compiled extension not built")
-class TestCompiledParity:
-    def test_forward_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            x, w, bias = random_case(rng, b=int(rng.integers(1, 5)),
-                                     c=int(rng.integers(1, 4)),
-                                     length=int(rng.integers(5, 20)),
-                                     f=int(rng.integers(1, 6)))
-            c_out = kernels.conv1d_forward(x, w, bias)
-            np_out = kernels._np_conv1d_forward(x, w, bias)
-            np.testing.assert_allclose(c_out, np_out, atol=1e-12)
-
-    def test_backward_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        x, w, bias = random_case(rng)
-        up = rng.standard_normal(kernels.conv1d_forward(x, w, bias).shape)
-        for a, b in zip(kernels.conv1d_backward(x, w, up),
-                        kernels._np_conv1d_backward(x, w, up)):
-            np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def backend_env(backend):
-    """Minimal child env that still imports the chebnet package under test.
-
-    Besides ``PATH`` and the given ``CHEBNET_BACKEND``, only ``PYTHONPATH``
-    is set, so an outer ``CHEBNET_BACKEND`` cannot leak in.  It leads with
-    the directory holding the imported ``chebnet``, installed or not.
-    """
-    paths = [str(Path(kernels.__file__).resolve().parents[1])]
-    if os.environ.get("PYTHONPATH"):
-        paths.append(os.environ["PYTHONPATH"])
-    return {"PATH": "/usr/bin:/bin", "CHEBNET_BACKEND": backend,
-            "PYTHONPATH": os.pathsep.join(paths)}
-
-
-class TestBackendSelection:
-    def test_env_var_forces_python(self):
-        code = ("import chebnet.kernels as k; print(k.BACKEND)")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=backend_env("python"),
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "python"
-
-    def test_env_var_rejects_unknown(self):
-        code = "import chebnet.kernels"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=backend_env("fortran"),
-            capture_output=True, text=True)
-        assert out.returncode != 0
-        assert ("ValueError: CHEBNET_BACKEND must be 'c' or 'python'"
-                in out.stderr)
