@@ -45,9 +45,11 @@ def save_archive(path, entries, meta=None):
 
 
 def _valid_header(header):
-    """True for {"entries": [{"name": str, "shape": [int >= 0, ...]}...]}."""
+    """True for {"entries": [{"name": str, "shape": [int >= 0, ...]}...]}
+    with an optional object "meta"."""
     if not isinstance(header, dict) or not isinstance(
-            header.get("entries"), list):
+            header.get("entries"), list) or not isinstance(
+            header.get("meta", {}), dict):
         return False
     for item in header["entries"]:
         if not (isinstance(item, dict)
@@ -77,7 +79,8 @@ def load_archive(path):
         raise ArchiveError(f"{path}: corrupt header: {exc}") from None
     if not _valid_header(header):
         raise ArchiveError(f"{path}: header is not an object with an "
-                           f"'entries' list of {{name, shape}} items")
+                           f"'entries' list of {{name, shape}} items and "
+                           f"an optional 'meta' object")
     offset = 16 + hlen
     entries = {}
     for item in header["entries"]:

@@ -104,11 +104,7 @@ def _checkpoint_entries(model, graph, mean, std):
 def _checkpoint_meta(cfg, dataset, model, graph):
     return {
         "task": cfg["task"],
-        "variant": cfg["variant"],
-        "n_classes": int(dataset.n_classes),
-        "alpha": float(model.alpha),
-        "conv_shape": list(model.conv_shape),
-        "graph_dims": [bn.width for _, bn in model.blocks],
+        "architecture": model.architecture,
         "channel_names": list(graph.channel_names),
         "class_names": list(dataset.class_names),
     }
@@ -116,12 +112,12 @@ def _checkpoint_meta(cfg, dataset, model, graph):
 
 def cmd_train(args):
     cfg = resolve_config(args.config, args.overrides)
-    run_dir = os.path.join(_output_root(cfg), cfg["variant"])
+    tcfg = training_config(cfg)
+    run_dir = os.path.join(_output_root(cfg), tcfg.variant)
     os.makedirs(run_dir, exist_ok=True)
     _write(os.path.join(run_dir, "resolved_config.json"), config_json(cfg))
 
     dataset = load_task_dataset(cfg)
-    tcfg = training_config(cfg)
     result = cross_validate(dataset, tcfg)
     model, history, graph, mean, std = fit_full(dataset, tcfg)
 
@@ -142,52 +138,71 @@ def cmd_train(args):
     return 0
 
 
-def _restore(args, cfg):
-    """Load the archive, rebuild the model per config and restore weights."""
-    entries, meta = load_archive(args.checkpoint)
-    model_entries = {k: v for k, v in entries.items()
-                     if not k.startswith("extra.")}
-    adjacency = entries["extra.adjacency"]
-    mean = entries["extra.norm_mean"]
-    std = entries["extra.norm_std"]
-    graph = build_graph_context(adjacency, meta.get("channel_names", ()))
+def _require(entries, names, path):
+    missing = [name for name in names if name not in entries]
+    if missing:
+        raise ArchiveError(f"{path}: no {', '.join(missing)}; retrain to "
+                           f"write a complete checkpoint")
 
-    task = "edge-class" if meta["task"].endswith("-edges") else "node-class"
-    width = adjacency.shape[0] if task == "node-class" else mean.shape[0]
-    m = cfg["model"]
-    model = build_model(
-        task=task,
-        variant=cfg["variant"],
-        width=width,
-        n_classes=int(meta["n_classes"]),
-        conv_shape=tuple(meta["conv_shape"]),
-        rng=np.random.default_rng(0),
-        cheb_orders=tuple(int(k) for k in m["cheb_orders"]),
-        graph_dims=None if m["graph_dims"] is None
-        else tuple(int(d) for d in m["graph_dims"]),
-        conv_kernels=int(m["conv_kernels"]),
-        dropout_p=float(m["dropout"]),
-        alpha=float(meta["alpha"]),
-        embedding_dim=int(m["embedding_dim"]),
-    )
-    restore_model(model, model_entries)
-    return model, graph, mean, std, meta
+
+def _is_names(value, count):
+    return (isinstance(value, list) and len(value) == count
+            and all(isinstance(v, str) for v in value))
+
+
+def _stored_graph(entries, meta, path):
+    """The archived adjacency matrix and its channel names, checked."""
+    _require(entries, ("extra.adjacency",), path)
+    adjacency = entries["extra.adjacency"]
+    n = len(adjacency) if adjacency.ndim else 0
+    if adjacency.shape != (n, n):
+        raise ArchiveError(f"{path}: extra.adjacency is not a square matrix")
+    names = meta.get("channel_names")
+    if not _is_names(names, n):
+        raise ArchiveError(f"{path}: meta.channel_names is not a list of "
+                           f"{n} names")
+    return adjacency, names
+
+
+def _restore(args):
+    """Load the archive and rebuild the model from its own architecture
+    record; returns (model, graph, mean, std, class names)."""
+    path = args.checkpoint
+    entries, meta = load_archive(path)
+    adjacency, channel_names = _stored_graph(entries, meta, path)
+    _require(entries, ("extra.norm_mean", "extra.norm_std"), path)
+    record = meta.get("architecture")
+    if not isinstance(record, dict):
+        raise ArchiveError(f"{path}: no architecture record in the header; "
+                           f"retrain to write one")
+    try:
+        model = build_model(**record, rng=np.random.default_rng(0))
+    except TypeError as exc:
+        raise ArchiveError(f"{path}: bad architecture record: {exc}") from None
+    class_names = meta.get("class_names")
+    if not _is_names(class_names, model.n_classes):
+        raise ArchiveError(f"{path}: meta.class_names is not a list of "
+                           f"{model.n_classes} names")
+    restore_model(model, {k: v for k, v in entries.items()
+                          if not k.startswith("extra.")})
+    graph = build_graph_context(adjacency, channel_names)
+    return (model, graph, entries["extra.norm_mean"],
+            entries["extra.norm_std"], class_names)
 
 
 def cmd_eval(args):
     cfg = resolve_config(args.config, args.overrides)
-    model, graph, mean, std, meta = _restore(args, cfg)
+    model, graph, mean, std, class_names = _restore(args)
     dataset = load_task_dataset(cfg)
     feats = datamod.apply_zscore(dataset.features, mean, std)
     preds = predict(model, graph, feats, dataset.edges)
-    metrics = compute_metrics(preds, dataset.targets, int(meta["n_classes"]))
+    metrics = compute_metrics(preds, dataset.targets, model.n_classes)
 
     os.makedirs(args.out, exist_ok=True)
-    names = meta.get("class_names") or None
     _write(os.path.join(args.out, "eval_metrics.txt"),
-           format_metrics(metrics, names))
+           format_metrics(metrics, class_names))
     _write(os.path.join(args.out, "eval_confusion.csv"),
-           confusion_csv(metrics, names))
+           confusion_csv(metrics, class_names))
     print(f"accuracy {metrics.accuracy!r}")
     return 0
 
@@ -199,12 +214,12 @@ def cmd_export(args):
     os.makedirs(args.out, exist_ok=True)
     if args.what == "graph":
         entries, meta = load_archive(args.checkpoint)
+        adjacency, names = _stored_graph(entries, meta, args.checkpoint)
         datamod.write_adjacency_csv(
-            os.path.join(args.out, "adjacency.csv"),
-            entries["extra.adjacency"], meta.get("channel_names", ()))
+            os.path.join(args.out, "adjacency.csv"), adjacency, names)
         print(f"wrote {args.out}/adjacency.csv")
         return 0
-    model, graph, mean, std, _ = _restore(args, cfg)
+    model, graph, mean, std, _ = _restore(args)
     dataset = load_task_dataset(cfg)
     feats = datamod.apply_zscore(dataset.features, mean, std)
     acts = model.layer_activations(graph, feats, dataset.edges)

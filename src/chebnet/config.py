@@ -1,13 +1,15 @@
 """Run configuration: documented defaults, JSON file, flag overrides.
 
 Precedence is flags > file > defaults.  Unknown keys anywhere in the nested
-document are rejected, and the fully resolved config is echoed into the run
-directory so a run can be reproduced from its own output.
+document are rejected, every value must have the JSON type of its default,
+and the fully resolved config is echoed into the run directory so a run can
+be reproduced from its own output.
 """
 
 import copy
 import json
 import math
+import sys
 
 from chebnet.training import TrainingConfig
 
@@ -84,16 +86,66 @@ def _merge(base, override, prefix=""):
     return out
 
 
+def _is_int(value):
+    return type(value) is int
+
+
+def _is_number(value):
+    # finite, and (for an int) within float range, so float() cannot fail
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# What a leaf must hold, by the type of its default value.
+_LEAF_TYPES = {
+    bool: ("a boolean", lambda value: type(value) is bool),
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda value: isinstance(value, str)),
+    list: ("a list of integers", _is_list_of(_is_int)),
+}
+
+# What a leaf whose default is null must hold when it is not null.
+_NULLABLE_TYPES = {
+    "data.path": _LEAF_TYPES[str],
+    "data.feature_columns": ("a list of strings",
+                             _is_list_of(lambda value: isinstance(value, str))),
+    "model.graph_dims": _LEAF_TYPES[list],
+}
+
+
+def _check_types(cfg, defaults=DEFAULTS, prefix=""):
+    """Raise ConfigError naming the first leaf whose value has the wrong type.
+
+    The merge has already checked the nesting, so every key is present and
+    every mapping is a dict.
+    """
+    for key, default in defaults.items():
+        path, value = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            _check_types(value, default, f"{path}.")
+            continue
+        if default is None and value is None:
+            continue
+        what, ok = (_NULLABLE_TYPES[path] if default is None
+                    else _LEAF_TYPES[type(default)])
+        if not ok(value):
+            raise ConfigError(f"invalid config value for {path!r}: must be "
+                              f"{what}, got {value!r}")
+
+
 def _validate(cfg):
     def bad(key, why):
         raise ConfigError(f"invalid config value for {key!r}: {why}")
 
+    _check_types(cfg)
     if cfg["task"] not in TASKS:
         bad("task", f"must be one of {TASKS}")
     if cfg["variant"] not in ("cheb", "gcn", "gat"):
         bad("variant", "must be cheb, gcn or gat")
-    if not isinstance(cfg["seed"], int):
-        bad("seed", "must be an integer")
     g = cfg["graph"]
     if not (0.0 <= g["threshold"] <= MAX_THRESHOLD):
         bad("graph.threshold",
@@ -103,8 +155,13 @@ def _validate(cfg):
     m = cfg["model"]
     if not (0.0 <= m["dropout"] < 1.0):
         bad("model.dropout", "must lie in [0, 1)")
-    if any(int(k) < 1 for k in m["cheb_orders"]):
+    if any(k < 1 for k in m["cheb_orders"]):
         bad("model.cheb_orders", "orders must be >= 1")
+    if m["graph_dims"] is not None and any(d < 1 for d in m["graph_dims"]):
+        bad("model.graph_dims", "widths must be >= 1")
+    for key in ("conv_kernels", "embedding_dim"):
+        if m[key] < 1:
+            bad(f"model.{key}", "must be >= 1")
     t = cfg["training"]
     if not (0.0 <= t["alpha"] <= 1.0):
         bad("training.alpha", "must lie in [0, 1]")
@@ -181,8 +238,6 @@ def training_config(cfg):
         dropout=float(m["dropout"]),
         embedding_dim=int(m["embedding_dim"]),
         threshold=float(cfg["graph"]["threshold"]),
-        window=int(t["window"]),
-        stride=int(t["stride"]),
         epochs=int(t["epochs"]),
         folds=int(t["folds"]),
         seed=int(cfg["seed"]),

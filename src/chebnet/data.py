@@ -495,6 +495,8 @@ def synth_generate(n_samples, n_channels, n_classes, separation, seed,
     """
     if separation < 0:
         raise ValueError("separation must be nonnegative")
+    if n_classes < 1:
+        raise ValueError("need at least one class")
     rng = np.random.default_rng(seed)
     n_free = max(n_classes, (n_channels + 2) // 3)
     if n_free > n_channels:

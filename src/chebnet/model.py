@@ -318,7 +318,7 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
         edge_head = [Linear(2 * graph_dims[-1], EDGE_HEAD_HIDDEN, rng=rng),
                      Linear(EDGE_HEAD_HIDDEN, n_classes, rng=rng)]
 
-    return EnsembleModel(
+    model = EnsembleModel(
         task=task,
         variant=variant,
         blocks=blocks,
@@ -329,3 +329,14 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
         conv_shape=conv_shape,
         n_classes=n_classes,
     )
+    # Every resolved argument but ``rng``, as JSON values: a checkpoint
+    # stores this record, and build_model(**record, rng=...) rebuilds the
+    # same architecture from it.
+    model.architecture = {
+        "task": task, "variant": variant, "width": int(width),
+        "n_classes": int(n_classes), "conv_shape": [int(ch), int(length)],
+        "cheb_orders": orders, "graph_dims": graph_dims,
+        "conv_kernels": int(conv_kernels), "dropout_p": float(dropout_p),
+        "alpha": float(alpha), "embedding_dim": int(embedding_dim),
+    }
+    return model

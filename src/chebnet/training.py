@@ -57,8 +57,6 @@ class TrainingConfig:
     dropout: float = 0.5
     embedding_dim: int = 50
     threshold: float = DEFAULT_THRESHOLD
-    window: int = 20
-    stride: int = 1
     epochs: int = 500
     folds: int = 10
     seed: int = 0
@@ -247,42 +245,47 @@ def _subset(dataset, features, mask):
     )
 
 
+def _fit(dataset, mask, config, instance):
+    """Normalize, build the correlation graph and train on the rows ``mask``
+    selects; returns (model, history, graph, mean, std).
+
+    Node tasks take the normalization statistics and the graph from the
+    selected rows.  Edge tasks select edges; the node-feature matrix they
+    normalize (and hence the graph) is the same for every mask.
+    """
+    edge = dataset.task == EDGE_TASK
+    norm, mean, std = zscore_normalize(
+        dataset.features if edge else dataset.features[mask])
+    if edge:
+        graph = graph_from_features(
+            norm.T, config.threshold, [f"n{i}" for i in range(norm.shape[0])])
+    else:
+        graph = graph_from_features(norm, config.threshold,
+                                    dataset.channel_names)
+    model, history = train_model(_subset(dataset, norm, mask), graph, config,
+                                 instance=instance)
+    return model, history, graph, mean, std
+
+
 def cross_validate(dataset, config):
     """K-fold cross-validation; every sample is tested exactly once.
 
-    Node tasks re-derive normalization statistics and the correlation graph
-    from each fold's training rows.  Edge tasks fold the edge list; the
-    node-feature matrix (and hence the graph) is not fold-dependent.
+    Each fold is one ``_fit`` on the other folds' rows, then a prediction on
+    its own rows z-scored with that fit's statistics.
     """
     n = dataset.n_samples
     plan = kfold_split(n, config.folds, subseed(config.seed, SEED_FOLDS))
     fold_results = []
     pooled_confusion = np.zeros((dataset.n_classes, dataset.n_classes),
                                 dtype=np.int64)
-
-    if dataset.task == EDGE_TASK:
-        norm_feats, _, _ = zscore_normalize(dataset.features)
-        graph = graph_from_features(norm_feats.T, config.threshold,
-                                    [f"n{i}" for i in
-                                     range(dataset.features.shape[0])])
+    edge = dataset.task == EDGE_TASK
 
     for fold in range(config.folds):
         test = plan == fold
-        if dataset.task == EDGE_TASK:
-            train_ds = _subset(dataset, norm_feats, ~test)
-            model, history = train_model(train_ds, graph, config,
-                                         instance=fold)
-            preds = predict(model, graph, norm_feats, dataset.edges[test])
-        else:
-            norm_train, mean, std = zscore_normalize(
-                dataset.features[~test])
-            graph = graph_from_features(norm_train, config.threshold,
-                                        dataset.channel_names)
-            train_ds = _subset(dataset, norm_train, ~test)
-            model, history = train_model(train_ds, graph, config,
-                                         instance=fold)
-            test_feats = apply_zscore(dataset.features[test], mean, std)
-            preds = predict(model, graph, test_feats)
+        model, history, graph, mean, std = _fit(dataset, ~test, config, fold)
+        feats = dataset.features if edge else dataset.features[test]
+        preds = predict(model, graph, apply_zscore(feats, mean, std),
+                        dataset.edges[test] if edge else None)
         m = compute_metrics(preds, dataset.targets[test], dataset.n_classes)
         pooled_confusion += m.confusion
         fold_results.append(FoldResult(fold=fold, metrics=m, history=history))
@@ -300,14 +303,5 @@ def fit_full(dataset, config):
     Returns (model, history, graph, mean, std); the normalization record and
     graph are what a later evaluation of new data must reuse.
     """
-    norm_feats, mean, std = zscore_normalize(dataset.features)
-    if dataset.task == EDGE_TASK:
-        graph = graph_from_features(
-            norm_feats.T, config.threshold,
-            [f"n{i}" for i in range(dataset.features.shape[0])])
-    else:
-        graph = graph_from_features(norm_feats, config.threshold,
-                                    dataset.channel_names)
-    full = _subset(dataset, norm_feats, np.ones(dataset.n_samples, dtype=bool))
-    model, history = train_model(full, graph, config, instance=config.folds)
-    return model, history, graph, mean, std
+    return _fit(dataset, np.ones(dataset.n_samples, dtype=bool), config,
+                config.folds)

@@ -111,6 +111,13 @@ class TestRejections:
         with pytest.raises(ArchiveError, match="entries"):
             load_archive(path)
 
+    def test_meta_not_an_object(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_archive(path, [], {})
+        write_header(path, {"entries": [], "meta": [1, 2]})
+        with pytest.raises(ArchiveError, match="meta"):
+            load_archive(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "ck.bin"
         save_archive(path, [("x", np.ones(2))], {})

@@ -3,12 +3,16 @@
 import csv
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chebnet.archive import save_archive
 from chebnet.cli import main
-from chebnet.config import ConfigError, parse_override, resolve_config
+from chebnet.config import (DEFAULTS, ConfigError, parse_override,
+                            resolve_config, training_config)
 from chebnet.data import read_adjacency_csv
 
 FAST = [
@@ -28,6 +32,44 @@ def run_train(tmp_path, extra=(), variant="cheb"):
                  "--set", f'variant="{variant}"', *FAST, *extra])
     assert code == 0
     return os.path.join(out, variant)
+
+
+def rewrite_meta(path, update):
+    """Apply ``update`` to the meta dict in an archive's JSON header."""
+    raw = open(path, "rb").read()
+    hlen = struct.unpack("<I", raw[12:16])[0]
+    header = json.loads(raw[16:16 + hlen])
+    update(header["meta"])
+    body = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(raw[:12] + struct.pack("<I", len(body)) + body
+                 + raw[16 + hlen:])
+
+
+def last_train_accuracy(run_dir):
+    with open(os.path.join(run_dir, "history.csv")) as fh:
+        return float(list(csv.reader(fh))[-1][4])
+
+
+def eval_accuracy(out):
+    text = open(os.path.join(out, "eval_metrics.txt")).read()
+    return float(text.splitlines()[0].split()[1])
+
+
+def leaf_keys(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
 
 
 class TestConfig:
@@ -56,6 +98,37 @@ class TestConfig:
         # edge weights are sigmoid(|corr|) <= sigmoid(1) ~ 0.7311
         with pytest.raises(ConfigError, match="graph.threshold"):
             resolve_config(overrides=["graph.threshold=0.74"])
+
+    @pytest.mark.parametrize("override", [
+        'graph.threshold="a"', 'training.epochs="a"',
+        "model.conv_kernels=null", "model.dropout=[1]",
+        "model.cheb_orders=3", "model.cheb_orders=[2.5]",
+        "training.early_stop=1", "seed=true", "training.lr_graph=NaN",
+        "training.lr_conv=1e400", "model.graph_dims=[4,\"x\"]",
+        "data.feature_columns=[1]", "synth.separation={}",
+        "model.conv_kernels=0", "model.embedding_dim=-1",
+        "model.graph_dims=[10,5,0,2]",
+    ])
+    def test_bad_value_names_key(self, override):
+        key = override.split("=", 1)[0]
+        with pytest.raises(ConfigError, match=key):
+            resolve_config(overrides=[override])
+
+    def test_wrong_type_exits_one(self, capsys):
+        assert main(["train", "--set", 'graph.threshold="a"']) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "graph.threshold" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(sorted(leaf_keys(DEFAULTS))),
+                              JSON_VALUES), min_size=1, max_size=3))
+    def test_any_leaf_value_resolves_or_raises_config_error(self, pairs):
+        overrides = [f"{key}={json.dumps(value)}" for key, value in pairs]
+        try:
+            cfg = resolve_config(overrides=overrides)
+        except ConfigError:
+            return
+        training_config(cfg)  # whatever validates also converts
 
     def test_parse_override_json_values(self):
         assert parse_override("model.cheb_orders=[2,2,1,1]") == {
@@ -168,14 +241,67 @@ class TestEvalCommand:
             outs.append(open(os.path.join(out, "eval_metrics.txt")).read())
         assert outs[0] == outs[1]
 
-    def test_order_mismatch_exits_one(self, tmp_path, capsys):
+    def test_padded_orders_restore(self, tmp_path):
+        """Training pads short cheb_orders; eval rebuilds the padded model."""
+        flags = ["--set", "model.graph_dims=[10,5,2,2]",
+                 "--set", "model.cheb_orders=[2,2,2]"]
+        run_dir = run_train(tmp_path, extra=flags)
+        out = str(tmp_path / "eval")
+        assert main(["eval", "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.bin"),
+                     "--out", out, *FAST, *flags]) == 0
+        assert eval_accuracy(out) == last_train_accuracy(run_dir)
+
+    def test_variant_comes_from_checkpoint(self, tmp_path):
+        run_dir = run_train(tmp_path, variant="gcn")
+        out = str(tmp_path / "eval")
+        assert main(["eval", "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.bin"),
+                     "--out", out, *FAST]) == 0
+        assert eval_accuracy(out) == last_train_accuracy(run_dir)
+
+    def test_record_that_mismatches_weights_exits_one(self, tmp_path,
+                                                      capsys):
         run_dir = run_train(
             tmp_path, extra=["--set", "model.cheb_orders=[3,1,1,1]"])
-        code = main(["eval", "--checkpoint",
-                     os.path.join(run_dir, "checkpoint.bin"),
-                     "--out", str(tmp_path / "eval"),
-                     "--set", "model.cheb_orders=[2,1,1,1]", *FAST])
-        assert code == 1
+        path = os.path.join(run_dir, "checkpoint.bin")
+
+        def shrink_order(meta):
+            assert meta["architecture"]["cheb_orders"] == [3, 1, 1, 1]
+            meta["architecture"]["cheb_orders"] = [2, 1, 1, 1]
+
+        rewrite_meta(path, shrink_order)
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *FAST]) == 1
+        assert "shape mismatch" in capsys.readouterr().err
+
+    def test_archive_without_model_exits_one(self, tmp_path, capsys):
+        path = str(tmp_path / "x.bin")
+        save_archive(path, [("x", np.zeros(3))])
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "e")]) == 1
+        assert main(["export", "--checkpoint", path, "--what", "graph",
+                     "--out", str(tmp_path / "g")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and "extra.adjacency" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("update", [
+        lambda meta: meta.pop("architecture"),
+        lambda meta: meta.update(architecture=[1, 2]),
+        lambda meta: meta["architecture"].update(conv_kernels="ten"),
+        lambda meta: meta["architecture"].update(conv_shape=5),
+        lambda meta: meta["architecture"].update(depth=4),
+    ], ids=["missing", "not-a-dict", "wrong-type", "not-a-pair",
+            "unknown-key"])
+    def test_bad_architecture_record_exits_one(self, tmp_path, capsys,
+                                               update):
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        rewrite_meta(path, update)
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *FAST]) == 1
+        assert "architecture record" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_one(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
@@ -187,6 +313,23 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(path),
                      "--out", str(tmp_path / "o")]) == 1
         assert "too short" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("update", [
+        lambda meta: meta.update(class_names=5),
+        lambda meta: meta.update(class_names=["only-one"]),
+        lambda meta: meta.update(channel_names=7),
+        lambda meta: meta.update(channel_names=["a"]),
+        lambda meta: meta.pop("channel_names"),
+    ], ids=["classes-not-a-list", "classes-short", "channels-not-a-list",
+            "channels-short", "channels-missing"])
+    def test_bad_names_exit_one(self, tmp_path, capsys, update):
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        rewrite_meta(path, update)
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *FAST]) == 1
+        assert "names" in capsys.readouterr().err
 
 
 class TestExportCommand:
@@ -218,6 +361,20 @@ class TestExportCommand:
             with open(os.path.join(out, name)) as fh:
                 rows = list(csv.reader(fh))
             assert len(rows) == 1 + 10  # header + one row per node
+
+    def test_bad_stored_graph_exits_one(self, tmp_path, capsys):
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        rewrite_meta(path, lambda meta: meta.update(channel_names=7))
+        assert main(["export", "--checkpoint", path, "--what", "graph",
+                     "--out", str(tmp_path / "g")]) == 1
+        assert "channel_names" in capsys.readouterr().err
+        odd = str(tmp_path / "odd.bin")
+        save_archive(odd, [("extra.adjacency", np.zeros(3))],
+                     {"channel_names": ["a", "b", "c"]})
+        assert main(["export", "--checkpoint", odd, "--what", "graph",
+                     "--out", str(tmp_path / "g")]) == 1
+        assert "square" in capsys.readouterr().err
 
     def test_unknown_what_exits_one(self, tmp_path):
         run_dir = run_train(tmp_path)
@@ -264,6 +421,22 @@ class TestSynthCommand:
         text = open(tmp_path / "runs4" / "cheb" / "metrics.txt").read()
         assert text.startswith("accuracy ")
         assert "np.float64" not in text
+
+    def test_edge_checkpoint_evaluates_without_model_flags(self, tmp_path):
+        out = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "edges", "--out", out]) == 0
+        data = ["--set", 'task="sg-plant-edges"',
+                "--set", f'data.path="{os.path.join(out, "supplygraph")}"']
+        assert main(["train", "--set", f'output_dir="{tmp_path / "runs"}"',
+                     *data, "--set", "model.embedding_dim=20",
+                     "--set", "training.epochs=4",
+                     "--set", "training.folds=2"]) == 0
+        run_dir = str(tmp_path / "runs" / "cheb")
+        ev = str(tmp_path / "eval")
+        assert main(["eval", "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.bin"),
+                     "--out", ev, *data]) == 0
+        assert eval_accuracy(ev) == last_train_accuracy(run_dir)
 
     def test_edges_export_feeds_sg_pipeline(self, tmp_path):
         out = str(tmp_path / "synth")

@@ -200,6 +200,10 @@ class TestSynthGenerate:
         with pytest.raises(ValueError):
             synth_generate(10, 4, 2, -1.0, seed=0)
 
+    def test_rejects_zero_classes(self):
+        with pytest.raises(ValueError, match="class"):
+            synth_generate(10, 4, 0, 1.0, seed=0)
+
 
 class TestSynthEdgeGenerate:
     def test_deterministic_and_shaped(self):

@@ -1,5 +1,7 @@
 """Ensemble model assembly: parameter layout, lifts, branch shapes."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,20 @@ class TestParameterLayout:
         rng2 = np.random.default_rng(4)
         model2 = build_model("node-class", "cheb", 10, 2, (1, 10), rng=rng2)
         assert names == [n for n, _ in model2.named_arrays()]
+
+    def test_architecture_record_rebuilds_model(self):
+        rng = np.random.default_rng(6)
+        model = build_model("edge-class", "gcn", 12, 3, (2, 8), rng=rng,
+                            cheb_orders=(2, 1, 1), embedding_dim=7,
+                            dropout_p=0.25, alpha=0.6)
+        record = json.loads(json.dumps(model.architecture))
+        assert record == model.architecture
+        assert record["graph_dims"] == [100, 100, 7]
+        again = build_model(**record, rng=np.random.default_rng(7))
+        assert again.architecture == record
+        assert [(n, a.shape) for n, a in again.named_arrays()] == \
+            [(n, a.shape) for n, a in model.named_arrays()]
+        assert (again.alpha, again.dropout_p) == (0.6, 0.25)
 
     def test_validates_inputs(self):
         rng = np.random.default_rng(5)
