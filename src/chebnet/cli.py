@@ -45,22 +45,27 @@ def _output_root(cfg):
     return os.environ.get("CHEBNET_OUTPUT_ROOT", cfg["output_dir"])
 
 
+def _synth_node_dataset(cfg):
+    """The synthetic node dataset and its truth adjacency that cfg's
+    ``synth`` section, seed and graph threshold describe."""
+    s = cfg["synth"]
+    return datamod.synth_generate(
+        n_samples=int(s["n_samples"]),
+        n_channels=int(s["n_channels"]),
+        n_classes=int(s["n_classes"]),
+        separation=float(s["separation"]),
+        seed=subseed(cfg["seed"], SEED_SYNTH),
+        threshold=float(cfg["graph"]["threshold"]),
+    )
+
+
 def load_task_dataset(cfg):
     """Build the Dataset selected by cfg['task']."""
     task = cfg["task"]
     path = cfg["data"]["path"]
     t = cfg["training"]
     if task == "synthetic":
-        s = cfg["synth"]
-        dataset, _ = datamod.synth_generate(
-            n_samples=int(s["n_samples"]),
-            n_channels=int(s["n_channels"]),
-            n_classes=int(s["n_classes"]),
-            separation=float(s["separation"]),
-            seed=subseed(cfg["seed"], SEED_SYNTH),
-            threshold=float(cfg["graph"]["threshold"]),
-        )
-        return dataset
+        return _synth_node_dataset(cfg)[0]
     if path is None:
         raise ConfigError(f"task {task!r} needs data.path")
     if task == "dataco-risk":
@@ -237,16 +242,8 @@ def cmd_export(args):
 def cmd_synth(args):
     cfg = resolve_config(args.config, args.overrides)
     os.makedirs(args.out, exist_ok=True)
-    s = cfg["synth"]
     if args.kind == "node":
-        dataset, truth = datamod.synth_generate(
-            n_samples=int(s["n_samples"]),
-            n_channels=int(s["n_channels"]),
-            n_classes=int(s["n_classes"]),
-            separation=float(s["separation"]),
-            seed=subseed(cfg["seed"], SEED_SYNTH),
-            threshold=float(cfg["graph"]["threshold"]),
-        )
+        dataset, truth = _synth_node_dataset(cfg)
         datamod.write_dataco_csv(dataset,
                                  os.path.join(args.out, "synthetic.csv"),
                                  target_column="target")

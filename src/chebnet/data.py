@@ -161,20 +161,25 @@ def _is_missing(value):
     return value is None or value.strip() == ""
 
 
-def _column_is_numeric(values):
-    """A column is numeric when at least half its non-missing entries parse."""
-    parsed = 0
-    seen = 0
-    for v in values:
+def _parse_column(values):
+    """Parse a column's cells, calling ``float()`` once per cell.
+
+    Returns (parsed, numeric): ``parsed`` is a float array with NaN where a
+    cell is missing or does not parse, and ``numeric`` says whether the
+    column has a non-missing cell and at least half of those cells parse.
+    """
+    parsed = np.full(len(values), np.nan)
+    seen = ok = 0
+    for i, v in enumerate(values):
         if _is_missing(v):
             continue
         seen += 1
         try:
-            float(v)
-            parsed += 1
+            parsed[i] = float(v)
+            ok += 1
         except ValueError:
             pass
-    return seen > 0 and parsed * 2 >= seen
+    return parsed, seen > 0 and ok * 2 >= seen
 
 
 def _encode_first_appearance(values):
@@ -190,9 +195,11 @@ def _encode_first_appearance(values):
 def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
     """Load a transaction CSV into a node-classification dataset.
 
-    Word-valued columns become dense integer codes by first appearance;
-    rows with missing or unparseable values are dropped (count recorded on
-    the dataset).  Numeric targets are remapped to dense labels by sorted
+    A column is numeric when at least half its non-missing cells parse as
+    numbers; other columns become dense integer codes by first appearance.
+    A row is dropped (count recorded on the dataset) when any feature cell
+    or its target is missing, or, in a numeric column, unparseable or
+    non-finite.  Numeric targets are remapped to dense labels by sorted
     value, so a 0/1 late-delivery flag keeps 1 = late.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -213,70 +220,49 @@ def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
     missing = [c for c in feature_columns if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing feature columns {missing}")
+    if not feature_columns:
+        raise SchemaError(f"{path}: no feature columns")
 
-    idx = {c: header.index(c) for c in feature_columns + [target_column]}
-    cols = {c: [r[idx[c]] if idx[c] < len(r) else "" for r in rows]
-            for c in feature_columns + [target_column]}
+    def column(name):
+        i = header.index(name)
+        return [r[i] if i < len(r) else "" for r in rows]
 
-    numeric = {c: _column_is_numeric(cols[c]) for c in feature_columns}
-    target_numeric = _column_is_numeric(cols[target_column])
-
-    encoded = {}
-    for c in feature_columns:
-        if not numeric[c]:
-            non_missing = [v for v in cols[c] if not _is_missing(v)]
-            _, codes = _encode_first_appearance(non_missing)
-            encoded[c] = codes
-
-    keep, feats, raw_targets = [], [], []
-    for i in range(len(rows)):
-        vals = []
-        ok = True
-        for c in feature_columns:
-            v = cols[c][i]
-            if _is_missing(v):
-                ok = False
-                break
-            if numeric[c]:
-                try:
-                    vals.append(float(v))
-                except ValueError:
-                    ok = False
-                    break
-            else:
-                vals.append(float(encoded[c][v]))
-        tv = cols[target_column][i]
-        if ok and _is_missing(tv):
-            ok = False
-        if ok and target_numeric:
-            try:
-                float(tv)
-            except ValueError:
-                ok = False
-        if ok:
-            keep.append(i)
-            feats.append(vals)
-            raw_targets.append(tv)
-    n_dropped = len(rows) - len(keep)
-    if not keep:
+    feats = np.empty((len(rows), len(feature_columns)))
+    for j, c in enumerate(feature_columns):
+        cells = column(c)
+        parsed, numeric = _parse_column(cells)
+        if not numeric:
+            _, codes = _encode_first_appearance(
+                v for v in cells if not _is_missing(v))
+            parsed = [codes.get(v, np.nan) for v in cells]
+        feats[:, j] = parsed
+    raw_targets = column(target_column)
+    target_values, target_numeric = _parse_column(raw_targets)
+    if target_numeric:
+        usable = np.isfinite(target_values)
+    else:
+        usable = np.array([not _is_missing(v) for v in raw_targets], dtype=bool)
+    keep = np.isfinite(feats).all(axis=1) & usable
+    if not keep.any():
         raise ValueError(f"{path}: no rows left after cleaning")
 
     if target_numeric:
-        values = [float(v) for v in raw_targets]
+        values = target_values[keep].tolist()
         uniq = sorted(set(values))
         remap = {v: i for i, v in enumerate(uniq)}
         targets = [remap[v] for v in values]
         class_names = tuple(str(v) for v in uniq)
     else:
-        targets, codes = _encode_first_appearance(raw_targets)
+        targets, codes = _encode_first_appearance(
+            raw_targets[i] for i in np.flatnonzero(keep))
         class_names = tuple(codes)
     return Dataset(
-        features=np.array(feats, dtype=np.float64),
+        features=feats[keep],
         targets=np.array(targets, dtype=np.int64),
         task=NODE_TASK,
         n_classes=len(class_names),
         channel_names=tuple(feature_columns),
-        n_dropped=n_dropped,
+        n_dropped=int(len(rows) - keep.sum()),
         class_names=class_names,
     )
 
@@ -425,17 +411,12 @@ def build_sg_node_dataset(sg, window=20, stride=1):
         raise SchemaError(
             "product-group task needs products.csv with group labels")
     windows = [window_series(sg.series[name], window, stride)
-               for name in SG_SIGNALS]
+               for name in SG_SIGNALS]      # each (starts, products, window)
     n_starts = windows[0].shape[0]
-    n_products = len(sg.products)
-    feats = np.empty((n_products * n_starts, len(SG_SIGNALS) * window))
-    targets = np.empty(n_products * n_starts, dtype=np.int64)
-    row = 0
-    for p in range(n_products):
-        for s in range(n_starts):
-            feats[row] = np.concatenate([w[s, p, :] for w in windows])
-            targets[row] = sg.groups[p]
-            row += 1
+    # (starts, products, signals, window) -> product-major rows
+    feats = np.stack(windows, axis=2).transpose(1, 0, 2, 3).reshape(
+        -1, len(SG_SIGNALS) * window)
+    targets = np.repeat(sg.groups, n_starts)
     names = tuple(f"{sig}_t{j}" for sig in SG_SIGNALS for j in range(window))
     return Dataset(
         features=feats,

@@ -1,10 +1,14 @@
 """Loaders, windowing, normalization, synthetic generators."""
 
+import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chebnet.cli import main
 from chebnet.data import (SchemaError, apply_zscore, build_sg_edge_dataset,
                           build_sg_node_dataset, load_dataco,
                           load_supplygraph, read_adjacency_csv,
@@ -106,6 +110,166 @@ class TestLoadDataco:
         ds = load_dataco(path, target_column="Status")
         np.testing.assert_array_equal(ds.targets, [0, 1, 0])
         assert ds.class_names == ("late", "on_time")
+
+    def test_nonfinite_target_drops_row(self, tmp_path):
+        rng = np.random.default_rng(0)
+        lines = [",".join([f"f{j}" for j in range(10)] + ["target"])]
+        for i in range(40):
+            target = "nan" if i in (5, 17, 33) else str(i % 2)
+            lines.append(",".join([repr(v) for v in rng.standard_normal(10)]
+                                  + [target]))
+        path = tmp_path / "t.csv"
+        write_csv(path, lines)
+        ds = load_dataco(path, target_column="target")
+        assert ds.class_names == ("0.0", "1.0")
+        assert ds.n_dropped == 3
+        assert ds.n_samples == 37
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_feature_drops_only_its_row(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_csv(path, [
+            "A,B,Late_delivery_risk",
+            "1.0,2.0,0",
+            f"{cell},3.0,1",
+            "4.0,5.0,1",
+            "6.0,7.0,0",
+        ])
+        ds = load_dataco(path)
+        assert ds.n_dropped == 1
+        np.testing.assert_array_equal(ds.features,
+                                      [[1.0, 2.0], [4.0, 5.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(ds.targets, [0, 1, 0])
+
+    def test_word_feature_codes_count_dropped_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [
+            "Type,V,Late_delivery_risk",
+            "X,1.0,",
+            "Y,2.0,0",
+            "X,3.0,1",
+        ])
+        ds = load_dataco(path)
+        assert ds.n_dropped == 1
+        np.testing.assert_array_equal(ds.features[:, 0], [1.0, 0.0])
+
+    def test_word_target_codes_count_kept_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [
+            "A,Status",
+            ",on_time",
+            "1.0,late",
+            "2.0,on_time",
+        ])
+        ds = load_dataco(path, target_column="Status")
+        assert ds.n_dropped == 1
+        assert ds.class_names == ("late", "on_time")
+        np.testing.assert_array_equal(ds.targets, [0, 1])
+
+    def test_short_row_reads_as_missing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [
+            "A,B,Late_delivery_risk",
+            "1,2,0",
+            "3",
+            "4,5,1",
+            "6,7",
+        ])
+        ds = load_dataco(path)
+        assert ds.n_dropped == 2
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [4.0, 5.0]])
+
+    def test_half_parsed_column_is_numeric(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [
+            "A,B,Late_delivery_risk",
+            "1.0,1,0",
+            "x,2,1",
+            "2.0,3,1",
+            "y,4,0",
+        ])
+        ds = load_dataco(path)
+        assert ds.n_dropped == 2
+        np.testing.assert_array_equal(ds.features, [[1.0, 1.0], [2.0, 3.0]])
+
+    def test_minority_parsed_column_is_word_coded(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, [
+            "A,B,Late_delivery_risk",
+            "1.0,1,0",
+            "x,2,1",
+            "y,3,1",
+        ])
+        ds = load_dataco(path)
+        assert ds.n_dropped == 0
+        np.testing.assert_array_equal(ds.features[:, 0], [0.0, 1.0, 2.0])
+
+
+NAMES = tuple("ABCDEFGHIJK") + ("Type", "Late_delivery_risk")
+NUMBERS = st.integers(-3, 3).map(str) | st.floats(-1e6, 1e6).map(repr)
+WORDS = st.sampled_from(["x", "late", "on time"])
+MESSY = st.sampled_from(["x", "", " ", "nan", "inf", "-0", "1e400"])
+
+
+@st.composite
+def csv_grids(draw):
+    """A header, a target column name and rows of numbers and words, with
+    messy cells and ragged row lengths sprinkled in."""
+    header = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=12))
+    target = draw(st.sampled_from(header + ["missing"]))
+    kinds = [draw(st.sampled_from((NUMBERS, NUMBERS, WORDS))) for _ in header]
+    rows = draw(st.lists(st.tuples(*kinds).map(list), max_size=16))
+    width = len(header)
+    for r, c, cell in draw(st.lists(st.tuples(
+            st.integers(0, 15), st.integers(0, width - 1), MESSY), max_size=8)):
+        if r < len(rows):
+            rows[r][c] = cell
+    for r, n in draw(st.lists(st.tuples(
+            st.integers(0, 15), st.integers(0, width + 1)), max_size=3)):
+        if r < len(rows):
+            rows[r] = (rows[r] + ["1"])[:n]
+    return header, target, rows
+
+
+def write_grid(directory, header, rows):
+    path = os.path.join(directory, "grid.csv")
+    write_csv(path, [",".join(header)] + [",".join(r) for r in rows])
+    return path
+
+
+class TestCsvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(csv_grids())
+    def test_load_returns_clean_dataset_or_raises(self, grid):
+        header, target, rows = grid
+        non_blank = sum(any(c.strip() for c in r) for r in rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_grid(tmp, header, rows)
+            try:
+                ds = load_dataco(path, target_column=target)
+            except ValueError:  # SchemaError included
+                return
+        assert np.isfinite(ds.features).all()
+        assert ds.n_samples + ds.n_dropped == non_blank
+        assert ((ds.targets >= 0) & (ds.targets < ds.n_classes)).all()
+        assert len(set(ds.class_names)) == ds.n_classes
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_grids())
+    def test_train_exits_zero_or_one(self, grid):
+        header, target, rows = grid
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_grid(tmp, header, rows)
+            code = main([
+                "train",
+                "--set", 'task="dataco-risk"',
+                "--set", f"data.path={json.dumps(path)}",
+                "--set", f"data.target_column={json.dumps(target)}",
+                "--set", f"output_dir={json.dumps(tmp)}",
+                "--set", "training.epochs=1",
+                "--set", "training.folds=2",
+            ])
+        assert code in (0, 1)
 
 
 class TestWindowSeries:
