@@ -169,9 +169,10 @@ def _stored_graph(entries, meta, path):
     return adjacency, names
 
 
-def _restore(args):
-    """Load the archive and rebuild the model from its own architecture
-    record; returns (model, graph, mean, std, class names)."""
+def _restore_and_load(args, cfg):
+    """Rebuild the model from the archive's own architecture record, then
+    load cfg's dataset and z-score it with the archived statistics; returns
+    (model, graph, dataset, normalized features, class names)."""
     path = args.checkpoint
     entries, meta = load_archive(path)
     adjacency, channel_names = _stored_graph(entries, meta, path)
@@ -191,15 +192,15 @@ def _restore(args):
     restore_model(model, {k: v for k, v in entries.items()
                           if not k.startswith("extra.")})
     graph = build_graph_context(adjacency, channel_names)
-    return (model, graph, entries["extra.norm_mean"],
-            entries["extra.norm_std"], class_names)
+    dataset = load_task_dataset(cfg)
+    feats = datamod.apply_zscore(dataset.features, entries["extra.norm_mean"],
+                                 entries["extra.norm_std"])
+    return model, graph, dataset, feats, class_names
 
 
 def cmd_eval(args):
     cfg = resolve_config(args.config, args.overrides)
-    model, graph, mean, std, class_names = _restore(args)
-    dataset = load_task_dataset(cfg)
-    feats = datamod.apply_zscore(dataset.features, mean, std)
+    model, graph, dataset, feats, class_names = _restore_and_load(args, cfg)
     preds = predict(model, graph, feats, dataset.edges)
     metrics = compute_metrics(preds, dataset.targets, model.n_classes)
 
@@ -224,9 +225,7 @@ def cmd_export(args):
             os.path.join(args.out, "adjacency.csv"), adjacency, names)
         print(f"wrote {args.out}/adjacency.csv")
         return 0
-    model, graph, mean, std, _ = _restore(args)
-    dataset = load_task_dataset(cfg)
-    feats = datamod.apply_zscore(dataset.features, mean, std)
+    model, graph, dataset, feats, _ = _restore_and_load(args, cfg)
     acts = model.layer_activations(graph, feats, dataset.edges)
     labels = ["input"] + [f"layer{i + 1}" for i in range(len(acts) - 1)]
     for label, act in zip(labels, acts):

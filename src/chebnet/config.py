@@ -7,6 +7,7 @@ be reproduced from its own output.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -169,6 +170,8 @@ def _validate(cfg):
         bad("training.folds", "must be >= 2")
     if t["epochs"] < 0:
         bad("training.epochs", "must be >= 0")
+    if t["early_stop_patience"] < 1:
+        bad("training.early_stop_patience", "must be >= 1")
     if t["lr_graph"] <= 0 or t["lr_conv"] <= 0:
         bad("training.lr_graph", "learning rates must be positive")
     if t["weight_decay"] < 0:
@@ -221,28 +224,11 @@ def config_json(cfg):
 
 
 def training_config(cfg):
-    """Bridge the nested document to the training module's config."""
-    m = cfg["model"]
-    t = cfg["training"]
-    return TrainingConfig(
-        variant=cfg["variant"],
-        optimizer_graph=t["optimizer_graph"],
-        optimizer_conv=t["optimizer_conv"],
-        lr_graph=float(t["lr_graph"]),
-        lr_conv=float(t["lr_conv"]),
-        weight_decay=float(t["weight_decay"]),
-        cheb_orders=tuple(int(k) for k in m["cheb_orders"]),
-        graph_dims=None if m["graph_dims"] is None
-        else tuple(int(d) for d in m["graph_dims"]),
-        conv_kernels=int(m["conv_kernels"]),
-        dropout=float(m["dropout"]),
-        embedding_dim=int(m["embedding_dim"]),
-        threshold=float(cfg["graph"]["threshold"]),
-        epochs=int(t["epochs"]),
-        folds=int(t["folds"]),
-        seed=int(cfg["seed"]),
-        alpha=float(t["alpha"]),
-        early_stop=bool(t["early_stop"]),
-        early_stop_accuracy=float(t["early_stop_accuracy"]),
-        early_stop_patience=int(t["early_stop_patience"]),
-    )
+    """Bridge the nested document to the training module's config: each
+    ``TrainingConfig`` field takes the same-named key of the top level or
+    the ``graph``, ``model`` or ``training`` section, cast to the field's
+    type (lists become tuples)."""
+    flat = {**cfg, **cfg["graph"], **cfg["model"], **cfg["training"]}
+    return TrainingConfig(**{
+        f.name: None if flat[f.name] is None else f.type(flat[f.name])
+        for f in dataclasses.fields(TrainingConfig)})

@@ -2,9 +2,9 @@
 
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into ``Parameter.grad`` on backward, and returns the
-gradient with respect to its input.  Layers accept a single graph signal
-(N, F) or a batch (B, N, F); the non-graph layers likewise broadcast over
-leading batch dimensions.  There is no general autodiff: the fixed
+gradient with respect to its input.  Graph layers accept a single graph
+signal (N, F) or a batch (B, N, F); Linear and BatchNorm likewise broadcast
+over leading batch dimensions, and Conv1D takes (B, C, L) only.  There is no general autodiff: the fixed
 two-branch topology is differentiated by hand and validated against finite
 differences (see ``grad_check``).
 """
@@ -310,7 +310,8 @@ class GATLayer:
 
 
 class Conv1D:
-    """Valid 1-D cross-correlation, kernel length 5, stride 1.
+    """Valid 1-D cross-correlation, kernel length 5, stride 1, over
+    (batch, channels, length) input.
 
     The activation is applied separately by the model (leaky_relu 0.1).
     Forward and backward call the numpy kernels in ``chebnet.kernels``.
@@ -336,31 +337,25 @@ class Conv1D:
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
-        if x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"expected {self.in_channels} channels, got {x.shape[1]}")
+        if x.ndim != 3 or x.shape[1] != self.in_channels:
+            raise ValueError(f"expected (batch, {self.in_channels}, length) "
+                             f"input, got shape {x.shape}")
         if x.shape[2] < self.KERNEL_LEN:
             raise ValueError(
                 f"sequence length {x.shape[2]} is shorter than the kernel "
                 f"({self.KERNEL_LEN})")
         y = kernels.conv1d_forward(x, self.kernels.value, self.bias.value)
-        self._cache = (x, squeeze)
-        return y[0] if squeeze else y
+        self._cache = x
+        return y
 
     def backward(self, up):
         if self._cache is None:
             raise InvalidStateError("Conv1D.backward before forward")
-        x, squeeze = self._cache
-        up = np.asarray(up, dtype=np.float64)
-        if squeeze:
-            up = up[None]
-        dx, dw, db = kernels.conv1d_backward(x, self.kernels.value, up)
+        dx, dw, db = kernels.conv1d_backward(
+            self._cache, self.kernels.value, np.asarray(up, dtype=np.float64))
         self.kernels.accumulate(dw)
         self.bias.accumulate(db)
-        return dx[0] if squeeze else dx
+        return dx
 
 
 class Linear:
@@ -404,7 +399,8 @@ class BatchNorm:
 
     Train mode normalizes with (biased) batch statistics and folds them into
     the running estimates with momentum 0.1; eval mode uses the running
-    statistics.  The affine gamma/beta pair is applied last.
+    statistics.  The affine gamma/beta pair is applied last.  Only a
+    train-mode forward caches for backward.
     """
 
     EPS = 1e-5
@@ -446,21 +442,19 @@ class BatchNorm:
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (flat - mean) * inv_std
         y = xhat * self.gamma.value + self.beta.value
-        self._cache = (xhat, inv_std, x.shape, self.training)
+        self._cache = (xhat, inv_std, x.shape) if self.training else None
         return y.reshape(x.shape)
 
     def backward(self, up):
         if self._cache is None:
-            raise InvalidStateError("BatchNorm.backward before forward")
-        xhat, inv_std, shape, trained = self._cache
+            raise InvalidStateError(
+                "BatchNorm.backward without a train-mode forward")
+        xhat, inv_std, shape = self._cache
         upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
         self.gamma.accumulate((upf * xhat).sum(axis=0))
         self.beta.accumulate(upf.sum(axis=0))
-        if trained:
-            dx = (self.gamma.value * inv_std) * (
-                upf - upf.mean(axis=0) - xhat * (upf * xhat).mean(axis=0))
-        else:
-            dx = upf * self.gamma.value * inv_std
+        dx = (self.gamma.value * inv_std) * (
+            upf - upf.mean(axis=0) - xhat * (upf * xhat).mean(axis=0))
         return dx.reshape(shape)
 
 

@@ -24,6 +24,7 @@ from chebnet.layers import (
     GATLayer,
     GCNConv,
     Linear,
+    Parameter,
     dropout,
     dropout_backward,
     leaky_relu,
@@ -102,21 +103,31 @@ class EnsembleModel:
 
     # -- parameter access ---------------------------------------------------
 
+    def _walk(self):
+        """Yield (branch, name, Parameter or batch-norm state array) in the
+        fixed manifest order of the checkpoint archive; branch is "graph"
+        or "conv"."""
+        for i, (layer, bn) in enumerate(self.blocks):
+            for name, p in layer.parameters():
+                yield "graph", f"graph.{i}.layer.{name}", p
+            for name, item in bn.parameters() + bn.state():
+                yield "graph", f"graph.{i}.bn.{name}", item
+        for j, lin in enumerate(self.edge_head or ()):
+            for name, p in lin.parameters():
+                yield "graph", f"head.{j}.{name}", p
+        for j, conv in enumerate(self.conv_layers):
+            for name, p in conv.parameters():
+                yield "conv", f"conv.{j}.{name}", p
+
+    def _parameters(self, branch):
+        return [p for b, _, p in self._walk()
+                if b == branch and isinstance(p, Parameter)]
+
     def graph_parameters(self):
-        params = []
-        for layer, bn in self.blocks:
-            params.extend(p for _, p in layer.parameters())
-            params.extend(p for _, p in bn.parameters())
-        if self.edge_head is not None:
-            for lin in self.edge_head:
-                params.extend(p for _, p in lin.parameters())
-        return params
+        return self._parameters("graph")
 
     def conv_parameters(self):
-        params = []
-        for conv in self.conv_layers:
-            params.extend(p for _, p in conv.parameters())
-        return params
+        return self._parameters("conv")
 
     def parameters(self):
         return self.graph_parameters() + self.conv_parameters()
@@ -124,28 +135,27 @@ class EnsembleModel:
     def named_arrays(self):
         """(name, array) pairs covering parameters and batch-norm state, in
         the fixed manifest order used by the checkpoint archive."""
-        out = []
-        for i, (layer, bn) in enumerate(self.blocks):
-            for name, p in layer.parameters():
-                out.append((f"graph.{i}.layer.{name}", p.value))
-            for name, p in bn.parameters():
-                out.append((f"graph.{i}.bn.{name}", p.value))
-            for name, arr in bn.state():
-                out.append((f"graph.{i}.bn.{name}", arr))
-        if self.edge_head is not None:
-            for j, lin in enumerate(self.edge_head):
-                for name, p in lin.parameters():
-                    out.append((f"head.{j}.{name}", p.value))
-        for j, conv in enumerate(self.conv_layers):
-            for name, p in conv.parameters():
-                out.append((f"conv.{j}.{name}", p.value))
-        return out
-
-    def set_training(self, training):
-        for _, bn in self.blocks:
-            bn.training = training
+        return [(name, item.value if isinstance(item, Parameter) else item)
+                for _, name, item in self._walk()]
 
     # -- graph branch ---------------------------------------------------------
+
+    def _blocks(self, graph, features, training):
+        """Yield the graph-branch input, then each block's output, each
+        paired with the pre-activation that produced it (None for the
+        input).  Node tasks lift (B, C) rows with ``diag_lift``; edge tasks
+        take the (N, F) node feature matrix as it is."""
+        for _, bn in self.blocks:
+            bn.training = training
+        if self.task == "edge-class":
+            h = np.asarray(features, dtype=np.float64)
+        else:
+            h = diag_lift(features)
+        yield None, h
+        for layer, bn in self.blocks:
+            z = layer.forward(graph, h)
+            h = bn.forward(relu(z))
+            yield z, h
 
     def graph_forward(self, graph, features, edges=None, training=False,
                       rng=None):
@@ -154,22 +164,14 @@ class EnsembleModel:
         Node tasks take (B, C) feature rows; edge tasks take the (N, F) node
         feature matrix plus the edge index array to score.
         """
-        self.set_training(training)
-        if self.task == "edge-class":
-            if edges is None:
-                raise ValueError("edge task needs an edge list")
-            h = np.asarray(features, dtype=np.float64)
-        else:
-            h = diag_lift(features)
-        x_in = h
+        if self.task == "edge-class" and edges is None:
+            raise ValueError("edge task needs an edge list")
         pre_acts = []
-        for layer, bn in self.blocks:
-            z = layer.forward(graph, h)
-            a = relu(z)
-            h = bn.forward(a)
+        for z, h in self._blocks(graph, features, training):
             pre_acts.append(z)
         h, mask = dropout(h, self.dropout_p, rng=rng, training=training)
-        cache = {"pre_acts": pre_acts, "mask": mask, "n_nodes": x_in.shape[-2]}
+        cache = {"pre_acts": pre_acts[1:], "mask": mask,
+                 "n_nodes": h.shape[-2]}
         if self.task == "edge-class":
             ee = edge_embed(h, edges)
             l1 = self.edge_head[0].forward(ee)
@@ -244,16 +246,8 @@ class EnsembleModel:
         Node tasks average over the sample batch so every matrix has one row
         per graph node.
         """
-        self.set_training(False)
-        if self.task == "edge-class":
-            h = np.asarray(features, dtype=np.float64)
-        else:
-            h = diag_lift(features)
-        acts = [h.mean(axis=0) if h.ndim == 3 else h]
-        for layer, bn in self.blocks:
-            h = bn.forward(relu(layer.forward(graph, h)))
-            acts.append(h.mean(axis=0) if h.ndim == 3 else h)
-        return acts
+        return [h.mean(axis=0) if h.ndim == 3 else h
+                for _, h in self._blocks(graph, features, False)]
 
 
 def default_graph_dims(task, variant, width, n_classes, embedding_dim):
@@ -278,6 +272,7 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
 
     ``width`` is the channel count for node tasks (= node count of the
     correlation graph) and the per-node feature width for edge tasks.
+    Graph layers past the end of ``cheb_orders`` get order 1.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -292,8 +287,7 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
     if task != "edge-class" and graph_dims[-1] != n_classes:
         raise ValueError("last graph dimension must equal the class count")
     orders = [int(k) for k in cheb_orders]
-    if len(orders) < len(graph_dims):
-        raise ValueError("need one Chebyshev order per graph layer")
+    orders += [1] * (len(graph_dims) - len(orders))
     if any(k < 1 for k in orders):
         raise ValueError("Chebyshev orders must be >= 1")
 

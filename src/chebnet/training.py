@@ -72,6 +72,8 @@ class TrainingConfig:
             raise ValueError("folds must be >= 2")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
 
 
 def nll_loss(log_probs, targets):
@@ -135,8 +137,6 @@ def _conv_inputs(dataset, features):
 def _build_from_config(dataset, graph, config, init_rng):
     width = graph.n_nodes if dataset.task != EDGE_TASK \
         else dataset.features.shape[1]
-    orders = config.cheb_orders
-    dims = config.graph_dims
     return build_model(
         task=dataset.task,
         variant=config.variant,
@@ -144,9 +144,8 @@ def _build_from_config(dataset, graph, config, init_rng):
         n_classes=dataset.n_classes,
         conv_shape=dataset.conv_shape,
         rng=init_rng,
-        cheb_orders=orders if dims is None or len(orders) >= len(dims)
-        else tuple(orders) + (1,) * (len(dims) - len(orders)),
-        graph_dims=dims,
+        cheb_orders=config.cheb_orders,
+        graph_dims=config.graph_dims,
         conv_kernels=config.conv_kernels,
         dropout_p=config.dropout,
         alpha=config.alpha,

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebnet.archive import save_archive
+from chebnet.archive import load_archive, save_archive
 from chebnet.cli import main
 from chebnet.config import (DEFAULTS, ConfigError, parse_override,
                             resolve_config, training_config)
 from chebnet.data import read_adjacency_csv
+from chebnet.training import TrainingConfig
 
 FAST = [
     "--set", "synth.n_samples=60",
@@ -130,6 +131,11 @@ class TestConfig:
             return
         training_config(cfg)  # whatever validates also converts
 
+    def test_default_document_bridges_to_default_training_config(self):
+        # training_config fills TrainingConfig by field name, so the two
+        # sets of defaults must agree
+        assert training_config(resolve_config()) == TrainingConfig()
+
     def test_parse_override_json_values(self):
         assert parse_override("model.cheb_orders=[2,2,1,1]") == {
             "model": {"cheb_orders": [2, 2, 1, 1]}}
@@ -169,6 +175,14 @@ class TestTrainCommand:
         code = main(["train", "--set", "graph.threshold=0.74"])
         assert code == 1
         assert "graph.threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_exits_one(self, tmp_path, capsys, patience):
+        code = main(["train", "--set", f'output_dir="{tmp_path}"',
+                     "--set", f"training.early_stop_patience={patience}",
+                     *FAST])
+        assert code == 1
+        assert "training.early_stop_patience" in capsys.readouterr().err
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         code = main(["train", "--set", "nonsense=1"])
@@ -252,6 +266,16 @@ class TestEvalCommand:
                      "--out", out, *FAST, *flags]) == 0
         assert eval_accuracy(out) == last_train_accuracy(run_dir)
 
+    def test_short_orders_padded_with_order_one(self, tmp_path):
+        """Layers past the end of cheb_orders get order 1."""
+        run_dir = run_train(tmp_path, extra=["--set", "model.cheb_orders=[3]"])
+        path = os.path.join(run_dir, "checkpoint.bin")
+        _, meta = load_archive(path)
+        assert meta["architecture"]["cheb_orders"] == [3, 1, 1, 1]
+        out = str(tmp_path / "eval")
+        assert main(["eval", "--checkpoint", path, "--out", out, *FAST]) == 0
+        assert eval_accuracy(out) == last_train_accuracy(run_dir)
+
     def test_variant_comes_from_checkpoint(self, tmp_path):
         run_dir = run_train(tmp_path, variant="gcn")
         out = str(tmp_path / "eval")
@@ -330,6 +354,35 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", path,
                      "--out", str(tmp_path / "eval"), *FAST]) == 1
         assert "names" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """The bytes of a briefly trained checkpoint and a scratch directory."""
+    work = tmp_path_factory.mktemp("fuzz")
+    out = str(work / "runs")
+    assert main(["train", "--set", f'output_dir="{out}"', *FAST,
+                 "--set", "training.epochs=2"]) == 0
+    with open(os.path.join(out, "cheb", "checkpoint.bin"), "rb") as fh:
+        return fh.read(), work
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_checkpoint_exits_zero_or_one(self, small_checkpoint,
+                                                  data):
+        raw, work = small_checkpoint
+        n = len(raw)
+        corrupt = data.draw(
+            st.integers(0, n - 1).map(lambda k: raw[:k])
+            | st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(
+                lambda t: raw[:t[0]] + bytes([t[1]]) + raw[t[0] + 1:]),
+            label="checkpoint")
+        path = work / "corrupt.bin"
+        path.write_bytes(corrupt)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--out", str(work / "eval"), *FAST]) in (0, 1)
 
 
 class TestExportCommand:

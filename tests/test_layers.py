@@ -240,8 +240,8 @@ class TestConv1D:
         layer = Conv1D(1, 1, rng=np.random.default_rng(17))
         layer.kernels.value[...] = 1.0
         layer.bias.value[...] = 0.0
-        y = layer.forward(np.array([[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]))
-        np.testing.assert_allclose(y, [[15.0, 20.0]])
+        y = layer.forward(np.array([[[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]]]))
+        np.testing.assert_allclose(y, [[[15.0, 20.0]]])
 
     def test_impulse_kernel_slices(self):
         rng = np.random.default_rng(18)
@@ -249,20 +249,20 @@ class TestConv1D:
         layer.kernels.value[...] = 0.0
         layer.kernels.value[0, 0, 2] = 1.0
         layer.bias.value[...] = 0.0
-        x = rng.standard_normal((1, 10))
+        x = rng.standard_normal((1, 1, 10))
         y = layer.forward(x)
-        np.testing.assert_allclose(y[0], x[0, 2:8])
+        np.testing.assert_allclose(y[0, 0], x[0, 0, 2:8])
 
     def test_output_length(self):
         rng = np.random.default_rng(19)
         layer = Conv1D(3, 7, rng=rng)
-        y = layer.forward(rng.standard_normal((3, 10)))
-        assert y.shape == (7, 6)
+        y = layer.forward(rng.standard_normal((1, 3, 10)))
+        assert y.shape == (1, 7, 6)
 
     def test_short_sequence_rejected(self):
         layer = Conv1D(1, 1, rng=np.random.default_rng(20))
         with pytest.raises(ValueError):
-            layer.forward(np.ones((1, 4)))
+            layer.forward(np.ones((1, 1, 4)))
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(21)
@@ -270,7 +270,8 @@ class TestConv1D:
         x = rng.standard_normal((4, 2, 9))
         batched = layer.forward(x)
         for b in range(4):
-            np.testing.assert_allclose(layer.forward(x[b]), batched[b])
+            np.testing.assert_allclose(layer.forward(x[b:b + 1])[0],
+                                       batched[b])
 
 
 class TestLinear:
@@ -323,6 +324,14 @@ class TestBatchNorm:
         y = bn.forward(x)
         expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.EPS)
         np.testing.assert_allclose(y, expected, atol=1e-12)
+
+    def test_backward_after_eval_forward_rejected(self):
+        bn = BatchNorm(2)
+        bn.forward(np.arange(8.0).reshape(4, 2))  # train mode caches ...
+        bn.training = False
+        bn.forward(np.ones((3, 2)))               # ... eval mode does not
+        with pytest.raises(InvalidStateError):
+            bn.backward(np.ones((3, 2)))
 
     def test_three_dim_input(self):
         rng = np.random.default_rng(27)

@@ -172,6 +172,12 @@ class TestTrainModel:
         assert len(history) < 400
         assert history[-1][4] >= 0.999
 
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_rejected(self, patience):
+        # patience <= 0 would stop every fit after its first epoch
+        with pytest.raises(ValueError, match="early_stop_patience"):
+            quick_config(early_stop=True, early_stop_patience=patience)
+
     def test_empty_dataset_rejected(self):
         dataset = tiny_dataset()
         graph = graph_from_features(dataset.features, 0.6)
