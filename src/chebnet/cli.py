@@ -1,7 +1,7 @@
 """Command-line interface: train, eval, export, synth.
 
-Exit codes: 0 success, 1 usage/validation/schema errors, 2 numeric failure
-(training divergence).  ``CHEBNET_OUTPUT_ROOT`` overrides where run
+Exit codes: 0 success, 1 usage/validation/schema errors or an allocation
+that does not fit in memory, 2 numeric failure (training divergence).  ``CHEBNET_OUTPUT_ROOT`` overrides where run
 directories are placed without changing the resolved config.
 """
 
@@ -308,6 +308,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 1
     except (_CliError, ConfigError, SchemaError, ArchiveError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

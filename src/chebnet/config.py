@@ -147,6 +147,8 @@ def _validate(cfg):
         bad("task", f"must be one of {TASKS}")
     if cfg["variant"] not in ("cheb", "gcn", "gat"):
         bad("variant", "must be cheb, gcn or gat")
+    if cfg["seed"] < 0:
+        bad("seed", "must be >= 0")
     g = cfg["graph"]
     if not (0.0 <= g["threshold"] <= MAX_THRESHOLD):
         bad("graph.threshold",

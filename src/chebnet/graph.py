@@ -184,6 +184,32 @@ def cheb_apply(scaled_laplacian, x, order):
     return terms
 
 
+def cheb_sum(scaled_laplacian, coeffs):
+    """Chebyshev series applied to signals: sum_k T_k(Ls) coeffs[k].
+
+    Clenshaw's recurrence b_k = c_k + 2 Ls b_{k+1} - b_{k+2}, ending in
+    c_0 + Ls b_1 - b_2, takes K - 1 products with Ls for K coefficient
+    arrays, each (N, F) or batched (B, N, F), and builds no basis.  With a
+    single coefficient array that array itself is returned.
+    """
+    ls = np.asarray(scaled_laplacian, dtype=np.float64)
+    if not coeffs:
+        raise ValueError("cheb_sum needs at least one coefficient array")
+    b1, b2 = coeffs[-1], 0.0
+    for c in coeffs[-2:0:-1]:
+        b = ls @ b1
+        b *= 2.0
+        b += c
+        b -= b2
+        b1, b2 = b, b1
+    if len(coeffs) == 1:
+        return b1
+    y = ls @ b1
+    y += coeffs[0]
+    y -= b2
+    return y
+
+
 def spectral_decomposition(laplacian):
     """Eigendecomposition of a symmetric PSD Laplacian.
 

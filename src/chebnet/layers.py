@@ -3,10 +3,12 @@
 Every layer caches what its backward pass needs during forward, accumulates
 parameter gradients into ``Parameter.grad`` on backward, and returns the
 gradient with respect to its input.  Graph layers accept a single graph
-signal (N, F) or a batch (B, N, F); Linear and BatchNorm likewise broadcast
-over leading batch dimensions, and Conv1D takes (B, C, L) only.  There is no general autodiff: the fixed
-two-branch topology is differentiated by hand and validated against finite
-differences (see ``grad_check``).
+signal (N, F) or a batch (B, N, F), or with ``diagonal=True`` (B, N) rows
+that stand for diagonal node-signal matrices, whose input gradient they do
+not compute; Linear and BatchNorm likewise broadcast over leading batch
+dimensions, and Conv1D takes (B, C, L) only.  There is no general autodiff:
+the fixed two-branch topology is differentiated by hand and validated
+against finite differences (see ``grad_check``).
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from chebnet import kernels
-from chebnet.graph import cheb_apply
+from chebnet.graph import cheb_apply, cheb_sum
 
 
 class InvalidStateError(RuntimeError):
@@ -111,9 +113,52 @@ def dropout_backward(up, mask):
 # graph layers
 
 
+def _diagonal_input(layer, graph, x):
+    """Check (B, N) rows for a graph layer's ``diagonal=True`` mode, in which
+    row b stands for the node-signal matrix diag(x_b): node i carries the
+    value x_b[i] as its feature i, so the input width is the node count."""
+    if x.ndim != 2 or x.shape[1] != layer.in_features:
+        raise ValueError(f"expected (batch, {layer.in_features}) rows, got "
+                         f"shape {x.shape}")
+    if layer.in_features != graph.n_nodes:
+        raise ValueError(f"diagonal input has {layer.in_features} channels but "
+                         f"the graph has {graph.n_nodes} nodes")
+
+
+def _diagonal_apply(x, basis, w):
+    """y[b, n, f] = sum_k sum_i basis[k, n, i] x[b, i] w[k, i, f], the
+    filter sum_k basis[k] diag(x_b) w[k] on (B, N) rows, as one GEMM
+    y = x @ M with M[i, n, f] = sum_k basis[k, n, i] w[k, i, f]."""
+    n, f = basis.shape[1], w.shape[2]
+    m = basis.transpose(2, 1, 0) @ w.transpose(1, 0, 2)
+    return (x @ m.reshape(n, n * f)).reshape(x.shape[0], n, f)
+
+
+def _diagonal_weight_grad(basis, x, up):
+    """Gradient of ``_diagonal_apply`` with respect to w:
+    dw[k, i, f] = sum_n basis[k, n, i] G[i, n, f], G = x^T up."""
+    b, n, f = up.shape
+    g = (x.T @ up.reshape(b, n * f)).reshape(n, n, f)
+    return (basis.transpose(2, 0, 1) @ g).transpose(1, 0, 2)
+
+
 class ChebConv:
     """Graph convolution by a K-order Chebyshev polynomial of the scaled
-    Laplacian: y = sum_k T_k(Ls) x theta_k + bias."""
+    Laplacian: y = sum_k T_k(Ls) x theta_k + bias.
+
+    Dense input (N, F_in) or (B, N, F_in) is projected first, z_k = x theta_k,
+    and then propagated at the output width, y = sum_k T_k(Ls) z_k, by
+    Clenshaw's recurrence (``cheb_sum``, K - 1 Laplacian products).  The
+    backward runs the recurrence once on the upstream gradient,
+    u_k = T_k(Ls) up, and reads dtheta_k = x^T u_k and dx = sum_k u_k theta_k^T
+    off it (Ls is symmetric); the cache holds x only.
+
+    ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
+    ``_diagonal_input``): then y = x @ M with
+    M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], the T_k(Ls) are built
+    once per forward from the identity, and no (B, N, N) array is formed.
+    Its backward returns no input gradient.
+    """
 
     def __init__(self, in_features, out_features, order=1, rng=None):
         if order < 1:
@@ -132,42 +177,55 @@ class ChebConv:
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def forward(self, graph, x):
+    def forward(self, graph, x, *, diagonal=False):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected {self.in_features} input features, got {x.shape[-1]}")
-        basis = cheb_apply(graph.scaled_laplacian, x, self.order)
-        y = basis[0] @ self.weight.value[0]
-        for k in range(1, self.order):
-            y += basis[k] @ self.weight.value[k]
+        w = self.weight.value
+        if diagonal:
+            _diagonal_input(self, graph, x)
+            basis = np.stack(cheb_apply(graph.scaled_laplacian,
+                                        np.eye(graph.n_nodes), self.order))
+            y = _diagonal_apply(x, basis, w)
+        else:
+            if x.shape[-1] != self.in_features:
+                raise ValueError(f"expected {self.in_features} input "
+                                 f"features, got {x.shape[-1]}")
+            basis = None
+            y = cheb_sum(graph.scaled_laplacian,
+                         [x @ w[k] for k in range(self.order)])
         y += self.bias.value
-        self._cache = (graph, basis)
+        self._cache = (graph, x, basis)
         return y
 
     def backward(self, up):
         if self._cache is None:
             raise InvalidStateError("ChebConv.backward before forward")
-        graph, basis = self._cache
+        graph, x, basis = self._cache
         up = np.asarray(up, dtype=np.float64)
-        dw = np.empty_like(self.weight.grad)
         upf = _flat2(up, self.out_features)
-        for k in range(self.order):
-            dw[k] = _flat2(basis[k], self.in_features).T @ upf
-        self.weight.accumulate(dw)
         self.bias.accumulate(upf.sum(axis=0))
-        # dL/dx = sum_k T_k(Ls) (up theta_k^T); T_k is symmetric, so the
-        # recurrence is reused instead of materializing T_k itself.
-        dx = up @ self.weight.value[0].T
+        if basis is not None:
+            self.weight.accumulate(_diagonal_weight_grad(basis, x, up))
+            return None
+        u = cheb_apply(graph.scaled_laplacian, up, self.order)
+        w = self.weight.value
+        xf = _flat2(x, self.in_features)
+        self.weight.accumulate(np.stack(
+            [xf.T @ _flat2(u[k], self.out_features) for k in range(self.order)]))
+        dx = u[0] @ w[0].T
         for k in range(1, self.order):
-            g = up @ self.weight.value[k].T
-            dx += cheb_apply(graph.scaled_laplacian, g, k + 1)[k]
+            dx += u[k] @ w[k].T
         return dx
 
 
 class GCNConv:
     """Symmetric-normalized graph convolution with added self-loops:
-    y = D^-1/2 (W + I) D^-1/2 x theta + bias."""
+    y = D^-1/2 (W + I) D^-1/2 x theta + bias.
+
+    ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
+    ``_diagonal_input``) and computes y = x @ M with
+    M[i, n, f] = P[n, i] theta[i, f], P the propagation matrix; its backward
+    returns no input gradient.
+    """
 
     def __init__(self, in_features, out_features, rng=None):
         if rng is None:
@@ -189,25 +247,35 @@ class GCNConv:
         dinv = 1.0 / np.sqrt(a.sum(axis=1))  # self-loop keeps degrees > 0
         return dinv[:, None] * a * dinv[None, :]
 
-    def forward(self, graph, x):
+    def forward(self, graph, x, *, diagonal=False):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected {self.in_features} input features, got {x.shape[-1]}")
         prop = self.propagation(graph.adjacency)
-        px = prop @ x
-        y = px @ self.weight.value + self.bias.value
-        self._cache = (prop, px)
+        if diagonal:
+            _diagonal_input(self, graph, x)
+            xin = x
+            y = _diagonal_apply(x, prop[None], self.weight.value[None])
+        else:
+            if x.shape[-1] != self.in_features:
+                raise ValueError(f"expected {self.in_features} input "
+                                 f"features, got {x.shape[-1]}")
+            xin = prop @ x
+            y = xin @ self.weight.value
+        y += self.bias.value
+        self._cache = (prop, xin, diagonal)
         return y
 
     def backward(self, up):
         if self._cache is None:
             raise InvalidStateError("GCNConv.backward before forward")
-        prop, px = self._cache
+        prop, xin, diagonal = self._cache
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
-        self.weight.accumulate(_flat2(px, self.in_features).T @ upf)
         self.bias.accumulate(upf.sum(axis=0))
+        if diagonal:
+            self.weight.accumulate(
+                _diagonal_weight_grad(prop[None], xin, up)[0])
+            return None
+        self.weight.accumulate(_flat2(xin, self.in_features).T @ upf)
         return prop @ (up @ self.weight.value.T)  # prop is symmetric
 
 
@@ -217,6 +285,10 @@ class GATLayer:
     Attention logit for edge (u, v) is leaky(a . [psi x_u || psi x_v]) with
     slope 0.2, softmax-normalized over each node's neighborhood; aggregation
     is the attention-weighted sum followed by a leaky activation.
+
+    ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
+    ``_diagonal_input``), whose transform is h = x[..., None] * psi; its
+    backward returns no input gradient.
     """
 
     LOGIT_SLOPE = 0.2
@@ -254,13 +326,17 @@ class GATLayer:
         self._cache = None
         return alpha
 
-    def forward(self, graph, x):
+    def forward(self, graph, x, *, diagonal=False):
         x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_features:
+        if diagonal:
+            _diagonal_input(self, graph, x)
+            h = x[..., None] * self.transform.value
+        elif x.shape[-1] != self.in_features:
             raise ValueError(
                 f"expected {self.in_features} input features, got {x.shape[-1]}")
+        else:
+            h = x @ self.transform.value
         mask = self._mask(graph)
-        h = x @ self.transform.value
         a_src = self.attention.value[: self.out_features]
         a_dst = self.attention.value[self.out_features:]
         s = h @ a_src
@@ -273,8 +349,8 @@ class GATLayer:
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
         y = leaky_relu(agg, self.activation_slope)
-        self._cache = {"x": x, "h": h, "logits": logits, "alpha": alpha,
-                       "agg": agg}
+        self._cache = {"x": x, "diagonal": diagonal, "h": h, "logits": logits,
+                       "alpha": alpha, "agg": agg}
         return y
 
     def backward(self, up):
@@ -300,6 +376,9 @@ class GATLayer:
             (_flat2(h, self.out_features) * dd.reshape(-1, 1)).sum(axis=0),
         ])
         self.attention.accumulate(da)
+        if c["diagonal"]:
+            self.transform.accumulate(np.einsum("bi,bif->if", c["x"], dh))
+            return None
         self.transform.accumulate(
             _flat2(c["x"], self.in_features).T @ _flat2(dh, self.out_features))
         return dh @ self.transform.value.T
@@ -399,8 +478,11 @@ class BatchNorm:
 
     Train mode normalizes with (biased) batch statistics and folds them into
     the running estimates with momentum 0.1; eval mode uses the running
-    statistics.  The affine gamma/beta pair is applied last.  Only a
-    train-mode forward caches for backward.
+    statistics.  The input is centred once, xc = x - mean, and normalized
+    with one per-channel scale, y = xc * (gamma * inv_std) + beta.  Only a
+    train-mode forward caches for backward, and its cache is xc (not the
+    normalized xhat = xc * inv_std), from which the backward works with the
+    same scale.
     """
 
     EPS = 1e-5
@@ -431,30 +513,35 @@ class BatchNorm:
             if flat.shape[0] < 2:
                 raise ValueError("batch norm needs at least 2 rows in train mode")
             mean = flat.mean(axis=0)
-            var = flat.var(axis=0)
+            xc = flat - mean
+            var = np.square(xc).mean(axis=0)
             self.running_mean *= 1.0 - self.MOMENTUM
             self.running_mean += self.MOMENTUM * mean
             self.running_var *= 1.0 - self.MOMENTUM
             self.running_var += self.MOMENTUM * var
         else:
-            mean = self.running_mean
+            xc = flat - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (flat - mean) * inv_std
-        y = xhat * self.gamma.value + self.beta.value
-        self._cache = (xhat, inv_std, x.shape) if self.training else None
+        y = xc * (self.gamma.value * inv_std)
+        y += self.beta.value
+        self._cache = (xc, inv_std, x.shape) if self.training else None
         return y.reshape(x.shape)
 
     def backward(self, up):
         if self._cache is None:
             raise InvalidStateError(
                 "BatchNorm.backward without a train-mode forward")
-        xhat, inv_std, shape = self._cache
+        xc, inv_std, shape = self._cache
         upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
-        self.gamma.accumulate((upf * xhat).sum(axis=0))
+        # with xhat = xc * inv_std: dgamma = sum(up * xhat) and
+        # dx = gamma * inv_std * (up - mean(up) - xhat * mean(up * xhat))
+        up_xc = (upf * xc).sum(axis=0)
+        self.gamma.accumulate(up_xc * inv_std)
         self.beta.accumulate(upf.sum(axis=0))
-        dx = (self.gamma.value * inv_std) * (
-            upf - upf.mean(axis=0) - xhat * (upf * xhat).mean(axis=0))
+        dx = upf - upf.mean(axis=0)
+        dx -= xc * (np.square(inv_std) * up_xc / upf.shape[0])
+        dx *= self.gamma.value * inv_std
         return dx.reshape(shape)
 
 

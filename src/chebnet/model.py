@@ -8,9 +8,14 @@ is two Conv1D + LeakyReLU(0.1) layers whose final kernel count equals the
 class count, averaged over the remaining length.  Inference uses the graph
 branch; the conv branch regularizes training through the ensemble loss.
 
-A batch of C-channel samples enters the graph branch as diagonal node-signal
-matrices (node i carries channel i's value), which makes the first layer's
-feature width equal the node count.
+For node tasks a C-channel sample x_b stands for the diagonal node-signal
+matrix diag(x_b) (node i carries channel i's value as its feature i), which
+makes the first layer's feature width equal the node count.  That matrix is
+never built: the first graph layer takes the (B, C) rows with
+``diagonal=True`` and computes its output as one product y = x @ M, where for
+ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv: the
+propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
+The first layer's input gradient is not computed, since nothing reads it.
 """
 
 import math
@@ -39,16 +44,6 @@ VARIANTS = ("cheb", "gcn", "gat")
 
 CONV_SLOPE = 0.1
 EDGE_HEAD_HIDDEN = 100
-
-
-def diag_lift(features):
-    """(B, C) samples -> (B, C, C) diagonal node-signal matrices."""
-    feats = np.asarray(features, dtype=np.float64)
-    b, c = feats.shape
-    lifted = np.zeros((b, c, c))
-    idx = np.arange(c)
-    lifted[:, idx, idx] = feats
-    return lifted
 
 
 def edge_embed(node_embeddings, edges):
@@ -143,18 +138,17 @@ class EnsembleModel:
     def _blocks(self, graph, features, training):
         """Yield the graph-branch input, then each block's output, each
         paired with the pre-activation that produced it (None for the
-        input).  Node tasks lift (B, C) rows with ``diag_lift``; edge tasks
-        take the (N, F) node feature matrix as it is."""
+        input).  Node tasks pass (B, C) rows to the first layer with
+        ``diagonal=True``; edge tasks pass the (N, F) node feature matrix."""
         for _, bn in self.blocks:
             bn.training = training
-        if self.task == "edge-class":
-            h = np.asarray(features, dtype=np.float64)
-        else:
-            h = diag_lift(features)
+        h = np.asarray(features, dtype=np.float64)
         yield None, h
+        diagonal = self.task != "edge-class"
         for layer, bn in self.blocks:
-            z = layer.forward(graph, h)
+            z = layer.forward(graph, h, diagonal=diagonal)
             h = bn.forward(relu(z))
+            diagonal = False
             yield z, h
 
     def graph_forward(self, graph, features, edges=None, training=False,
@@ -188,6 +182,8 @@ class EnsembleModel:
         return out
 
     def graph_backward(self, dout):
+        """Accumulate the graph branch's parameter gradients; returns
+        nothing, since no caller reads the gradient of the input."""
         c = self._gcache
         if c is None:
             raise RuntimeError("graph_backward before graph_forward")
@@ -211,7 +207,6 @@ class EnsembleModel:
             da = bn.backward(dh)
             dz = relu_backward(da, z)
             dh = layer.backward(dz)
-        return dh
 
     # -- conv branch ----------------------------------------------------------
 
@@ -244,10 +239,14 @@ class EnsembleModel:
         """Eval-mode per-node activations: input plus each graph block output.
 
         Node tasks average over the sample batch so every matrix has one row
-        per graph node.
+        per graph node; their input is the mean of the diagonal node-signal
+        matrices, diag(mean of the rows).
         """
-        return [h.mean(axis=0) if h.ndim == 3 else h
-                for _, h in self._blocks(graph, features, False)]
+        acts = [h for _, h in self._blocks(graph, features, False)]
+        if self.task == "edge-class":
+            return acts
+        return [np.diag(acts[0].mean(axis=0))] + [h.mean(axis=0)
+                                                  for h in acts[1:]]
 
 
 def default_graph_dims(task, variant, width, n_classes, embedding_dim):

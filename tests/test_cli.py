@@ -108,7 +108,7 @@ class TestConfig:
         "training.lr_conv=1e400", "model.graph_dims=[4,\"x\"]",
         "data.feature_columns=[1]", "synth.separation={}",
         "model.conv_kernels=0", "model.embedding_dim=-1",
-        "model.graph_dims=[10,5,0,2]",
+        "model.graph_dims=[10,5,0,2]", "seed=-1",
     ])
     def test_bad_value_names_key(self, override):
         key = override.split("=", 1)[0]
@@ -188,6 +188,17 @@ class TestTrainCommand:
         code = main(["train", "--set", "nonsense=1"])
         assert code == 1
 
+    def test_allocation_failure_exits_one(self, tmp_path, monkeypatch,
+                                          capsys):
+        def refuse(cfg):
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+
+        monkeypatch.setattr("chebnet.cli.load_task_dataset", refuse)
+        code = main(["train", "--set", f'output_dir="{tmp_path}"'])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: not enough memory: Unable to allocate 3.64 TiB")
+
     def test_env_root_override(self, tmp_path, monkeypatch):
         env_root = str(tmp_path / "elsewhere")
         monkeypatch.setenv("CHEBNET_OUTPUT_ROOT", env_root)
@@ -198,6 +209,65 @@ class TestTrainCommand:
         cfg = json.loads(open(os.path.join(env_root, "cheb",
                                            "resolved_config.json")).read())
         assert cfg["output_dir"] == "runs"
+
+
+def default_of(key):
+    node = DEFAULTS
+    for part in key.split("."):
+        node = node[part]
+    return node
+
+
+# Override keys: every leaf of DEFAULTS, a section and an unknown key.  A
+# value is any JSON value or, more often than chance, one of the key's own
+# type; integers stay at 40 or below, so that no example allocates much.
+# Names include the variants and lists of small integers serve as
+# Chebyshev orders; each example also starts from a drawn variant, so that
+# every graph layer's first-layer path runs.
+LEAVES = sorted(leaf_keys(DEFAULTS))
+FUZZ_KEYS = LEAVES + ["training", "bogus"]
+SMALL_INTS = st.integers(min_value=-40, max_value=40)
+NAMES = st.sampled_from(["cheb", "gcn", "gat", "synthetic", "sg-product",
+                         "adam", "sgd", "x"])
+ORDERS = st.lists(st.integers(min_value=1, max_value=5), min_size=1,
+                  max_size=4)
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS
+    | st.floats(min_value=-40.0, max_value=40.0)
+    | st.sampled_from([float("nan"), float("inf")]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["epochs", "folds", "x"]), inner,
+                      max_size=2),
+    max_leaves=6)
+OWN_TYPE = {bool: st.booleans(), int: st.integers(min_value=0, max_value=40),
+            float: st.floats(min_value=0.0, max_value=1.0), str: NAMES,
+            list: ORDERS}
+
+
+def fuzz_value(key):
+    """(key, value) pairs; a section, the unknown key and a leaf whose
+    default is null take null or an order list as their own type."""
+    own = st.none() | ORDERS
+    if key in LEAVES:
+        own = OWN_TYPE.get(type(default_of(key)), own)
+    return st.tuples(st.just(key), own | own | ANY_VALUE)
+
+
+class TestOverrideFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["cheb", "gcn", "gat"]),
+           st.lists(st.sampled_from(FUZZ_KEYS).flatmap(fuzz_value),
+                    min_size=1, max_size=4))
+    def test_train_exits_zero_or_one(self, tmp_path_factory, variant, pairs):
+        base = ["--set", "training.epochs=1", "--set", "training.folds=2",
+                "--set", "synth.n_samples=40", "--set", f'variant="{variant}"']
+        drawn = [a for key, value in pairs
+                 for a in ("--set", f"{key}={json.dumps(value)}")]
+        with pytest.MonkeyPatch.context() as mp:
+            # wherever a drawn output_dir points, runs land here
+            mp.setenv("CHEBNET_OUTPUT_ROOT",
+                      str(tmp_path_factory.mktemp("fuzz")))
+            assert main(["train", *base, *drawn]) in (0, 1)
 
 
 class TestDeterminism:

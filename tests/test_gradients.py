@@ -106,6 +106,25 @@ class TestLayerGradients:
         proj = rng.standard_normal((5, 2))
         assert check_graph_layer(layer, graph, x, proj) < TOL
 
+    def test_diagonal_modes(self, seed):
+        """Parameter gradients of ``diagonal=True``, which computes no
+        input gradient."""
+        rng = np.random.default_rng(700 + seed)
+        graph = make_graph(rng, 5)
+        x = rng.standard_normal((3, 5))
+        proj = rng.standard_normal((3, 5, 2))
+        for layer in (ChebConv(5, 2, order=3, rng=rng), GCNConv(5, 2, rng=rng),
+                      GATLayer(5, 2, rng=rng)):
+            def f():
+                for _, p in layer.parameters():
+                    p.zero_grad()
+                y = layer.forward(graph, x, diagonal=True)
+                assert layer.backward(proj) is None
+                return (float((y * proj).sum()),
+                        [p.grad.copy() for _, p in layer.parameters()])
+
+            assert grad_check(f, [p.value for _, p in layer.parameters()]) < TOL
+
     def test_conv1d(self, seed):
         rng = np.random.default_rng(500 + seed)
         layer = Conv1D(2, 3, rng=rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chebnet.graph import build_graph_context
+from chebnet.graph import build_graph_context, spectral_filter_oracle
 from chebnet.layers import (
     BatchNorm,
     ChebConv,
@@ -107,6 +107,19 @@ class TestChebConv:
         assert param_count(layer) == 110
         y = layer.forward(graph, rng.standard_normal((10, 10)))
         assert y.shape == (10, 10)
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_matches_spectral_oracle(self, order):
+        """One input and one output feature: the layer is the spectral
+        filter sum_k theta_k T_k, evaluated independently in the Laplacian's
+        eigenbasis."""
+        rng = np.random.default_rng(40 + order)
+        graph = make_graph(rng, 7)
+        layer = ChebConv(1, 1, order=order, rng=rng)
+        x = rng.standard_normal((7, 1))
+        oracle = spectral_filter_oracle(graph.laplacian,
+                                        layer.weight.value[:, 0, 0], x)
+        assert np.abs(layer.forward(graph, x) - oracle).max() < 1e-10
 
     def test_backward_before_forward(self):
         layer = ChebConv(2, 2, order=1, rng=np.random.default_rng(6))
@@ -341,3 +354,33 @@ class TestBatchNorm:
         assert y.shape == x.shape
         flat = y.reshape(-1, 3)
         assert np.abs(flat.mean(axis=0)).max() < 1e-6
+
+    def test_train_mode_matches_textbook_formulas(self):
+        """Output and gradients equal the xhat = (x - mean) / std forms of
+        Ioffe & Szegedy (2015)."""
+        rng = np.random.default_rng(28)
+        bn = BatchNorm(3)
+        bn.gamma.value[...] = rng.uniform(0.5, 1.5, 3)
+        bn.beta.value[...] = rng.standard_normal(3)
+        x = rng.standard_normal((5, 4, 3)) * 3.0 + 1.0
+        up = rng.standard_normal((5, 4, 3))
+        y = bn.forward(x)
+        dx = bn.backward(up)
+
+        flat, upf = x.reshape(-1, 3), up.reshape(-1, 3)
+        n = flat.shape[0]
+        inv_std = 1.0 / np.sqrt(flat.var(axis=0) + bn.EPS)
+        xhat = (flat - flat.mean(axis=0)) * inv_std
+        expected = {
+            "y": (xhat * bn.gamma.value + bn.beta.value).reshape(x.shape),
+            "dgamma": (upf * xhat).sum(axis=0),
+            "dbeta": upf.sum(axis=0),
+            "dx": (bn.gamma.value * inv_std / n * (
+                n * upf - upf.sum(axis=0)
+                - xhat * (upf * xhat).sum(axis=0))).reshape(x.shape),
+        }
+        got = {"y": y, "dgamma": bn.gamma.grad, "dbeta": bn.beta.grad,
+               "dx": dx}
+        for key, want in expected.items():
+            err = np.abs(got[key] - want).max() / np.abs(want).max()
+            assert err < 1e-13, key

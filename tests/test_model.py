@@ -1,4 +1,4 @@
-"""Ensemble model assembly: parameter layout, lifts, branch shapes."""
+"""Ensemble model assembly: parameter layout, diagonal input, branch shapes."""
 
 import json
 
@@ -7,8 +7,9 @@ import pytest
 
 from chebnet.data import synth_generate, zscore_normalize, Dataset
 from chebnet.graph import build_graph_context, graph_from_features
+from chebnet.layers import ChebConv, GATLayer, GCNConv
 from chebnet.model import (build_model, conv_inputs_edge, conv_inputs_node,
-                           diag_lift, default_graph_dims)
+                           default_graph_dims)
 from chebnet.training import TrainingConfig, train_model
 
 
@@ -17,13 +18,44 @@ def make_graph(rng, n):
     return build_graph_context((w + w.T) / 2.0)
 
 
-class TestDiagLift:
-    def test_structure(self):
-        feats = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        lifted = diag_lift(feats)
-        assert lifted.shape == (2, 3, 3)
-        np.testing.assert_array_equal(lifted[0], np.diag([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(lifted[1], np.diag([4.0, 5.0, 6.0]))
+def lift(features):
+    """(B, C) rows -> (B, C, C) diagonal node-signal matrices diag(x_b)."""
+    b, c = features.shape
+    lifted = np.zeros((b, c, c))
+    lifted[:, np.arange(c), np.arange(c)] = features
+    return lifted
+
+
+class TestDiagonalFirstLayer:
+    def test_matches_lifted_dense(self):
+        """``diagonal=True`` on (B, C) rows equals the dense forward on
+        their diagonal node-signal matrices, for every graph layer."""
+        rng = np.random.default_rng(12)
+        graph = make_graph(rng, 6)
+        feats = rng.standard_normal((5, 6))
+        lifted = lift(feats)
+        np.testing.assert_array_equal(lifted[1], np.diag(feats[1]))
+        makers = [lambda r, k=k: ChebConv(6, 4, order=k, rng=r)
+                  for k in range(1, 5)]
+        makers += [lambda r: GCNConv(6, 4, rng=r),
+                   lambda r: GATLayer(6, 4, rng=r)]
+        for make in makers:
+            layer = make(np.random.default_rng(13))
+            dense = layer.forward(graph, lifted)
+            diagonal = layer.forward(graph, feats, diagonal=True)
+            assert diagonal.shape == dense.shape == (5, 6, 4)
+            scale = np.abs(dense).max()
+            assert np.abs(diagonal - dense).max() <= 1e-12 * scale
+
+    def test_rejects_rows_that_do_not_fit_the_graph(self):
+        rng = np.random.default_rng(14)
+        graph = make_graph(rng, 6)
+        with pytest.raises(ValueError, match="6 nodes"):
+            ChebConv(5, 2, rng=rng).forward(graph, np.ones((3, 5)),
+                                            diagonal=True)
+        with pytest.raises(ValueError, match="rows"):
+            GCNConv(6, 2, rng=rng).forward(graph, np.ones((3, 6, 6)),
+                                           diagonal=True)
 
 
 class TestConvInputs:
@@ -158,6 +190,7 @@ class TestBranches:
         assert len(acts) == 1 + len(model.blocks)
         for act in acts:
             assert act.shape[0] == 10  # one row per graph node
+        np.testing.assert_array_equal(acts[0], lift(feats).mean(axis=0))
 
     def test_dropout_only_in_training(self):
         rng = np.random.default_rng(11)
