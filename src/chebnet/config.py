@@ -184,6 +184,11 @@ def _validate(cfg):
         if t[key] not in ("adam", "sgd"):
             bad(f"training.{key}", "must be adam or sgd")
     s = cfg["synth"]
+    for key in ("n_samples", "n_channels", "n_classes"):
+        if s[key] < 1:
+            bad(f"synth.{key}", "must be >= 1")
+    if s["n_channels"] < s["n_classes"]:
+        bad("synth.n_channels", "must be >= synth.n_classes")
     if s["separation"] < 0:
         bad("synth.separation", "must be >= 0")
     return cfg

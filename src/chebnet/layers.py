@@ -1,8 +1,12 @@
 """Differentiable layers with explicit forward and backward passes.
 
-Every layer caches what its backward pass needs during forward, accumulates
-parameter gradients into ``Parameter.grad`` on backward, and returns the
-gradient with respect to its input.  Graph layers accept a single graph
+Only a train-mode forward caches what the layer's backward pass needs.  The
+graph layers, Linear and BatchNorm have a ``training`` attribute (true until
+the model sets it); in eval mode their forward caches nothing and clears the
+cache.  Conv1D, which only training runs, always caches.  Backward reads the
+cache once and releases it, so each backward needs a forward of its own; it
+accumulates parameter gradients into ``Parameter.grad`` and returns the
+gradient with respect to the layer's input.  Graph layers accept a single graph
 signal (N, F) or a batch (B, N, F), or with ``diagonal=True`` (B, N) rows
 that stand for diagonal node-signal matrices, whose input gradient they do
 not compute; Linear and BatchNorm likewise broadcast over leading batch
@@ -78,6 +82,16 @@ def leaky_relu(x, slope=0.1):
 
 def leaky_relu_backward(up, x, slope=0.1):
     return up * np.where(x > 0.0, 1.0, slope)
+
+
+def relu_sign_backward(up, positive):
+    """``relu_backward`` from the bool sign mask ``x > 0.0`` alone."""
+    return up * positive
+
+
+def leaky_relu_sign_backward(up, positive, slope=0.1):
+    """``leaky_relu_backward`` from the bool sign mask ``x > 0.0`` alone."""
+    return up * np.where(positive, 1.0, slope)
 
 
 def log_softmax(x):
@@ -172,6 +186,7 @@ class ChebConv:
             glorot_uniform(rng, (order, in_features, out_features),
                            order * in_features, out_features))
         self.bias = Parameter(np.zeros(out_features))
+        self.training = True
         self._cache = None
 
     def parameters(self):
@@ -193,13 +208,15 @@ class ChebConv:
             y = cheb_sum(graph.scaled_laplacian,
                          [x @ w[k] for k in range(self.order)])
         y += self.bias.value
-        self._cache = (graph, x, basis)
+        self._cache = (graph, x, basis) if self.training else None
         return y
 
     def backward(self, up):
         if self._cache is None:
-            raise InvalidStateError("ChebConv.backward before forward")
+            raise InvalidStateError(
+                "ChebConv.backward without a train-mode forward")
         graph, x, basis = self._cache
+        self._cache = None
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
         self.bias.accumulate(upf.sum(axis=0))
@@ -236,6 +253,7 @@ class GCNConv:
             glorot_uniform(rng, (in_features, out_features),
                            in_features, out_features))
         self.bias = Parameter(np.zeros(out_features))
+        self.training = True
         self._cache = None
 
     def parameters(self):
@@ -261,13 +279,15 @@ class GCNConv:
             xin = prop @ x
             y = xin @ self.weight.value
         y += self.bias.value
-        self._cache = (prop, xin, diagonal)
+        self._cache = (prop, xin, diagonal) if self.training else None
         return y
 
     def backward(self, up):
         if self._cache is None:
-            raise InvalidStateError("GCNConv.backward before forward")
+            raise InvalidStateError(
+                "GCNConv.backward without a train-mode forward")
         prop, xin, diagonal = self._cache
+        self._cache = None
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
         self.bias.accumulate(upf.sum(axis=0))
@@ -306,6 +326,7 @@ class GATLayer:
                            in_features, out_features))
         self.attention = Parameter(
             glorot_uniform(rng, (2 * out_features,), 2 * out_features, 1))
+        self.training = True
         self._cache = None
 
     def parameters(self):
@@ -321,12 +342,16 @@ class GATLayer:
 
     def attention_coefficients(self, graph, x):
         """Softmax-normalized attention rows (inference helper for tests)."""
-        self.forward(graph, x)
-        alpha = self._cache["alpha"]
-        self._cache = None
-        return alpha
+        return self._attend(graph, x, False)[1]["alpha"]
 
     def forward(self, graph, x, *, diagonal=False):
+        y, cache = self._attend(graph, x, diagonal)
+        self._cache = cache if self.training else None
+        return y
+
+    def _attend(self, graph, x, diagonal):
+        """The forward pass; returns (output, backward cache).  The cache
+        keeps the leaky activations' sign masks, not their inputs."""
         x = np.asarray(x, dtype=np.float64)
         if diagonal:
             _diagonal_input(self, graph, x)
@@ -349,23 +374,27 @@ class GATLayer:
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
         y = leaky_relu(agg, self.activation_slope)
-        self._cache = {"x": x, "diagonal": diagonal, "h": h, "logits": logits,
-                       "alpha": alpha, "agg": agg}
-        return y
+        return y, {"x": x, "diagonal": diagonal, "h": h,
+                   "logits_positive": logits > 0.0, "alpha": alpha,
+                   "agg_positive": agg > 0.0}
 
     def backward(self, up):
         if self._cache is None:
-            raise InvalidStateError("GATLayer.backward before forward")
+            raise InvalidStateError(
+                "GATLayer.backward without a train-mode forward")
         c = self._cache
+        self._cache = None
         up = np.asarray(up, dtype=np.float64)
-        dagg = leaky_relu_backward(up, c["agg"], self.activation_slope)
+        dagg = leaky_relu_sign_backward(up, c["agg_positive"],
+                                        self.activation_slope)
         alpha = c["alpha"]
         h = c["h"]
         dalpha = dagg @ h.swapaxes(-1, -2)
         dh = alpha.swapaxes(-1, -2) @ dagg
         # softmax backward per neighborhood row (off-neighborhood alpha is 0)
         dact = alpha * (dalpha - (alpha * dalpha).sum(axis=-1, keepdims=True))
-        dlogits = leaky_relu_backward(dact, c["logits"], self.LOGIT_SLOPE)
+        dlogits = leaky_relu_sign_backward(dact, c["logits_positive"],
+                                           self.LOGIT_SLOPE)
         ds = dlogits.sum(axis=-1)
         dd = dlogits.sum(axis=-2)
         a_src = self.attention.value[: self.out_features]
@@ -393,7 +422,9 @@ class Conv1D:
     (batch, channels, length) input.
 
     The activation is applied separately by the model (leaky_relu 0.1).
-    Forward and backward call the numpy kernels in ``chebnet.kernels``.
+    Forward and backward call the numpy kernels in ``chebnet.kernels``;
+    ``backward(up, input_grad=False)`` skips the input gradient and returns
+    None.
     """
 
     KERNEL_LEN = 5
@@ -427,11 +458,14 @@ class Conv1D:
         self._cache = x
         return y
 
-    def backward(self, up):
+    def backward(self, up, *, input_grad=True):
         if self._cache is None:
-            raise InvalidStateError("Conv1D.backward before forward")
+            raise InvalidStateError("Conv1D.backward without a forward")
+        x = self._cache
+        self._cache = None
         dx, dw, db = kernels.conv1d_backward(
-            self._cache, self.kernels.value, np.asarray(up, dtype=np.float64))
+            x, self.kernels.value, np.asarray(up, dtype=np.float64),
+            input_grad=input_grad)
         self.kernels.accumulate(dw)
         self.bias.accumulate(db)
         return dx
@@ -449,6 +483,7 @@ class Linear:
             glorot_uniform(rng, (in_features, out_features),
                            in_features, out_features))
         self.bias = Parameter(np.zeros(out_features))
+        self.training = True
         self._cache = None
 
     def parameters(self):
@@ -459,13 +494,15 @@ class Linear:
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"expected {self.in_features} input features, got {x.shape[-1]}")
-        self._cache = x
+        self._cache = x if self.training else None
         return x @ self.weight.value + self.bias.value
 
     def backward(self, up):
         if self._cache is None:
-            raise InvalidStateError("Linear.backward before forward")
+            raise InvalidStateError(
+                "Linear.backward without a train-mode forward")
         x = self._cache
+        self._cache = None
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
         self.weight.accumulate(_flat2(x, self.in_features).T @ upf)
@@ -482,7 +519,8 @@ class BatchNorm:
     with one per-channel scale, y = xc * (gamma * inv_std) + beta.  Only a
     train-mode forward caches for backward, and its cache is xc (not the
     normalized xhat = xc * inv_std), from which the backward works with the
-    same scale.
+    same scale.  Every per-channel statistic is one einsum reduction over
+    the rows, which builds no (rows, width) temporary.
     """
 
     EPS = 1e-5
@@ -512,9 +550,10 @@ class BatchNorm:
         if self.training:
             if flat.shape[0] < 2:
                 raise ValueError("batch norm needs at least 2 rows in train mode")
-            mean = flat.mean(axis=0)
+            rows = flat.shape[0]
+            mean = np.einsum("ij->j", flat) / rows
             xc = flat - mean
-            var = np.square(xc).mean(axis=0)
+            var = np.einsum("ij,ij->j", xc, xc) / rows
             self.running_mean *= 1.0 - self.MOMENTUM
             self.running_mean += self.MOMENTUM * mean
             self.running_var *= 1.0 - self.MOMENTUM
@@ -523,9 +562,11 @@ class BatchNorm:
             xc = flat - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        y = xc * (self.gamma.value * inv_std)
-        y += self.beta.value
+        scale = self.gamma.value * inv_std
         self._cache = (xc, inv_std, x.shape) if self.training else None
+        # eval mode keeps no xc, so it scales xc in place
+        y = xc * scale if self.training else np.multiply(xc, scale, out=xc)
+        y += self.beta.value
         return y.reshape(x.shape)
 
     def backward(self, up):
@@ -533,14 +574,18 @@ class BatchNorm:
             raise InvalidStateError(
                 "BatchNorm.backward without a train-mode forward")
         xc, inv_std, shape = self._cache
+        self._cache = None
         upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
+        rows = upf.shape[0]
         # with xhat = xc * inv_std: dgamma = sum(up * xhat) and
         # dx = gamma * inv_std * (up - mean(up) - xhat * mean(up * xhat))
-        up_xc = (upf * xc).sum(axis=0)
+        up_sum = np.einsum("ij->j", upf)
+        up_xc = np.einsum("ij,ij->j", upf, xc)
         self.gamma.accumulate(up_xc * inv_std)
-        self.beta.accumulate(upf.sum(axis=0))
-        dx = upf - upf.mean(axis=0)
-        dx -= xc * (np.square(inv_std) * up_xc / upf.shape[0])
+        self.beta.accumulate(up_sum)
+        dx = upf - up_sum / rows
+        xc *= np.square(inv_std) * up_xc / rows  # no longer cached: reuse it
+        dx -= xc
         dx *= self.gamma.value * inv_std
         return dx.reshape(shape)
 

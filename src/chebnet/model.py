@@ -15,7 +15,13 @@ never built: the first graph layer takes the (B, C) rows with
 ``diagonal=True`` and computes its output as one product y = x @ M, where for
 ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv: the
 propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
-The first layer's input gradient is not computed, since nothing reads it.
+The first layer's input gradient is not computed, since nothing reads it;
+nor is the first Conv1D's.
+
+Only a training-mode forward keeps what the backward reads, and each
+backward releases it.  Of every ReLU and LeakyReLU pre-activation the model
+keeps only the bool sign mask z > 0, which is all their backward reads.  An
+eval-mode forward (prediction, ``layer_activations``) keeps nothing.
 """
 
 import math
@@ -33,11 +39,11 @@ from chebnet.layers import (
     dropout,
     dropout_backward,
     leaky_relu,
-    leaky_relu_backward,
+    leaky_relu_sign_backward,
     log_softmax,
     log_softmax_backward,
     relu,
-    relu_backward,
+    relu_sign_backward,
 )
 
 VARIANTS = ("cheb", "gcn", "gat")
@@ -137,19 +143,24 @@ class EnsembleModel:
 
     def _blocks(self, graph, features, training):
         """Yield the graph-branch input, then each block's output, each
-        paired with the pre-activation that produced it (None for the
-        input).  Node tasks pass (B, C) rows to the first layer with
-        ``diagonal=True``; edge tasks pass the (N, F) node feature matrix."""
-        for _, bn in self.blocks:
-            bn.training = training
+        paired with the sign mask of the pre-activation that produced it
+        (None for the input and in eval mode).  Sets every graph-branch
+        layer to ``training`` mode first.  Node tasks pass (B, C) rows to
+        the first layer with ``diagonal=True``; edge tasks pass the (N, F)
+        node feature matrix."""
+        for layer, bn in self.blocks:
+            layer.training = bn.training = training
+        for lin in self.edge_head or ():
+            lin.training = training
         h = np.asarray(features, dtype=np.float64)
         yield None, h
         diagonal = self.task != "edge-class"
         for layer, bn in self.blocks:
             z = layer.forward(graph, h, diagonal=diagonal)
+            positive = z > 0.0 if training else None
             h = bn.forward(relu(z))
             diagonal = False
-            yield z, h
+            yield positive, h
 
     def graph_forward(self, graph, features, edges=None, training=False,
                       rng=None):
@@ -160,37 +171,42 @@ class EnsembleModel:
         """
         if self.task == "edge-class" and edges is None:
             raise ValueError("edge task needs an edge list")
-        pre_acts = []
-        for z, h in self._blocks(graph, features, training):
-            pre_acts.append(z)
+        signs = []
+        for positive, h in self._blocks(graph, features, training):
+            signs.append(positive)
         h, mask = dropout(h, self.dropout_p, rng=rng, training=training)
-        cache = {"pre_acts": pre_acts[1:], "mask": mask,
-                 "n_nodes": h.shape[-2]}
         if self.task == "edge-class":
             ee = edge_embed(h, edges)
             l1 = self.edge_head[0].forward(ee)
             a1 = relu(l1)
             l2 = self.edge_head[1].forward(a1)
             out = log_softmax(l2)
-            cache.update(edges=np.asarray(edges, dtype=np.int64),
-                         emb_shape=h.shape, l1=l1, out=out)
         else:
             pooled = h.mean(axis=-2)
             out = log_softmax(pooled)
-            cache.update(out=out)
-        self._gcache = cache
+        self._gcache = None
+        if training:
+            cache = {"signs": signs[1:], "mask": mask, "n_nodes": h.shape[-2],
+                     "out": out}
+            if self.task == "edge-class":
+                cache.update(edges=np.asarray(edges, dtype=np.int64),
+                             emb_shape=h.shape, l1_positive=l1 > 0.0)
+            self._gcache = cache
         return out
 
     def graph_backward(self, dout):
-        """Accumulate the graph branch's parameter gradients; returns
-        nothing, since no caller reads the gradient of the input."""
+        """Accumulate the graph branch's parameter gradients and release
+        the forward's cache; returns nothing, since no caller reads the
+        gradient of the input."""
         c = self._gcache
         if c is None:
-            raise RuntimeError("graph_backward before graph_forward")
+            raise RuntimeError("graph_backward without a training-mode "
+                               "graph_forward")
+        self._gcache = None
         dlogits = log_softmax_backward(dout, c["out"])
         if self.task == "edge-class":
             da1 = self.edge_head[1].backward(dlogits)
-            dl1 = relu_backward(da1, c["l1"])
+            dl1 = relu_sign_backward(da1, c["l1_positive"])
             dee = self.edge_head[0].backward(dl1)
             d = dee.shape[1] // 2
             dh = np.zeros(c["emb_shape"])
@@ -202,36 +218,40 @@ class EnsembleModel:
                 dpooled[..., None, :],
                 dpooled.shape[:-1] + (c["n_nodes"], dpooled.shape[-1])).copy()
         dh = dropout_backward(dh, c["mask"])
-        for (layer, bn), z in zip(reversed(self.blocks),
-                                  reversed(c["pre_acts"])):
-            da = bn.backward(dh)
-            dz = relu_backward(da, z)
+        for (layer, bn), positive in zip(reversed(self.blocks),
+                                         reversed(c["signs"])):
+            dz = relu_sign_backward(bn.backward(dh), positive)
             dh = layer.backward(dz)
 
     # -- conv branch ----------------------------------------------------------
 
     def conv_forward(self, sequences):
-        """Log-probabilities of the conv branch for (B, channels, length)."""
+        """Log-probabilities of the conv branch for (B, channels, length).
+        Only training runs this branch, so it always caches."""
         z1 = self.conv_layers[0].forward(sequences)
         a1 = leaky_relu(z1, CONV_SLOPE)
         z2 = self.conv_layers[1].forward(a1)
         a2 = leaky_relu(z2, CONV_SLOPE)
         pooled = a2.mean(axis=-1)
         out = log_softmax(pooled)
-        self._ccache = {"z1": z1, "z2": z2, "out": out,
-                        "tail": z2.shape[-1]}
+        self._ccache = {"z1_positive": z1 > 0.0, "z2_positive": z2 > 0.0,
+                        "out": out, "tail": z2.shape[-1]}
         return out
 
     def conv_backward(self, dout):
+        """Accumulate the conv branch's parameter gradients and release the
+        forward's cache.  The first Conv1D computes no input gradient, since
+        nothing reads it; returns nothing."""
         c = self._ccache
         if c is None:
-            raise RuntimeError("conv_backward before conv_forward")
+            raise RuntimeError("conv_backward without a conv_forward")
+        self._ccache = None
         dpooled = log_softmax_backward(dout, c["out"])
         da2 = np.repeat(dpooled[..., None] / c["tail"], c["tail"], axis=-1)
-        dz2 = leaky_relu_backward(da2, c["z2"], CONV_SLOPE)
+        dz2 = leaky_relu_sign_backward(da2, c["z2_positive"], CONV_SLOPE)
         da1 = self.conv_layers[1].backward(dz2)
-        dz1 = leaky_relu_backward(da1, c["z1"], CONV_SLOPE)
-        return self.conv_layers[0].backward(dz1)
+        dz1 = leaky_relu_sign_backward(da1, c["z1_positive"], CONV_SLOPE)
+        self.conv_layers[0].backward(dz1, input_grad=False)
 
     # -- inference helpers ------------------------------------------------------
 

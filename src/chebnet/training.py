@@ -156,12 +156,13 @@ def _build_from_config(dataset, graph, config, init_rng):
 def train_model(dataset, graph, config, instance=0):
     """Run the two-branch training loop; returns (model, history rows).
 
-    One epoch is a full-batch forward of both branches, the ensemble loss,
-    backward with per-branch coefficients, and one optimizer step per
-    branch.  The per-epoch accuracy is an eval-mode prediction pass, so it
-    matches what a later evaluation of the same data reports.  Training
-    stops at the epoch budget or, when enabled, once accuracy has held at
-    the early-stop level for the configured patience.
+    One epoch is a full-batch forward and backward of each branch in turn,
+    graph branch first, with that branch's coefficient of the ensemble
+    loss, and then one optimizer step per branch.  The per-epoch accuracy
+    is an eval-mode prediction pass, so it matches what a later evaluation
+    of the same data reports.  Training stops at the epoch budget or, when
+    enabled, once accuracy has held at the early-stop level for the
+    configured patience.
     """
     if dataset.n_samples == 0:
         raise ValueError("dataset is empty")
@@ -183,9 +184,14 @@ def train_model(dataset, graph, config, instance=0):
     history = []
     streak = 0
     for epoch in range(config.epochs):
+        # each branch runs its backward before the other's forward, so the
+        # two branches' caches are never held at once
         graph_lp = model.graph_forward(graph, feats, edges, training=True,
                                        rng=drop_rng)
+        model.graph_backward(config.alpha * nll_loss_grad(graph_lp, targets))
         conv_lp = model.conv_forward(conv_x)
+        model.conv_backward(
+            (1.0 - config.alpha) * nll_loss_grad(conv_lp, targets))
         loss_graph = nll_loss(graph_lp, targets)
         loss_conv = nll_loss(conv_lp, targets)
         loss_total = ensemble_loss(loss_graph, loss_conv, config.alpha)
@@ -193,9 +199,6 @@ def train_model(dataset, graph, config, instance=0):
             raise DivergenceError(
                 f"non-finite loss at epoch {epoch}: "
                 f"graph={loss_graph} conv={loss_conv}")
-        model.graph_backward(config.alpha * nll_loss_grad(graph_lp, targets))
-        model.conv_backward(
-            (1.0 - config.alpha) * nll_loss_grad(conv_lp, targets))
         opt_graph.step()
         opt_conv.step()
         preds = predict(model, graph, feats, edges)

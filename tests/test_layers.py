@@ -14,8 +14,12 @@ from chebnet.layers import (
     Linear,
     dropout,
     leaky_relu,
+    leaky_relu_backward,
+    leaky_relu_sign_backward,
     log_softmax,
     relu,
+    relu_backward,
+    relu_sign_backward,
 )
 
 
@@ -75,6 +79,21 @@ class TestActivations:
     def test_dropout_validates_p(self):
         with pytest.raises(ValueError):
             dropout(np.ones(3), 1.0, rng=np.random.default_rng(2))
+
+    def test_sign_mask_backward_is_bitwise_equal(self):
+        """The model keeps only x > 0; the backward from that mask must
+        give the same bits as from x, signed zeros included."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(1000)
+        x[::7], x[3::11] = 0.0, -0.0
+        up = rng.standard_normal(1000)
+        up[::5] = 0.0
+        positive = x > 0.0
+        assert (relu_sign_backward(up, positive).tobytes()
+                == relu_backward(up, x).tobytes())
+        for slope in (0.1, 0.2):
+            assert (leaky_relu_sign_backward(up, positive, slope).tobytes()
+                    == leaky_relu_backward(up, x, slope).tobytes())
 
 
 class TestChebConv:
@@ -384,3 +403,63 @@ class TestBatchNorm:
         for key, want in expected.items():
             err = np.abs(got[key] - want).max() / np.abs(want).max()
             assert err < 1e-13, key
+
+
+def _cache_case(name):
+    """A new layer with a backward cache, and its train-mode forward."""
+    rng = np.random.default_rng(30)
+    graph = make_graph(rng, 5)
+    x = rng.standard_normal((3, 5, 4))
+    rows = rng.standard_normal((3, 5))
+    diagonal = {"diagonal": True}
+    layer, args, kwargs = {
+        "cheb": (ChebConv(4, 2, order=3, rng=rng), (graph, x), {}),
+        "cheb-diagonal": (ChebConv(5, 2, order=2, rng=rng), (graph, rows),
+                          diagonal),
+        "gcn": (GCNConv(4, 2, rng=rng), (graph, x), {}),
+        "gcn-diagonal": (GCNConv(5, 2, rng=rng), (graph, rows), diagonal),
+        "gat": (GATLayer(4, 2, rng=rng), (graph, x), {}),
+        "gat-diagonal": (GATLayer(5, 2, rng=rng), (graph, rows), diagonal),
+        "linear": (Linear(4, 2, rng=rng), (x,), {}),
+        "batchnorm": (BatchNorm(4), (x,), {}),
+        "conv1d": (Conv1D(2, 3, rng=rng), (rng.standard_normal((3, 2, 9)),),
+                   {}),
+    }[name]
+    return layer, lambda: layer.forward(*args, **kwargs)
+
+
+CACHE_CASES = ("cheb", "cheb-diagonal", "gcn", "gcn-diagonal", "gat",
+               "gat-diagonal", "linear", "batchnorm", "conv1d")
+
+
+class TestCacheLifecycle:
+    @pytest.mark.parametrize("name", CACHE_CASES)
+    def test_backward_releases_cache(self, name):
+        layer, forward = _cache_case(name)
+        up = np.ones_like(forward())
+        layer.backward(up)
+        assert layer._cache is None
+        with pytest.raises(InvalidStateError):
+            layer.backward(up)
+
+    @pytest.mark.parametrize("name", CACHE_CASES[:-1])  # Conv1D has no mode
+    def test_eval_forward_caches_nothing(self, name):
+        layer, forward = _cache_case(name)
+        forward()                       # train mode caches ...
+        layer.training = False
+        up = np.ones_like(forward())    # ... eval mode clears it
+        assert layer._cache is None
+        with pytest.raises(InvalidStateError):
+            layer.backward(up)
+
+    def test_conv1d_without_input_grad(self):
+        layer, forward = _cache_case("conv1d")
+        up = np.random.default_rng(31).standard_normal(forward().shape)
+        layer.backward(up)
+        full = [p.grad.copy() for _, p in layer.parameters()]
+        for _, p in layer.parameters():
+            p.zero_grad()
+        forward()
+        assert layer.backward(up, input_grad=False) is None
+        for (_, p), want in zip(layer.parameters(), full):
+            np.testing.assert_array_equal(p.grad, want)

@@ -203,6 +203,60 @@ class TestBranches:
         np.testing.assert_array_equal(a, b)
 
 
+def held_caches(model):
+    """Every backward cache the model and its layers hold, by owner."""
+    layers = [layer for block in model.blocks for layer in block]
+    layers += list(model.edge_head or ()) + model.conv_layers
+    held = {f"{type(layer).__name__}#{i}": layer._cache
+            for i, layer in enumerate(layers)}
+    held.update(gcache=model._gcache, ccache=model._ccache)
+    return {owner: cache for owner, cache in held.items() if cache is not None}
+
+
+def node_and_edge_cases(variant):
+    """(model, graph, (features, edges), conv sequences) for a node and an
+    edge task."""
+    rng = np.random.default_rng(12)
+    graph = make_graph(rng, 10)
+    node = build_model("node-class", variant, 10, 2, (1, 10), rng=rng)
+    edge = build_model("edge-class", variant, 8, 3, (1, 8), rng=rng)
+    edges = np.array([[0, 1], [2, 3], [4, 9], [1, 4]])
+    feats = rng.standard_normal((10, 8))
+    rows = rng.standard_normal((5, 10))
+    return [
+        (node, graph, (rows, None), conv_inputs_node(rows, (1, 10))),
+        (edge, graph, (feats, edges), conv_inputs_edge(feats, edges, (1, 8))),
+    ]
+
+
+class TestCacheLifecycle:
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_eval_forward_keeps_no_cache(self, variant):
+        rng = np.random.default_rng(13)
+        for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
+            model.graph_forward(graph, feats, edges, training=True, rng=rng)
+            assert held_caches(model)
+            model.graph_forward(graph, feats, edges, training=False)
+            assert held_caches(model) == {}
+            model.layer_activations(graph, feats, edges)
+            assert held_caches(model) == {}
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_backward_releases_every_cache(self, variant):
+        rng = np.random.default_rng(14)
+        for model, graph, (feats, edges), seqs in node_and_edge_cases(variant):
+            glp = model.graph_forward(graph, feats, edges, training=True,
+                                      rng=rng)
+            clp = model.conv_forward(seqs)
+            model.graph_backward(np.ones_like(glp))
+            assert model.conv_backward(np.ones_like(clp)) is None
+            assert held_caches(model) == {}
+            with pytest.raises(RuntimeError):
+                model.graph_backward(np.ones_like(glp))
+            with pytest.raises(RuntimeError):
+                model.conv_backward(np.ones_like(clp))
+
+
 class TestOverfitQuick:
     def test_cheb_overfits_tiny_task(self):
         dataset, _ = synth_generate(8, 10, 2, separation=2.0, seed=11)

@@ -7,7 +7,7 @@ from chebnet.data import Dataset, synth_edge_generate, synth_generate
 from chebnet.graph import graph_from_features
 from chebnet.model import build_model, edge_embed
 from chebnet.training import (DivergenceError, TrainingConfig, cross_validate,
-                              ensemble_loss, kfold_split, nll_loss,
+                              ensemble_loss, fit_full, kfold_split, nll_loss,
                               nll_loss_grad, predict, train_model)
 
 
@@ -186,6 +186,24 @@ class TestTrainModel:
                         task="node-class", n_classes=2)
         with pytest.raises(ValueError):
             train_model(empty, graph, quick_config())
+
+    @pytest.mark.parametrize("task", ["node", "edge"])
+    def test_returns_model_without_caches(self, task):
+        """Each backward releases its forward's cache and the per-epoch
+        accuracy pass is eval mode, so the returned model holds none."""
+        if task == "node":
+            dataset = tiny_dataset()
+        else:
+            dataset, _ = synth_edge_generate(
+                n_nodes=12, n_features=10, n_communities=2, separation=3.0,
+                n_edges=40, seed=5)
+        model, history, _, _, _ = fit_full(
+            dataset, quick_config(epochs=3, dropout=0.5))
+        assert len(history) == 3
+        layers = [layer for block in model.blocks for layer in block]
+        layers += list(model.edge_head or ()) + model.conv_layers
+        assert all(layer._cache is None for layer in layers)
+        assert model._gcache is None and model._ccache is None
 
 
 class TestLossDecreaseProperty:
