@@ -73,6 +73,8 @@ def relu(x):
 
 
 def relu_backward(up, x):
+    """Gradient of ``relu``; ``x`` is its input or the bool mask ``x > 0.0``,
+    which give the same bits."""
     return up * (x > 0.0)
 
 
@@ -81,17 +83,9 @@ def leaky_relu(x, slope=0.1):
 
 
 def leaky_relu_backward(up, x, slope=0.1):
+    """Gradient of ``leaky_relu``; ``x`` is its input or the bool mask
+    ``x > 0.0``, which give the same bits."""
     return up * np.where(x > 0.0, 1.0, slope)
-
-
-def relu_sign_backward(up, positive):
-    """``relu_backward`` from the bool sign mask ``x > 0.0`` alone."""
-    return up * positive
-
-
-def leaky_relu_sign_backward(up, positive, slope=0.1):
-    """``leaky_relu_backward`` from the bool sign mask ``x > 0.0`` alone."""
-    return up * np.where(positive, 1.0, slope)
 
 
 def log_softmax(x):
@@ -385,16 +379,16 @@ class GATLayer:
         c = self._cache
         self._cache = None
         up = np.asarray(up, dtype=np.float64)
-        dagg = leaky_relu_sign_backward(up, c["agg_positive"],
-                                        self.activation_slope)
+        dagg = leaky_relu_backward(up, c["agg_positive"],
+                                   self.activation_slope)
         alpha = c["alpha"]
         h = c["h"]
         dalpha = dagg @ h.swapaxes(-1, -2)
         dh = alpha.swapaxes(-1, -2) @ dagg
         # softmax backward per neighborhood row (off-neighborhood alpha is 0)
         dact = alpha * (dalpha - (alpha * dalpha).sum(axis=-1, keepdims=True))
-        dlogits = leaky_relu_sign_backward(dact, c["logits_positive"],
-                                           self.LOGIT_SLOPE)
+        dlogits = leaky_relu_backward(dact, c["logits_positive"],
+                                      self.LOGIT_SLOPE)
         ds = dlogits.sum(axis=-1)
         dd = dlogits.sum(axis=-2)
         a_src = self.attention.value[: self.out_features]

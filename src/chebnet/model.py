@@ -39,11 +39,11 @@ from chebnet.layers import (
     dropout,
     dropout_backward,
     leaky_relu,
-    leaky_relu_sign_backward,
+    leaky_relu_backward,
     log_softmax,
     log_softmax_backward,
     relu,
-    relu_sign_backward,
+    relu_backward,
 )
 
 VARIANTS = ("cheb", "gcn", "gat")
@@ -206,7 +206,7 @@ class EnsembleModel:
         dlogits = log_softmax_backward(dout, c["out"])
         if self.task == "edge-class":
             da1 = self.edge_head[1].backward(dlogits)
-            dl1 = relu_sign_backward(da1, c["l1_positive"])
+            dl1 = relu_backward(da1, c["l1_positive"])
             dee = self.edge_head[0].backward(dl1)
             d = dee.shape[1] // 2
             dh = np.zeros(c["emb_shape"])
@@ -220,7 +220,7 @@ class EnsembleModel:
         dh = dropout_backward(dh, c["mask"])
         for (layer, bn), positive in zip(reversed(self.blocks),
                                          reversed(c["signs"])):
-            dz = relu_sign_backward(bn.backward(dh), positive)
+            dz = relu_backward(bn.backward(dh), positive)
             dh = layer.backward(dz)
 
     # -- conv branch ----------------------------------------------------------
@@ -248,9 +248,9 @@ class EnsembleModel:
         self._ccache = None
         dpooled = log_softmax_backward(dout, c["out"])
         da2 = np.repeat(dpooled[..., None] / c["tail"], c["tail"], axis=-1)
-        dz2 = leaky_relu_sign_backward(da2, c["z2_positive"], CONV_SLOPE)
+        dz2 = leaky_relu_backward(da2, c["z2_positive"], CONV_SLOPE)
         da1 = self.conv_layers[1].backward(dz2)
-        dz1 = leaky_relu_sign_backward(da1, c["z1_positive"], CONV_SLOPE)
+        dz1 = leaky_relu_backward(da1, c["z1_positive"], CONV_SLOPE)
         self.conv_layers[0].backward(dz1, input_grad=False)
 
     # -- inference helpers ------------------------------------------------------

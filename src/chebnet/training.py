@@ -153,6 +153,12 @@ def _build_from_config(dataset, graph, config, init_rng):
     )
 
 
+def _check_finite(epoch, branch, loss):
+    if not np.isfinite(loss):
+        raise DivergenceError(
+            f"non-finite loss at epoch {epoch}: {branch}={loss}")
+
+
 def train_model(dataset, graph, config, instance=0):
     """Run the two-branch training loop; returns (model, history rows).
 
@@ -185,20 +191,20 @@ def train_model(dataset, graph, config, instance=0):
     streak = 0
     for epoch in range(config.epochs):
         # each branch runs its backward before the other's forward, so the
-        # two branches' caches are never held at once
+        # two branches' caches are never held at once; the ensemble loss is
+        # non-finite exactly when one branch's loss is, so each branch is
+        # checked before its backward runs
         graph_lp = model.graph_forward(graph, feats, edges, training=True,
                                        rng=drop_rng)
+        loss_graph = nll_loss(graph_lp, targets)
+        _check_finite(epoch, "graph", loss_graph)
         model.graph_backward(config.alpha * nll_loss_grad(graph_lp, targets))
         conv_lp = model.conv_forward(conv_x)
+        loss_conv = nll_loss(conv_lp, targets)
+        _check_finite(epoch, "conv", loss_conv)
         model.conv_backward(
             (1.0 - config.alpha) * nll_loss_grad(conv_lp, targets))
-        loss_graph = nll_loss(graph_lp, targets)
-        loss_conv = nll_loss(conv_lp, targets)
         loss_total = ensemble_loss(loss_graph, loss_conv, config.alpha)
-        if not np.isfinite(loss_total):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch}: "
-                f"graph={loss_graph} conv={loss_conv}")
         opt_graph.step()
         opt_conv.step()
         preds = predict(model, graph, feats, edges)

@@ -15,11 +15,9 @@ from chebnet.layers import (
     dropout,
     leaky_relu,
     leaky_relu_backward,
-    leaky_relu_sign_backward,
     log_softmax,
     relu,
     relu_backward,
-    relu_sign_backward,
 )
 
 
@@ -89,10 +87,10 @@ class TestActivations:
         up = rng.standard_normal(1000)
         up[::5] = 0.0
         positive = x > 0.0
-        assert (relu_sign_backward(up, positive).tobytes()
+        assert (relu_backward(up, positive).tobytes()
                 == relu_backward(up, x).tobytes())
         for slope in (0.1, 0.2):
-            assert (leaky_relu_sign_backward(up, positive, slope).tobytes()
+            assert (leaky_relu_backward(up, positive, slope).tobytes()
                     == leaky_relu_backward(up, x, slope).tobytes())
 
 

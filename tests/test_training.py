@@ -5,7 +5,7 @@ import pytest
 
 from chebnet.data import Dataset, synth_edge_generate, synth_generate
 from chebnet.graph import graph_from_features
-from chebnet.model import build_model, edge_embed
+from chebnet.model import EnsembleModel, build_model, edge_embed
 from chebnet.training import (DivergenceError, TrainingConfig, cross_validate,
                               ensemble_loss, fit_full, kfold_split, nll_loss,
                               nll_loss_grad, predict, train_model)
@@ -162,6 +162,30 @@ class TestTrainModel:
                            epochs=50)
         with pytest.raises(DivergenceError):
             train_model(dataset, graph, cfg)
+
+    @pytest.mark.parametrize("branch", ["graph", "conv"])
+    def test_divergence_raises_before_backward(self, monkeypatch, branch):
+        # the branch whose loss is non-finite must not run its backward
+        calls = []
+
+        def spy(name):
+            orig = getattr(EnsembleModel, name)
+
+            def wrapper(self, dout):
+                calls.append(name)
+                return orig(self, dout)
+            return wrapper
+
+        for name in ("graph_backward", "conv_backward"):
+            monkeypatch.setattr(EnsembleModel, name, spy(name))
+        losses = [np.inf] if branch == "graph" else [0.5, np.nan]
+        monkeypatch.setattr("chebnet.training.nll_loss",
+                            lambda lp, targets: losses.pop(0) if losses else 0.5)
+        dataset = tiny_dataset()
+        graph = graph_from_features(dataset.features, 0.6)
+        with pytest.raises(DivergenceError, match=branch):
+            train_model(dataset, graph, quick_config(epochs=3))
+        assert calls == ([] if branch == "graph" else ["graph_backward"])
 
     def test_early_stop_truncates(self):
         dataset = tiny_dataset(n=12)
