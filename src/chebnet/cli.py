@@ -3,9 +3,14 @@
 Exit codes: 0 success, 1 usage/validation/schema errors or an allocation
 that does not fit in memory, 2 numeric failure (training divergence).  ``CHEBNET_OUTPUT_ROOT`` overrides where run
 directories are placed without changing the resolved config.
+
+``main`` first asks glibc's allocator to keep freed memory for reuse (see
+``_keep_freed_memory``), so each training epoch reuses the activation blocks
+the one before it freed instead of faulting in fresh pages.
 """
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -30,6 +35,35 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(message)
+
+
+# mallopt parameters, from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Keep freed heap blocks in this process instead of returning them to
+    the kernel.
+
+    By default glibc serves each block above a dynamic threshold with its
+    own mmap and trims the heap top as soon as it is free, so every epoch
+    takes its activations as fresh zeroed pages.  A fixed mmap threshold of
+    32 MiB (glibc's 64-bit maximum) puts every smaller block in the heap,
+    and a 1 GiB trim threshold keeps the heap when the blocks are freed.
+    Blocks above 32 MiB are still mmapped.  Where libc has no ``mallopt``
+    (macOS: AttributeError) or ctypes cannot open the program's own symbols
+    (Windows: TypeError), this does nothing; musl's ``mallopt`` ignores its
+    arguments.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 def _fmt(x):
@@ -299,6 +333,7 @@ _COMMANDS = {"train": cmd_train, "eval": cmd_eval, "export": cmd_export,
 
 
 def main(argv=None):
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

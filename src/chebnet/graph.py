@@ -161,12 +161,15 @@ def graph_from_features(features, threshold=DEFAULT_THRESHOLD, channel_names=())
     return build_graph_context(build_adjacency(corr, threshold), channel_names)
 
 
-def cheb_apply(scaled_laplacian, x, order):
-    """Chebyshev basis applied to a signal: [T_0(Ls) x, ..., T_{K-1}(Ls) x].
+def cheb_terms(scaled_laplacian, x, order):
+    """Yield the Chebyshev basis applied to a signal, T_0(Ls) x, ...,
+    T_{K-1}(Ls) x, one term at a time.
 
     Runs the three-term recurrence T_k = 2 Ls T_{k-1} - T_{k-2}; cost is one
-    matrix product per term and no eigendecomposition.  ``x`` may be (N, F)
-    or batched (B, N, F).
+    matrix product per term and no eigendecomposition.  The generator keeps
+    the last two terms only while it needs them for the next one, so a
+    caller that uses each term as it comes never holds the whole basis.
+    ``x`` may be (N, F) or batched (B, N, F); the first term is ``x`` itself.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -176,12 +179,25 @@ def cheb_apply(scaled_laplacian, x, order):
         raise ValueError(
             f"signal has {x.shape[-2]} rows but the graph has {ls.shape[0]} nodes"
         )
-    terms = [x]
-    if order >= 2:
-        terms.append(ls @ x)
-    for _ in range(2, order):
-        terms.append(2.0 * (ls @ terms[-1]) - terms[-2])
-    return terms
+    yield x
+    if order == 1:
+        return
+    prev, cur = x, ls @ x
+    for _ in range(order - 2):
+        yield cur
+        nxt = ls @ cur
+        nxt *= 2.0
+        nxt -= prev
+        prev, cur = cur, nxt
+    del prev  # the last term has no successor to compute
+    yield cur
+
+
+def cheb_apply(scaled_laplacian, x, order):
+    """Chebyshev basis applied to a signal: [T_0(Ls) x, ..., T_{K-1}(Ls) x],
+    the list of ``cheb_terms``.  ``x`` may be (N, F) or batched (B, N, F).
+    """
+    return list(cheb_terms(scaled_laplacian, x, order))
 
 
 def cheb_sum(scaled_laplacian, coeffs):

@@ -15,8 +15,8 @@ never built: the first graph layer takes the (B, C) rows with
 ``diagonal=True`` and computes its output as one product y = x @ M, where for
 ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv: the
 propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
-The first layer's input gradient is not computed, since nothing reads it;
-nor is the first Conv1D's.
+The first graph layer's input gradient is not computed, for node and edge
+tasks alike, since nothing reads it; nor is the first Conv1D's.
 
 Only a training-mode forward keeps what the backward reads, and each
 backward releases it.  Of every ReLU and LeakyReLU pre-activation the model
@@ -218,10 +218,10 @@ class EnsembleModel:
                 dpooled[..., None, :],
                 dpooled.shape[:-1] + (c["n_nodes"], dpooled.shape[-1])).copy()
         dh = dropout_backward(dh, c["mask"])
-        for (layer, bn), positive in zip(reversed(self.blocks),
-                                         reversed(c["signs"])):
-            dz = relu_backward(bn.backward(dh), positive)
-            dh = layer.backward(dz)
+        for i in reversed(range(len(self.blocks))):
+            layer, bn = self.blocks[i]
+            dz = relu_backward(bn.backward(dh), c["signs"][i])
+            dh = layer.backward(dz, input_grad=i > 0)
 
     # -- conv branch ----------------------------------------------------------
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebnet import cli
 from chebnet.archive import load_archive, save_archive
 from chebnet.cli import main
 from chebnet.config import (DEFAULTS, ConfigError, parse_override,
@@ -142,6 +143,39 @@ class TestConfig:
         assert parse_override("model.cheb_orders=[2,2,1,1]") == {
             "model": {"cheb_orders": [2, 2, 1, 1]}}
         assert parse_override('variant="gat"') == {"variant": "gat"}
+
+
+class FakeLibc:
+    """Stands in for ``ctypes.CDLL(None)``; records mallopt calls when it
+    has one."""
+
+    def __init__(self, with_mallopt):
+        self.calls = []
+        if with_mallopt:
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return 1
+            self.mallopt = mallopt
+
+
+class TestAllocatorPolicy:
+    def test_main_sets_glibc_thresholds(self, monkeypatch):
+        libc = FakeLibc(with_mallopt=True)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert main(["synth", "--kind", "nonsense"]) == 1
+        assert libc.calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_quiet_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: FakeLibc(with_mallopt=False))
+        assert cli._keep_freed_memory() is None
+
+    def test_quiet_without_libc(self, monkeypatch):
+        def no_library(name):
+            raise OSError("no such library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        assert cli._keep_freed_memory() is None
 
 
 class TestTrainCommand:

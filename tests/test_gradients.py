@@ -236,35 +236,45 @@ class TestModelGradient:
         assert grad_check(f, arrays) < TOL
 
     def test_edge_model_gradient(self):
-        from chebnet.model import build_model, conv_inputs_edge
-        from chebnet.training import nll_loss, nll_loss_grad
+        assert edge_model_grad_error("cheb") < TOL
 
-        rng = np.random.default_rng(10)
-        n_nodes, f, classes = 5, 6, 3
-        feats = rng.standard_normal((n_nodes, f))
-        edges = np.array([[0, 1], [2, 3], [4, 0], [1, 2]])
-        targets = rng.integers(0, classes, size=len(edges))
-        graph = make_graph(rng, n_nodes)
-        model = build_model("edge-class", "cheb", width=f, n_classes=classes,
-                            conv_shape=(1, f), rng=rng,
-                            cheb_orders=(2, 1, 1), graph_dims=(5, 4, 3),
-                            dropout_p=0.0, alpha=0.6)
-        conv_x = conv_inputs_edge(feats, edges, (1, f))
+    @pytest.mark.parametrize("variant", ["gcn", "gat"])
+    def test_edge_baseline_model_gradient(self, variant):
+        assert edge_model_grad_error(variant) < TOL
 
-        params = model.parameters()
-        arrays = [p.value for p in params]
 
-        def f_():
-            for p in params:
-                p.zero_grad()
-            for _, bn in model.blocks:
-                bn.running_mean[...] = 0.0
-                bn.running_var[...] = 1.0
-            glp = model.graph_forward(graph, feats, edges, training=True)
-            clp = model.conv_forward(conv_x)
-            loss = 0.6 * nll_loss(glp, targets) + 0.4 * nll_loss(clp, targets)
-            model.graph_backward(0.6 * nll_loss_grad(glp, targets))
-            model.conv_backward(0.4 * nll_loss_grad(clp, targets))
-            return loss, [p.grad.copy() for p in params]
+def edge_model_grad_error(variant):
+    """grad_check error of an edge model's parameters under the ensemble
+    loss; its first graph layer computes no input gradient."""
+    from chebnet.model import build_model, conv_inputs_edge
+    from chebnet.training import nll_loss, nll_loss_grad
 
-        assert grad_check(f_, arrays) < TOL
+    rng = np.random.default_rng(10)
+    n_nodes, f, classes = 5, 6, 3
+    feats = rng.standard_normal((n_nodes, f))
+    edges = np.array([[0, 1], [2, 3], [4, 0], [1, 2]])
+    targets = rng.integers(0, classes, size=len(edges))
+    graph = make_graph(rng, n_nodes)
+    model = build_model("edge-class", variant, width=f, n_classes=classes,
+                        conv_shape=(1, f), rng=rng,
+                        cheb_orders=(2, 1, 1), graph_dims=(5, 4, 3),
+                        dropout_p=0.0, alpha=0.6)
+    conv_x = conv_inputs_edge(feats, edges, (1, f))
+
+    params = model.parameters()
+    arrays = [p.value for p in params]
+
+    def f_():
+        for p in params:
+            p.zero_grad()
+        for _, bn in model.blocks:
+            bn.running_mean[...] = 0.0
+            bn.running_var[...] = 1.0
+        glp = model.graph_forward(graph, feats, edges, training=True)
+        clp = model.conv_forward(conv_x)
+        loss = 0.6 * nll_loss(glp, targets) + 0.4 * nll_loss(clp, targets)
+        model.graph_backward(0.6 * nll_loss_grad(glp, targets))
+        model.conv_backward(0.4 * nll_loss_grad(clp, targets))
+        return loss, [p.grad.copy() for p in params]
+
+    return grad_check(f_, arrays)

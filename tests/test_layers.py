@@ -1,9 +1,12 @@
 """Layer forward-pass contracts and activation semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chebnet.graph import build_graph_context, spectral_filter_oracle
+from chebnet.graph import build_graph_context, cheb_sum, spectral_filter_oracle
 from chebnet.layers import (
     BatchNorm,
     ChebConv,
@@ -12,6 +15,7 @@ from chebnet.layers import (
     GCNConv,
     InvalidStateError,
     Linear,
+    _channelwise,
     dropout,
     leaky_relu,
     leaky_relu_backward,
@@ -450,8 +454,11 @@ class TestCacheLifecycle:
         with pytest.raises(InvalidStateError):
             layer.backward(up)
 
-    def test_conv1d_without_input_grad(self):
-        layer, forward = _cache_case("conv1d")
+    @staticmethod
+    def check_without_input_grad(name):
+        """``backward(up, input_grad=False)`` returns None and accumulates
+        the same parameter gradients as a full backward."""
+        layer, forward = _cache_case(name)
         up = np.random.default_rng(31).standard_normal(forward().shape)
         layer.backward(up)
         full = [p.grad.copy() for _, p in layer.parameters()]
@@ -461,3 +468,198 @@ class TestCacheLifecycle:
         assert layer.backward(up, input_grad=False) is None
         for (_, p), want in zip(layer.parameters(), full):
             np.testing.assert_array_equal(p.grad, want)
+
+    def test_conv1d_without_input_grad(self):
+        self.check_without_input_grad("conv1d")
+
+    @pytest.mark.parametrize("name", ["cheb", "gcn", "gat"])
+    def test_graph_layer_without_input_grad(self, name):
+        self.check_without_input_grad(name)
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+
+
+class TestBiasGradient:
+    @pytest.mark.parametrize("width", [1, 2, 6, 11, 80])
+    @pytest.mark.parametrize("kind", ["cheb", "gcn", "linear"])
+    def test_bias_grad_is_the_row_sum(self, kind, width):
+        rng = np.random.default_rng(width)
+        graph = make_graph(rng, 13)
+        layer = {"cheb": ChebConv(4, width, order=2, rng=rng),
+                 "gcn": GCNConv(4, width, rng=rng),
+                 "linear": Linear(4, width, rng=rng)}[kind]
+        args = (rng.standard_normal((40, 13, 4)),)
+        if kind != "linear":
+            args = (graph,) + args
+        up = rng.standard_normal(layer.forward(*args).shape)
+        layer.backward(up)
+        assert same_bits(layer.bias.grad, up.reshape(-1, width).sum(axis=0))
+
+
+def cheb_apply_reference(ls, x, order):
+    """The Chebyshev basis [T_0(Ls) x, ..., T_{K-1}(Ls) x], all at once."""
+    terms = [x]
+    if order >= 2:
+        terms.append(ls @ x)
+    for _ in range(2, order):
+        terms.append(2.0 * (ls @ terms[-1]) - terms[-2])
+    return terms
+
+
+class TestChebBackward:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(9, 5), (6, 9, 5)])
+    def test_gradients_match_whole_basis(self, order, shape):
+        """Term-by-term accumulation gives the bits of the gradients read off
+        the whole basis."""
+        rng = np.random.default_rng(40 + order)
+        graph = make_graph(rng, shape[-2])
+        layer = ChebConv(5, 3, order=order, rng=rng)
+        x = rng.standard_normal(shape)
+        up = rng.standard_normal(shape[:-1] + (3,))
+        layer.forward(graph, x)
+        dx = layer.backward(up)
+
+        u = cheb_apply_reference(graph.scaled_laplacian, up, order)
+        w = layer.weight.value
+        dw = np.stack([x.reshape(-1, 5).T @ u[k].reshape(-1, 3)
+                       for k in range(order)])
+        want_dx = u[0] @ w[0].T
+        for k in range(1, order):
+            want_dx += u[k] @ w[k].T
+        assert same_bits(layer.weight.grad, dw)
+        assert same_bits(dx, want_dx)
+
+    def test_backward_holds_two_terms(self):
+        """One backward of an sg-product-sized layer, (372, 80, 80) in and
+        (372, 80, 40) out at K = 3, allocates at most dx, one product of
+        dx's shape and one term of the upstream gradient's shape at a time
+        (the whole basis, K terms, is three times that upstream size)."""
+        rng = np.random.default_rng(44)
+        graph = make_graph(rng, 80)
+        layer = ChebConv(80, 40, order=3, rng=rng)
+        x = rng.standard_normal((372, 80, 80))
+        up = rng.standard_normal((372, 80, 40))
+        layer.forward(graph, x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dx = layer.backward(up)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == x.shape
+        assert peak <= 2 * x.nbytes + up.nbytes + 2**20
+
+
+# Row counts for the full-width passes: every count below 70 (so every
+# count below r = 64 // width for any width), primes, and counts that leave
+# remainders for most r.
+ROWS = st.one_of(st.integers(2, 70), st.sampled_from([97, 127, 131, 257, 1031]))
+
+
+def batchnorm_reference(bn, x, up):
+    """BatchNorm's forward (train mode when ``up`` is given) and backward
+    with plain numpy broadcasts; returns (y, dx, running mean, running
+    var, dgamma, dbeta)."""
+    flat = x.reshape(-1, bn.width)
+    rows = flat.shape[0]
+    if up is None:
+        xc = flat - bn.running_mean
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.EPS)
+        y = xc * (bn.gamma.value * inv_std) + bn.beta.value
+        return y.reshape(x.shape), None, None, None, None, None
+    mean = np.einsum("ij->j", flat) / rows
+    xc = flat - mean
+    var = np.einsum("ij,ij->j", xc, xc) / rows
+    running_mean = bn.running_mean * (1.0 - bn.MOMENTUM) + bn.MOMENTUM * mean
+    running_var = bn.running_var * (1.0 - bn.MOMENTUM) + bn.MOMENTUM * var
+    inv_std = 1.0 / np.sqrt(var + bn.EPS)
+    y = xc * (bn.gamma.value * inv_std) + bn.beta.value
+    upf = up.reshape(-1, bn.width)
+    up_sum = np.einsum("ij->j", upf)
+    up_xc = np.einsum("ij,ij->j", upf, xc)
+    dx = upf - up_sum / rows
+    dx -= xc * (np.square(inv_std) * up_xc / rows)
+    dx *= bn.gamma.value * inv_std
+    return (y.reshape(x.shape), dx.reshape(x.shape), running_mean,
+            running_var, up_xc * inv_std, up_sum)
+
+
+class TestFullWidthPasses:
+    """The per-channel passes give the bits of the plain broadcasts at every
+    width, whether or not the row count fills the full-width view."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.integers(1, 130), rows=ROWS, batched=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batchnorm(self, width, rows, batched, seed):
+        rng = np.random.default_rng(seed)
+        shape = (1, rows, width) if batched else (rows, width)
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        up = rng.standard_normal(shape)
+        bn = BatchNorm(width)
+        bn.gamma.value[...] = rng.uniform(0.5, 1.5, width)
+        bn.beta.value[...] = rng.standard_normal(width)
+        bn.running_mean[...] = rng.standard_normal(width)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, width)
+
+        want = batchnorm_reference(bn, x, up)
+        got = (bn.forward(x), bn.backward(up), bn.running_mean,
+               bn.running_var, bn.gamma.grad, bn.beta.grad)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+        bn.training = False
+        x = rng.standard_normal(shape)
+        assert same_bits(bn.forward(x), batchnorm_reference(bn, x, None)[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["linear", "cheb", "gcn"]),
+           width=st.integers(1, 130), rows=ROWS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_bias_add(self, kind, width, rows, seed):
+        rng = np.random.default_rng(seed)
+        graph = make_graph(rng, 3)
+        layer = {"cheb": ChebConv(4, width, order=2, rng=rng),
+                 "gcn": GCNConv(4, width, rng=rng),
+                 "linear": Linear(4, width, rng=rng)}[kind]
+        layer.bias.value[...] = rng.standard_normal(width)
+        w = layer.weight.value
+        if kind == "linear":
+            x = rng.standard_normal((rows, 4))
+            want = x @ w + layer.bias.value
+            got = layer.forward(x)
+        else:
+            x = rng.standard_normal((rows, 3, 4))
+            if kind == "cheb":
+                want = cheb_sum(graph.scaled_laplacian,
+                                [x @ w[0], x @ w[1]]) + layer.bias.value
+            else:
+                want = (layer.propagation(graph.adjacency) @ x) @ w \
+                    + layer.bias.value
+            got = layer.forward(graph, x)
+        assert same_bits(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(op=st.sampled_from([np.add, np.subtract, np.multiply]),
+           width=st.integers(1, 130), rows=st.integers(0, 300),
+           layout=st.sampled_from(["contiguous", "strided", "in-place"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_channelwise(self, op, width, rows, layout, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal((rows, 2 * width))
+        a = base[:, ::2] if layout == "strided" else base[:, :width].copy()
+        v = rng.standard_normal(width)
+        want = op(a, v)
+        out = a if layout == "in-place" else None
+        got = _channelwise(op, a, v, out=out)
+        assert same_bits(got, want)
+        if out is not None:
+            assert got is a
+

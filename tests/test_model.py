@@ -257,6 +257,28 @@ class TestCacheLifecycle:
                 model.conv_backward(np.ones_like(clp))
 
 
+class TestInputGradient:
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_first_block_returns_none(self, variant):
+        """graph_backward asks only the first graph layer to skip its input
+        gradient, for node and edge tasks alike."""
+        rng = np.random.default_rng(15)
+        for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
+            returned = []
+            for layer, _ in model.blocks:
+                def backward(up, _inner=layer.backward, **kwargs):
+                    dx = _inner(up, **kwargs)
+                    returned.append(dx)
+                    return dx
+                layer.backward = backward
+            glp = model.graph_forward(graph, feats, edges, training=True,
+                                      rng=rng)
+            model.graph_backward(np.ones_like(glp))
+            *upper, first = returned    # backward runs last block first
+            assert first is None
+            assert all(isinstance(dx, np.ndarray) for dx in upper)
+
+
 class TestOverfitQuick:
     def test_cheb_overfits_tiny_task(self):
         dataset, _ = synth_generate(8, 10, 2, separation=2.0, seed=11)
