@@ -248,8 +248,6 @@ def cmd_eval(args):
 
 
 def cmd_export(args):
-    if args.what not in ("graph", "embeddings"):
-        raise _CliError(f"unknown export target {args.what!r}")
     cfg = resolve_config(args.config, args.overrides)
     os.makedirs(args.out, exist_ok=True)
     if args.what == "graph":
@@ -316,12 +314,12 @@ def build_parser():
     _add_common(p_export)
     p_export.add_argument("--checkpoint", required=True)
     p_export.add_argument("--what", required=True,
-                          help="graph or embeddings")
+                          choices=("graph", "embeddings"))
     p_export.add_argument("--out", default=os.path.join("runs", "export"))
 
     p_synth = subs.add_parser("synth", help="write a synthetic dataset")
     _add_common(p_synth)
-    p_synth.add_argument("--kind", default="node",
+    p_synth.add_argument("--kind", default="node", choices=("node", "edges"),
                          help="node (transaction CSV) or edges "
                               "(supply-graph directory)")
     p_synth.add_argument("--out", default=os.path.join("runs", "synth"))
@@ -337,8 +335,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "kind", "node") not in ("node", "edges"):
-            raise _CliError(f"unknown synth kind {args.kind!r}")
         return _COMMANDS[args.command](args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 The pipeline: Pearson correlation across feature channels, sigmoid squashing
 of the absolute correlations with a threshold cut, degree / Laplacian
 assembly, largest eigenvalue by power iteration, rescaling of the spectrum
-into [-1, 1], and the Chebyshev three-term recurrence that the convolution
-layers build on.  A dense eigendecomposition filter is provided as a slow
-reference path for tests; production code never eigendecomposes.
+into [-1, 1], and the Chebyshev three-term recurrence (``cheb_apply``) that
+builds the matrices T_k(Ls) the convolution layers filter with.  A dense
+eigendecomposition filter is provided as a slow reference path for tests;
+production code never eigendecomposes.
 
 All functions are pure and operate on float64 numpy arrays.
 """
@@ -161,15 +162,13 @@ def graph_from_features(features, threshold=DEFAULT_THRESHOLD, channel_names=())
     return build_graph_context(build_adjacency(corr, threshold), channel_names)
 
 
-def cheb_terms(scaled_laplacian, x, order):
-    """Yield the Chebyshev basis applied to a signal, T_0(Ls) x, ...,
-    T_{K-1}(Ls) x, one term at a time.
+def cheb_apply(scaled_laplacian, x, order):
+    """Chebyshev basis applied to a signal: [T_0(Ls) x, ..., T_{K-1}(Ls) x].
 
     Runs the three-term recurrence T_k = 2 Ls T_{k-1} - T_{k-2}; cost is one
-    matrix product per term and no eigendecomposition.  The generator keeps
-    the last two terms only while it needs them for the next one, so a
-    caller that uses each term as it comes never holds the whole basis.
-    ``x`` may be (N, F) or batched (B, N, F); the first term is ``x`` itself.
+    matrix product per term and no eigendecomposition.  ``x`` may be (N, F)
+    or batched (B, N, F); with ``x`` the identity the terms are the matrices
+    T_k(Ls) themselves, which is how ``ChebConv`` uses it.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -179,51 +178,12 @@ def cheb_terms(scaled_laplacian, x, order):
         raise ValueError(
             f"signal has {x.shape[-2]} rows but the graph has {ls.shape[0]} nodes"
         )
-    yield x
-    if order == 1:
-        return
-    prev, cur = x, ls @ x
-    for _ in range(order - 2):
-        yield cur
-        nxt = ls @ cur
-        nxt *= 2.0
-        nxt -= prev
-        prev, cur = cur, nxt
-    del prev  # the last term has no successor to compute
-    yield cur
-
-
-def cheb_apply(scaled_laplacian, x, order):
-    """Chebyshev basis applied to a signal: [T_0(Ls) x, ..., T_{K-1}(Ls) x],
-    the list of ``cheb_terms``.  ``x`` may be (N, F) or batched (B, N, F).
-    """
-    return list(cheb_terms(scaled_laplacian, x, order))
-
-
-def cheb_sum(scaled_laplacian, coeffs):
-    """Chebyshev series applied to signals: sum_k T_k(Ls) coeffs[k].
-
-    Clenshaw's recurrence b_k = c_k + 2 Ls b_{k+1} - b_{k+2}, ending in
-    c_0 + Ls b_1 - b_2, takes K - 1 products with Ls for K coefficient
-    arrays, each (N, F) or batched (B, N, F), and builds no basis.  With a
-    single coefficient array that array itself is returned.
-    """
-    ls = np.asarray(scaled_laplacian, dtype=np.float64)
-    if not coeffs:
-        raise ValueError("cheb_sum needs at least one coefficient array")
-    b1, b2 = coeffs[-1], 0.0
-    for c in coeffs[-2:0:-1]:
-        b = ls @ b1
-        b *= 2.0
-        b += c
-        b -= b2
-        b1, b2 = b, b1
-    if len(coeffs) == 1:
-        return b1
-    y = ls @ b1
-    y += coeffs[0]
-    y -= b2
-    return y
+    terms = [x]
+    if order >= 2:
+        terms.append(ls @ x)
+    for _ in range(2, order):
+        terms.append(2.0 * (ls @ terms[-1]) - terms[-2])
+    return terms
 
 
 def spectral_decomposition(laplacian):

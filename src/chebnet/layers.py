@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from chebnet import kernels
-from chebnet.graph import cheb_apply, cheb_sum, cheb_terms
+from chebnet.graph import cheb_apply
 
 
 class InvalidStateError(RuntimeError):
@@ -200,27 +200,23 @@ class ChebConv:
     """Graph convolution by a K-order Chebyshev polynomial of the scaled
     Laplacian: y = sum_k T_k(Ls) x theta_k + bias.
 
-    Dense input (N, F_in) or (B, N, F_in) is projected first, z_k = x theta_k,
-    and then propagated at the output width, y = sum_k T_k(Ls) z_k, by
-    Clenshaw's recurrence (``cheb_sum``, K - 1 Laplacian products).  The
-    backward runs the recurrence once on the upstream gradient,
-    u_k = T_k(Ls) up, term by term (``cheb_terms``), and adds each term's
-    dtheta_k = x^T u_k and share u_k theta_k^T of dx as it comes (Ls is
-    symmetric), so it never holds more than two terms; the cache holds x
-    only.
+    Each forward builds the basis, the K matrices T_k(Ls) of size N x N, by
+    ``cheb_apply`` on the identity; both input kinds use it.  Dense input
+    (N, F_in) or (B, N, F_in) is projected and then propagated at the output
+    width, y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), one term at a
+    time.  The backward reads u_k = T_k(Ls) up (u_0 = up) and adds each
+    term's dtheta_k = x^T u_k and share u_k theta_k^T of dx as it comes
+    (T_k(Ls) is symmetric).  The cache holds x and the basis.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_diagonal_input``): then y = x @ M with
-    M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], the T_k(Ls) are built
-    once per forward from the identity, and no (B, N, N) array is formed.
-    Its backward returns no input gradient.
+    M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], and no (B, N, N) array
+    is formed.  Its backward returns no input gradient.
     """
 
-    def __init__(self, in_features, out_features, order=1, rng=None):
+    def __init__(self, in_features, out_features, order=1, *, rng):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if rng is None:
-            rng = np.random.default_rng()
         self.in_features = in_features
         self.out_features = out_features
         self.order = order
@@ -237,45 +233,42 @@ class ChebConv:
     def forward(self, graph, x, *, diagonal=False):
         x = np.asarray(x, dtype=np.float64)
         w = self.weight.value
+        basis = np.stack(cheb_apply(graph.scaled_laplacian,
+                                    np.eye(graph.n_nodes), self.order))
         if diagonal:
             _diagonal_input(self, graph, x)
-            basis = np.stack(cheb_apply(graph.scaled_laplacian,
-                                        np.eye(graph.n_nodes), self.order))
             y = _diagonal_apply(x, basis, w)
         else:
             if x.shape[-1] != self.in_features:
                 raise ValueError(f"expected {self.in_features} input "
                                  f"features, got {x.shape[-1]}")
-            basis = None
-            y = cheb_sum(graph.scaled_laplacian,
-                         [x @ w[k] for k in range(self.order)])
+            y = x @ w[0]
+            for k in range(1, self.order):
+                y += basis[k] @ (x @ w[k])
         _channelwise(np.add, y, self.bias.value, out=y)
-        self._cache = (graph, x, basis) if self.training else None
+        self._cache = (x, basis, diagonal) if self.training else None
         return y
 
     def backward(self, up, *, input_grad=True):
         if self._cache is None:
             raise InvalidStateError(
                 "ChebConv.backward without a train-mode forward")
-        graph, x, basis = self._cache
+        x, basis, diagonal = self._cache
         self._cache = None
         up = np.asarray(up, dtype=np.float64)
         self.bias.accumulate(_column_sums(_flat2(up, self.out_features)))
-        if basis is not None:
+        if diagonal:
             self.weight.accumulate(_diagonal_weight_grad(basis, x, up))
             return None
         w = self.weight.value
         xf = _flat2(x, self.in_features)
         dw = np.empty_like(w)
-        dx = None
-        for k, u in enumerate(cheb_terms(graph.scaled_laplacian, up,
-                                         self.order)):
+        dw[0] = xf.T @ _flat2(up, self.out_features)
+        dx = up @ w[0].T if input_grad else None
+        for k in range(1, self.order):
+            u = basis[k] @ up
             dw[k] = xf.T @ _flat2(u, self.out_features)
-            if not input_grad:
-                continue
-            if k == 0:
-                dx = u @ w[0].T
-            else:
+            if input_grad:
                 dx += u @ w[k].T
         self.weight.accumulate(dw)
         return dx
@@ -291,9 +284,7 @@ class GCNConv:
     returns no input gradient.
     """
 
-    def __init__(self, in_features, out_features, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(
@@ -349,11 +340,13 @@ class GCNConv:
 
 
 class GATLayer:
-    """Single-head graph attention over the nonzero-adjacency neighborhood.
+    """Single-head graph attention over each node's neighborhood: the node
+    itself and its nonzero-adjacency neighbors.
 
     Attention logit for edge (u, v) is leaky(a . [psi x_u || psi x_v]) with
-    slope 0.2, softmax-normalized over each node's neighborhood; aggregation
-    is the attention-weighted sum followed by a leaky activation.
+    slope ``LOGIT_SLOPE``, softmax-normalized over each node's neighborhood;
+    aggregation is the attention-weighted sum followed by a leaky activation
+    with slope ``ACTIVATION_SLOPE``.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_diagonal_input``), whose transform is h = x[..., None] * psi; its
@@ -361,15 +354,11 @@ class GATLayer:
     """
 
     LOGIT_SLOPE = 0.2
+    ACTIVATION_SLOPE = 0.2
 
-    def __init__(self, in_features, out_features, rng=None,
-                 activation_slope=0.2, include_self=True):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
         self.out_features = out_features
-        self.activation_slope = activation_slope
-        self.include_self = include_self
         self.transform = Parameter(
             glorot_uniform(rng, (in_features, out_features),
                            in_features, out_features))
@@ -380,14 +369,6 @@ class GATLayer:
 
     def parameters(self):
         return [("transform", self.transform), ("attention", self.attention)]
-
-    def _mask(self, graph):
-        mask = graph.adjacency != 0.0
-        if self.include_self:
-            mask = mask | np.eye(graph.n_nodes, dtype=bool)
-        if not mask.any(axis=1).all():
-            raise ValueError("graph has an isolated node with self-loops disabled")
-        return mask
 
     def attention_coefficients(self, graph, x):
         """Softmax-normalized attention rows (inference helper for tests)."""
@@ -410,7 +391,7 @@ class GATLayer:
                 f"expected {self.in_features} input features, got {x.shape[-1]}")
         else:
             h = x @ self.transform.value
-        mask = self._mask(graph)
+        mask = (graph.adjacency != 0.0) | np.eye(graph.n_nodes, dtype=bool)
         a_src = self.attention.value[: self.out_features]
         a_dst = self.attention.value[self.out_features:]
         s = h @ a_src
@@ -422,7 +403,7 @@ class GATLayer:
         expd = np.exp(masked)
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
-        y = leaky_relu(agg, self.activation_slope)
+        y = leaky_relu(agg, self.ACTIVATION_SLOPE)
         return y, {"x": x, "diagonal": diagonal, "h": h,
                    "logits_positive": logits > 0.0, "alpha": alpha,
                    "agg_positive": agg > 0.0}
@@ -435,7 +416,7 @@ class GATLayer:
         self._cache = None
         up = np.asarray(up, dtype=np.float64)
         dagg = leaky_relu_backward(up, c["agg_positive"],
-                                   self.activation_slope)
+                                   self.ACTIVATION_SLOPE)
         alpha = c["alpha"]
         h = c["h"]
         dalpha = dagg @ h.swapaxes(-1, -2)
@@ -478,9 +459,7 @@ class Conv1D:
 
     KERNEL_LEN = 5
 
-    def __init__(self, in_channels, n_kernels, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, in_channels, n_kernels, *, rng):
         self.in_channels = in_channels
         self.n_kernels = n_kernels
         fan_in = in_channels * self.KERNEL_LEN
@@ -523,9 +502,7 @@ class Conv1D:
 class Linear:
     """Affine map y = x W + b over the last axis."""
 
-    def __init__(self, in_features, out_features, rng=None):
-        if rng is None:
-            rng = np.random.default_rng()
+    def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(

@@ -15,6 +15,8 @@ never built: the first graph layer takes the (B, C) rows with
 ``diagonal=True`` and computes its output as one product y = x @ M, where for
 ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv: the
 propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
+The later ChebConv layers apply the same N x N matrices T_k(Ls) to their
+dense (B, N, F) input.
 The first graph layer's input gradient is not computed, for node and edge
 tasks alike, since nothing reads it; nor is the first Conv1D's.
 
@@ -88,16 +90,13 @@ def _make_graph_layer(variant, f_in, f_out, order, rng):
 
 
 class EnsembleModel:
-    def __init__(self, task, variant, blocks, conv_layers, edge_head,
-                 alpha, dropout_p, conv_shape, n_classes):
+    def __init__(self, task, blocks, conv_layers, edge_head, dropout_p,
+                 n_classes):
         self.task = task
-        self.variant = variant
         self.blocks = blocks                # [(graph layer, batch norm), ...]
         self.conv_layers = conv_layers      # [Conv1D, Conv1D]
         self.edge_head = edge_head          # [Linear, Linear] or None
-        self.alpha = alpha
         self.dropout_p = dropout_p
-        self.conv_shape = tuple(conv_shape)
         self.n_classes = n_classes
         self._gcache = None
         self._ccache = None
@@ -333,13 +332,10 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
 
     model = EnsembleModel(
         task=task,
-        variant=variant,
         blocks=blocks,
         conv_layers=conv_layers,
         edge_head=edge_head,
-        alpha=alpha,
         dropout_p=dropout_p,
-        conv_shape=conv_shape,
         n_classes=n_classes,
     )
     # Every resolved argument but ``rng``, as JSON values: a checkpoint

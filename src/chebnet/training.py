@@ -230,10 +230,6 @@ class CVResult:
     pooled: Metrics
     fold_plan: np.ndarray
 
-    @property
-    def fold_metrics(self):
-        return [fr.metrics for fr in self.fold_results]
-
 
 def _subset(dataset, features, mask):
     """The training rows of ``dataset`` selected by ``mask``, on ``features``.

@@ -12,7 +12,6 @@ from chebnet.graph import (
     build_adjacency,
     build_graph_context,
     cheb_apply,
-    cheb_sum,
     degree_and_laplacian,
     graph_from_features,
     lambda_max,
@@ -271,25 +270,6 @@ class TestChebApply:
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValueError):
             cheb_apply(np.eye(2), np.ones((3, 1)), 2)
-
-
-class TestChebSum:
-    @pytest.mark.parametrize("order", range(1, 6))
-    def test_matches_matrix_polynomial(self, order):
-        """Clenshaw's sum over batched coefficient arrays equals
-        sum_k T_k(Ls) c_k with each T_k expanded explicitly."""
-        rng = np.random.default_rng(14 + order)
-        ctx = build_graph_context(random_adjacency(rng, 6))
-        coeffs = [rng.standard_normal((3, 6, 2)) for _ in range(order)]
-        expected = sum(cheb_matrix_oracle(ctx.scaled_laplacian, k) @ c
-                       for k, c in enumerate(coeffs))
-        got = cheb_sum(ctx.scaled_laplacian, coeffs)
-        assert got.shape == (3, 6, 2)
-        assert np.abs(got - expected).max() < 1e-10
-
-    def test_rejects_no_coefficients(self):
-        with pytest.raises(ValueError):
-            cheb_sum(np.eye(2), [])
 
 
 class TestSpectralDecomposition:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebnet.graph import build_graph_context, cheb_sum, spectral_filter_oracle
+from chebnet.graph import build_graph_context, cheb_apply, spectral_filter_oracle
 from chebnet.layers import (
     BatchNorm,
     ChebConv,
@@ -178,6 +178,21 @@ class TestChebConv:
         assert (dx == 0).all()
 
 
+class TestSeededConstructors:
+    @pytest.mark.parametrize("make", [
+        lambda: ChebConv(3, 2, order=2),
+        lambda: GCNConv(3, 2),
+        lambda: GATLayer(3, 2),
+        lambda: Conv1D(3, 2),
+        lambda: Linear(3, 2),
+    ], ids=["cheb", "gcn", "gat", "conv1d", "linear"])
+    def test_rng_is_required(self, make):
+        """Every layer with random initial weights takes its generator from
+        the caller; none draws from an unseeded one."""
+        with pytest.raises(TypeError):
+            make()
+
+
 class TestGCNConv:
     def test_single_node_self_loop(self):
         rng = np.random.default_rng(9)
@@ -215,14 +230,15 @@ class TestGCNConv:
 
 class TestGATLayer:
     def test_single_neighbor_attention(self):
-        # node 1's only neighbor is node 0 (self-loops off)
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        # node 2 has no edges, so its neighborhood is itself alone
+        w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         graph = build_graph_context(w)
         rng = np.random.default_rng(12)
-        layer = GATLayer(2, 3, rng=rng, include_self=False)
+        layer = GATLayer(2, 3, rng=rng)
         alpha = layer.attention_coefficients(graph,
-                                             rng.standard_normal((2, 2)))
-        assert alpha[1, 0] == pytest.approx(1.0)
+                                             rng.standard_normal((3, 2)))
+        assert alpha[2, 2] == pytest.approx(1.0)
+        assert (alpha[2, :2] == 0.0).all()
 
     def test_identical_neighbors_split_evenly(self):
         w = np.array([[0.0, 1.0, 1.0],
@@ -230,11 +246,14 @@ class TestGATLayer:
                       [1.0, 0.0, 0.0]])
         graph = build_graph_context(w)
         rng = np.random.default_rng(13)
-        layer = GATLayer(2, 3, rng=rng, include_self=False)
+        layer = GATLayer(2, 3, rng=rng)
         x = np.array([[0.4, -1.0], [2.0, 0.3], [2.0, 0.3]])
         alpha = layer.attention_coefficients(graph, x)
-        assert alpha[0, 1] == pytest.approx(0.5, abs=1e-12)
-        assert alpha[0, 2] == pytest.approx(0.5, abs=1e-12)
+        # node 0's neighbors 1 and 2 share what node 0 leaves for others
+        half = (1.0 - alpha[0, 0]) / 2.0
+        assert 0.0 < half < 0.5
+        assert alpha[0, 1] == pytest.approx(half, abs=1e-12)
+        assert alpha[0, 2] == pytest.approx(half, abs=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(14)
@@ -249,24 +268,16 @@ class TestGATLayer:
         rng = np.random.default_rng(15)
         w = np.ones((4, 4)) - np.eye(4)
         x = rng.standard_normal((4, 3))
-        layer = GATLayer(3, 2, rng=rng, include_self=False)
+        layer = GATLayer(3, 2, rng=rng)
         full = layer.attention_coefficients(build_graph_context(w), x)
         w2 = w.copy()
         w2[0, 3] = w2[3, 0] = 0.0
         reduced = layer.attention_coefficients(build_graph_context(w2), x)
-        # remaining coefficients of row 0 are the softmax over the reduced set
-        kept = full[0, 1:3] / full[0, 1:3].sum()
-        np.testing.assert_allclose(reduced[0, 1:3], kept, atol=1e-12)
+        # remaining coefficients of row 0 (node 0 itself and nodes 1, 2)
+        # are the softmax over the reduced set
+        kept = full[0, :3] / full[0, :3].sum()
+        np.testing.assert_allclose(reduced[0, :3], kept, atol=1e-12)
         assert reduced[0, 3] == 0.0
-
-    def test_isolated_node_rejected(self):
-        w = np.zeros((3, 3))
-        w[0, 1] = w[1, 0] = 1.0
-        graph = build_graph_context(w)
-        layer = GATLayer(2, 2, rng=np.random.default_rng(16),
-                         include_self=False)
-        with pytest.raises(ValueError):
-            layer.forward(graph, np.ones((3, 2)))
 
 
 class TestConv1D:
@@ -501,14 +512,45 @@ class TestBiasGradient:
         assert same_bits(layer.bias.grad, up.reshape(-1, width).sum(axis=0))
 
 
-def cheb_apply_reference(ls, x, order):
-    """The Chebyshev basis [T_0(Ls) x, ..., T_{K-1}(Ls) x], all at once."""
-    terms = [x]
-    if order >= 2:
-        terms.append(ls @ x)
-    for _ in range(2, order):
-        terms.append(2.0 * (ls @ terms[-1]) - terms[-2])
-    return terms
+def cheb_matrices(graph, order):
+    """The basis T_0(Ls), ..., T_{K-1}(Ls) as N x N matrices."""
+    return cheb_apply(graph.scaled_laplacian, np.eye(graph.n_nodes), order)
+
+
+class TestChebDense:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shape", [(9, 5), (6, 9, 5)])
+    def test_forward_is_the_basis_sum(self, order, shape):
+        """The dense forward gives the bits of
+        x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k) + bias."""
+        rng = np.random.default_rng(30 + order)
+        graph = make_graph(rng, shape[-2])
+        layer = ChebConv(5, 3, order=order, rng=rng)
+        layer.bias.value[...] = rng.standard_normal(3)
+        x = rng.standard_normal(shape)
+        t = cheb_matrices(graph, order)
+        w = layer.weight.value
+        want = x @ w[0]
+        for k in range(1, order):
+            want = want + t[k] @ (x @ w[k])
+        assert same_bits(layer.forward(graph, x), want + layer.bias.value)
+
+    def test_forward_holds_three_outputs(self):
+        """One forward of an sg-product-sized layer, (372, 80, 80) in and
+        (372, 80, 40) out at K = 3, allocates at most the output, one
+        projection x theta_k and one propagated term at a time."""
+        rng = np.random.default_rng(45)
+        graph = make_graph(rng, 80)
+        layer = ChebConv(80, 40, order=3, rng=rng)
+        x = rng.standard_normal((372, 80, 80))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = layer.forward(graph, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * y.nbytes + 2**20
 
 
 class TestChebBackward:
@@ -516,7 +558,7 @@ class TestChebBackward:
     @pytest.mark.parametrize("shape", [(9, 5), (6, 9, 5)])
     def test_gradients_match_whole_basis(self, order, shape):
         """Term-by-term accumulation gives the bits of the gradients read off
-        the whole basis."""
+        the whole basis, u_k = T_k(Ls) up."""
         rng = np.random.default_rng(40 + order)
         graph = make_graph(rng, shape[-2])
         layer = ChebConv(5, 3, order=order, rng=rng)
@@ -525,7 +567,8 @@ class TestChebBackward:
         layer.forward(graph, x)
         dx = layer.backward(up)
 
-        u = cheb_apply_reference(graph.scaled_laplacian, up, order)
+        t = cheb_matrices(graph, order)
+        u = [up] + [t[k] @ up for k in range(1, order)]
         w = layer.weight.value
         dw = np.stack([x.reshape(-1, 5).T @ u[k].reshape(-1, 3)
                        for k in range(order)])
@@ -638,8 +681,8 @@ class TestFullWidthPasses:
         else:
             x = rng.standard_normal((rows, 3, 4))
             if kind == "cheb":
-                want = cheb_sum(graph.scaled_laplacian,
-                                [x @ w[0], x @ w[1]]) + layer.bias.value
+                want = x @ w[0] + graph.scaled_laplacian @ (x @ w[1]) \
+                    + layer.bias.value
             else:
                 want = (layer.propagation(graph.adjacency) @ x) @ w \
                     + layer.bias.value

@@ -131,7 +131,7 @@ class TestParameterLayout:
         assert again.architecture == record
         assert [(n, a.shape) for n, a in again.named_arrays()] == \
             [(n, a.shape) for n, a in model.named_arrays()]
-        assert (again.alpha, again.dropout_p) == (0.6, 0.25)
+        assert (again.architecture["alpha"], again.dropout_p) == (0.6, 0.25)
 
     def test_validates_inputs(self):
         rng = np.random.default_rng(5)
