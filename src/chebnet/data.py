@@ -11,6 +11,7 @@ exercised without the proprietary datasets.
 
 import csv
 import os
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
@@ -161,6 +162,29 @@ def _is_missing(value):
     return value is None or value.strip() == ""
 
 
+def _read_csv(path, header_only=False):
+    """Read a CSV file: (header, rows, header_lines).
+
+    ``rows`` holds every record after the header that has a non-missing
+    cell (none when ``header_only``); ``header_lines`` is the number of
+    lines the header record spans.  An empty file, or a record csv cannot
+    read (one with a field longer than ``csv.field_size_limit()``, say),
+    raises SchemaError naming the file.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file")
+            header_lines = reader.line_num
+            rows = [] if header_only else [
+                r for r in reader if any(not _is_missing(c) for c in r)]
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    return header, rows, header_lines
+
+
 def _parse_column(values):
     """Parse a column's cells, calling ``float()`` once per cell.
 
@@ -192,6 +216,90 @@ def _encode_first_appearance(values):
     return out, codes
 
 
+# Bytes on which numpy's reader and the per-cell path disagree: numpy strips
+# the separators \x1c-\x1f around a number and ``float()`` does not, and
+# csv before Python 3.11 refuses NUL.
+_PER_CELL_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _numpy_may_read(path):
+    """Whether numpy's reader may parse the file without disagreeing with
+    the per-cell path.
+
+    Not when the file holds a byte of ``_PER_CELL_BYTES``, nor when a field
+    could be longer than csv's field limit, which the per-cell path refuses
+    and numpy does not: a field is that long only in a file that is, and
+    within one line unless quoted.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if any(b in raw for b in _PER_CELL_BYTES):
+        return False
+    limit = csv.field_size_limit()
+    if len(raw) <= limit:
+        return True
+    if b'"' in raw:
+        return False
+    start = 0     # a line start; every line before it is short enough
+    while len(raw) - start > limit:
+        end = max(raw.rfind(b"\n", start, start + limit + 1),
+                  raw.rfind(b"\r", start, start + limit + 1))
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
+def _parse_numeric(path, skiprows, usecols):
+    """The ``usecols`` cells of every data row as one float array, parsed by
+    numpy's C reader; None where the per-cell path must read the file.
+
+    That is when ``_numpy_may_read`` says so, a cell does not parse as a
+    number (a word, a missing cell, a spelling such as ``1_000`` that only
+    ``float()`` takes), a row is too short, or the file has no data row or
+    is not UTF-8.
+    """
+    if not _numpy_may_read(path):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # a header-only file warns
+            return np.loadtxt(path, delimiter=",", usecols=usecols,
+                              comments=None, quotechar='"',
+                              encoding="utf-8-sig", ndmin=2,
+                              skiprows=skiprows)
+    except (ValueError, Warning):
+        return None
+
+
+def _parse_cells(path, usecols):
+    """Per-cell parse of a transaction CSV: (features, targets, numeric, rows).
+
+    Each feature column is parsed with ``_parse_column`` and, unless
+    numeric, coded by first appearance.  ``targets`` is the parsed target
+    column when ``numeric``, else its raw cells; ``rows`` counts the
+    non-blank data rows.
+    """
+    _, rows, _ = _read_csv(path)
+
+    def column(i):
+        return [r[i] if i < len(r) else "" for r in rows]
+
+    feats = np.empty((len(rows), len(usecols) - 1))
+    for j, i in enumerate(usecols[:-1]):
+        cells = column(i)
+        parsed, numeric = _parse_column(cells)
+        if not numeric:
+            _, codes = _encode_first_appearance(
+                v for v in cells if not _is_missing(v))
+            parsed = [codes.get(v, np.nan) for v in cells]
+        feats[:, j] = parsed
+    raw_targets = column(usecols[-1])
+    target_values, numeric = _parse_column(raw_targets)
+    return (feats, target_values if numeric else raw_targets, numeric,
+            len(rows))
+
+
 def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
     """Load a transaction CSV into a node-classification dataset.
 
@@ -201,14 +309,15 @@ def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
     or its target is missing, or, in a numeric column, unparseable or
     non-finite.  Numeric targets are remapped to dense labels by sorted
     value, so a 0/1 late-delivery flag keeps 1 = late.
+
+    When every feature and target cell is a number that numpy's C reader
+    parses, one ``np.loadtxt`` call reads the file; ``write_dataco_csv``
+    output is such a file.  Any other file (a word column such as the real
+    DataCo export's ``Type``, a missing cell, a ragged row, a spelling only
+    Python's ``float()`` takes) is read cell by cell.  Both give the same
+    dataset, bit for bit.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        rows = [r for r in reader if any(not _is_missing(c) for c in r)]
+    header, _, header_lines = _read_csv(path, header_only=True)
     header = [h.strip() for h in header]
     if target_column not in header:
         raise SchemaError(f"{path}: missing target column {target_column!r}")
@@ -223,46 +332,38 @@ def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
     if not feature_columns:
         raise SchemaError(f"{path}: no feature columns")
 
-    def column(name):
-        i = header.index(name)
-        return [r[i] if i < len(r) else "" for r in rows]
-
-    feats = np.empty((len(rows), len(feature_columns)))
-    for j, c in enumerate(feature_columns):
-        cells = column(c)
-        parsed, numeric = _parse_column(cells)
-        if not numeric:
-            _, codes = _encode_first_appearance(
-                v for v in cells if not _is_missing(v))
-            parsed = [codes.get(v, np.nan) for v in cells]
-        feats[:, j] = parsed
-    raw_targets = column(target_column)
-    target_values, target_numeric = _parse_column(raw_targets)
-    if target_numeric:
-        usable = np.isfinite(target_values)
+    usecols = [header.index(c) for c in [*feature_columns, target_column]]
+    table = _parse_numeric(path, header_lines, usecols)
+    if table is None:
+        feats, targets, target_numeric, n_rows = _parse_cells(path, usecols)
     else:
-        usable = np.array([not _is_missing(v) for v in raw_targets], dtype=bool)
+        feats, targets, target_numeric, n_rows = (
+            table[:, :-1], table[:, -1], True, len(table))
+    if target_numeric:
+        usable = np.isfinite(targets)
+    else:
+        usable = np.array([not _is_missing(v) for v in targets], dtype=bool)
     keep = np.isfinite(feats).all(axis=1) & usable
     if not keep.any():
         raise ValueError(f"{path}: no rows left after cleaning")
 
     if target_numeric:
-        values = target_values[keep].tolist()
+        values = targets[keep].tolist()
         uniq = sorted(set(values))
         remap = {v: i for i, v in enumerate(uniq)}
-        targets = [remap[v] for v in values]
+        labels = [remap[v] for v in values]
         class_names = tuple(str(v) for v in uniq)
     else:
-        targets, codes = _encode_first_appearance(
-            raw_targets[i] for i in np.flatnonzero(keep))
+        labels, codes = _encode_first_appearance(
+            targets[i] for i in np.flatnonzero(keep))
         class_names = tuple(codes)
     return Dataset(
         features=feats[keep],
-        targets=np.array(targets, dtype=np.int64),
+        targets=np.array(labels, dtype=np.int64),
         task=NODE_TASK,
         n_classes=len(class_names),
         channel_names=tuple(feature_columns),
-        n_dropped=int(len(rows) - keep.sum()),
+        n_dropped=int(n_rows - keep.sum()),
         class_names=class_names,
     )
 
@@ -296,10 +397,7 @@ class SupplyGraphData:
 
 
 def _load_temporal_csv(path):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader if any(not _is_missing(c) for c in r)]
+    header, rows, _ = _read_csv(path)
     products = tuple(h.strip() for h in header[1:])
     if not products:
         raise SchemaError(f"{path}: no product columns")
@@ -318,25 +416,21 @@ def _load_temporal_csv(path):
 
 
 def _load_edge_csv(path, n_products):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip().lower() for h in next(reader)]
-        if header[:3] != ["src", "dst", "label"]:
-            raise SchemaError(f"{path}: expected header src,dst,label")
-        edges, labels = [], []
-        for r in reader:
-            if not r or all(_is_missing(c) for c in r):
-                continue
-            try:
-                s, d, lab = int(r[0]), int(r[1]), int(r[2])
-            except (ValueError, IndexError):
-                raise SchemaError(f"{path}: bad edge row {r!r}") from None
-            if not (0 <= s < n_products and 0 <= d < n_products):
-                raise SchemaError(
-                    f"{path}: edge ({s},{d}) references a product index "
-                    f">= {n_products}")
-            edges.append((s, d))
-            labels.append(lab)
+    header, rows, _ = _read_csv(path)
+    if [h.strip().lower() for h in header[:3]] != ["src", "dst", "label"]:
+        raise SchemaError(f"{path}: expected header src,dst,label")
+    edges, labels = [], []
+    for r in rows:
+        try:
+            s, d, lab = int(r[0]), int(r[1]), int(r[2])
+        except (ValueError, IndexError):
+            raise SchemaError(f"{path}: bad edge row {r!r}") from None
+        if not (0 <= s < n_products and 0 <= d < n_products):
+            raise SchemaError(
+                f"{path}: edge ({s},{d}) references a product index "
+                f">= {n_products}")
+        edges.append((s, d))
+        labels.append(lab)
     if not edges:
         raise SchemaError(f"{path}: no edges")
     labels = np.array(labels, dtype=np.int64)
@@ -382,13 +476,15 @@ def load_supplygraph(directory):
 
     meta_path = os.path.join(directory, "products.csv")
     if os.path.exists(meta_path):
-        with open(meta_path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip().lower() for h in next(reader)]
-            if header[:3] != ["product", "group", "plant"]:
-                raise SchemaError(f"{meta_path}: expected header product,group,plant")
-            rows = {r[0].strip(): (r[1].strip(), r[2].strip())
-                    for r in reader if r and not _is_missing(r[0])}
+        header, meta_rows, _ = _read_csv(meta_path)
+        if ([h.strip().lower() for h in header[:3]]
+                != ["product", "group", "plant"]):
+            raise SchemaError(f"{meta_path}: expected header product,group,plant")
+        meta_rows = [r for r in meta_rows if not _is_missing(r[0])]
+        short = [r for r in meta_rows if len(r) < 3]
+        if short:
+            raise SchemaError(f"{meta_path}: short row {short[0]!r}")
+        rows = {r[0].strip(): (r[1].strip(), r[2].strip()) for r in meta_rows}
         missing = [p for p in products if p not in rows]
         if missing:
             raise SchemaError(f"{meta_path}: missing products {missing[:5]}")
@@ -589,11 +685,9 @@ def write_adjacency_csv(path, adjacency, channel_names):
 
 
 def read_adjacency_csv(path):
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        names = tuple(next(reader))
-        rows = [[float(v) for v in r] for r in reader if r]
-    return np.array(rows, dtype=np.float64), names
+    names, rows, _ = _read_csv(path)
+    return (np.array([[float(v) for v in r] for r in rows], dtype=np.float64),
+            tuple(names))
 
 
 def write_supplygraph_dir(directory, n_products=12, n_dates=40,

@@ -1,15 +1,19 @@
 """Loaders, windowing, normalization, synthetic generators."""
 
+import csv
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebnet import data as datamod
 from chebnet.cli import main
-from chebnet.data import (SchemaError, apply_zscore, build_sg_edge_dataset,
+from chebnet.data import (DATACO_FEATURES, DATACO_TARGET, SchemaError,
+                          apply_zscore, build_sg_edge_dataset,
                           build_sg_node_dataset, load_dataco,
                           load_supplygraph, read_adjacency_csv,
                           synth_edge_generate, synth_generate, window_series,
@@ -272,6 +276,208 @@ class TestCsvFuzz:
         assert code in (0, 1)
 
 
+class PerCellCalled(Exception):
+    """Raised by a stand-in for the per-cell parse."""
+
+
+def outcome(path, **kwargs):
+    """``load_dataco``'s Dataset, or the type of the exception it raised."""
+    try:
+        return load_dataco(path, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+def per_cell_outcome(path, **kwargs):
+    """The outcome with numpy's reader declining every file."""
+    with mock.patch.object(datamod, "_parse_numeric", return_value=None):
+        return outcome(path, **kwargs)
+
+
+def numpy_served(path, **kwargs):
+    """Whether ``load_dataco`` returns without the per-cell parse."""
+    with mock.patch.object(datamod, "_parse_cells",
+                           side_effect=PerCellCalled):
+        return outcome(path, **kwargs) is not PerCellCalled
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        assert a is b
+        return
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()
+    np.testing.assert_array_equal(a.targets, b.targets)
+    assert a.class_names == b.class_names
+    assert a.channel_names == b.channel_names
+    assert a.n_dropped == b.n_dropped
+
+
+# Cells that stress the two readers' tokenizers and number syntax: quotes,
+# delimiters and line breaks inside cells, padding, digit separators and
+# non-ASCII digits.
+ODD_CELLS = st.text(alphabet=' \t"\x1c_.,-+019eainf\r\n\xa0١１',
+                    max_size=5)
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """A header line, then lines of mostly numeric cells joined raw (no
+    quoting) with odd cells, blank lines and mixed line endings."""
+    n_cols = draw(st.integers(1, 4))
+    cells = NUMBERS | NUMBERS | ODD_CELLS
+    lines = draw(st.lists(
+        st.lists(cells, min_size=0, max_size=n_cols + 1).map(",".join),
+        max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    header = ",".join(f"c{j}" for j in range(n_cols))
+    return header + "\n" + "".join(a + b for a, b in zip(lines, ends))
+
+
+class TestNumpyPathEquivalence:
+    """Wherever numpy's C reader takes a file, ``load_dataco`` returns what
+    the per-cell path returns: features bit for bit, targets, class names
+    and dropped-row count, or the same exception type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_grids())
+    def test_grids_match_per_cell(self, grid):
+        header, target, rows = grid
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_grid(tmp, header, rows)
+            assert_same_outcome(outcome(path, target_column=target),
+                                per_cell_outcome(path, target_column=target))
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_csv_texts(), st.data())
+    def test_raw_text_matches_per_cell(self, text, data):
+        target = data.draw(st.sampled_from(text.split("\n")[0].split(",")))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "raw.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert_same_outcome(outcome(path, target_column=target),
+                                per_cell_outcome(path, target_column=target))
+
+    @pytest.mark.parametrize("content, numpy_reads", [
+        # spellings float() takes and numpy does not
+        pytest.param("A,T\n1_000,0\n2,1\n", False, id="underscore"),
+        pytest.param("A,T\n0_1,0\n2,1\n", False, id="leading-zero-underscore"),
+        pytest.param("A,T\n١٢,0\n2,1\n", False, id="arabic-indic"),
+        pytest.param("A,T\n１２,0\n2,1\n", False, id="fullwidth"),
+        # a separator numpy strips and float() does not
+        pytest.param("A,T\n\x1c2,0\n2,1\n", False, id="file-separator"),
+        # spellings both take
+        pytest.param("A,T\n 1.5 ,0\n2,1\n", True, id="padded"),
+        pytest.param("A,T\n\t2\t,0\n2,1\n", True, id="tabs"),
+        pytest.param('A,T\n"1.5",0\n2,1\n', True, id="quoted"),
+        pytest.param("A,T\ninfinity,0\n2,1\n3,0\n", True, id="infinity"),
+        pytest.param("A,T\n-nan,0\n2,1\n3,0\n", True, id="negative-nan"),
+        pytest.param("A,T\n1e400,0\n2,1\n3,0\n", True, id="overflow"),
+        pytest.param("A,T\n1e-400,0\n2,1\n", True, id="underflow"),
+        pytest.param("A,T\n.5,0\n2,1\n", True, id="bare-fraction"),
+        pytest.param("A,T\n-0,0\n2,1\n", True, id="negative-zero"),
+        # file shapes
+        pytest.param("A,T\r\n1,0\r\n2,1\r\n", True, id="crlf"),
+        pytest.param("﻿A,T\n1,0\n2,1\n", True, id="bom"),
+        pytest.param("A,T\n\n1,0\n\n2,1\n\n", True, id="blank-lines"),
+        pytest.param("A,T\n1,0\n  \t\n2,1\n", False, id="whitespace-line"),
+        pytest.param("A,T\n1,0\n2\n3,1\n", False, id="short-row"),
+        pytest.param("A,T\n1,0,9,9\n2,1\n", True, id="long-row"),
+        pytest.param("A,T\n", None, id="header-only"),
+        pytest.param("A,T\n1,0\n\xe9,1\n".encode("latin-1"), None,
+                     id="latin-1"),
+        pytest.param(("A,T\n" + "1,0\n" * 3000 + "\xe9,1\n").encode("latin-1"),
+                     None, id="latin-1-after-first-block"),
+        pytest.param('"A\nB",T\n1,0\n2,1\n', True, id="header-newline"),
+    ])
+    def test_table_matches_per_cell(self, tmp_path, content, numpy_reads):
+        path = tmp_path / "t.csv"
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        path.write_bytes(content)
+        got = outcome(path, target_column="T")
+        assert_same_outcome(got, per_cell_outcome(path, target_column="T"))
+        if numpy_reads is not None:
+            assert not isinstance(got, type)
+            assert numpy_served(path, target_column="T") is numpy_reads
+
+    def test_header_newline_keeps_every_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text('"A\nB",T\n1,0\n2,1\n3,0\n', encoding="utf-8")
+        ds = load_dataco(path, target_column="T")
+        assert ds.channel_names == ("A\nB",)
+        np.testing.assert_array_equal(ds.features[:, 0], [1.0, 2.0, 3.0])
+
+    def test_synthetic_export_takes_numpy_path(self, tmp_path):
+        ds, _ = synth_generate(1000, 11, 2, 1.0, seed=3)
+        path = tmp_path / "synth.csv"
+        write_dataco_csv(ds, path, target_column="target")
+        assert path.stat().st_size > csv.field_size_limit()
+        with mock.patch.object(datamod, "_parse_cells",
+                               side_effect=PerCellCalled):
+            fast = load_dataco(path, target_column="target")
+        assert fast.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(fast.targets, ds.targets)
+        assert_same_outcome(fast,
+                            per_cell_outcome(path, target_column="target"))
+
+    def test_word_type_column_takes_per_cell_path(self, tmp_path):
+        types = ["TRANSFER", "CASH", "TRANSFER", "DEBIT", "PAYMENT", "CASH"]
+        lines = [",".join(DATACO_FEATURES + (DATACO_TARGET,))]
+        for i, t in enumerate(types):
+            lines.append(",".join([t] + [str(i + j) for j in range(10)]
+                                  + [str(i % 2)]))
+        path = tmp_path / "dataco.csv"
+        write_csv(path, lines)
+        assert not numpy_served(path)
+        ds = load_dataco(path)
+        np.testing.assert_array_equal(ds.features[:, 0], [0, 1, 0, 2, 3, 1])
+        np.testing.assert_array_equal(ds.features[:, 1], range(6))
+
+
+LONG_FIELD = "9" * 200_000
+
+
+class TestOverlongField:
+    """A field past csv's field limit (131072 characters) is refused by
+    both paths: numpy's reader has no such limit, so such a file is left
+    to the per-cell path, whose csv.Error becomes a SchemaError."""
+
+    @pytest.mark.parametrize("cell", [
+        pytest.param(LONG_FIELD, id="one-line"),
+        pytest.param('"1' + "\n" * 200_000 + '"', id="quoted-across-lines"),
+    ])
+    def test_both_paths_refuse(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["A,T", "1,0", f"{cell},1", "2,0"])
+        with pytest.raises(SchemaError, match="t.csv"):
+            load_dataco(path, target_column="T")
+        assert per_cell_outcome(path, target_column="T") is SchemaError
+
+    def test_train_exits_one_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["A,B,Late_delivery_risk", "1,2,0",
+                         f"{LONG_FIELD},3,1", "4,5,1"])
+        code = main(["train", "--set", 'task="dataco-risk"',
+                     "--set", f"data.path={json.dumps(str(path))}",
+                     "--set", f"output_dir={json.dumps(str(tmp_path))}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "field larger than field limit" in err
+        assert "Traceback" not in err
+
+    def test_supplygraph_file_refused(self, tmp_path):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        with open(os.path.join(d, "sales_order.csv"), "a",
+                  encoding="utf-8") as fh:
+            fh.write(f"2024-01-01,{LONG_FIELD},1,1,1\n")
+        with pytest.raises(SchemaError, match="sales_order.csv"):
+            load_supplygraph(d)
+
+
 class TestWindowSeries:
     def test_window_count(self):
         series = np.arange(221 * 2, dtype=float).reshape(221, 2)
@@ -450,6 +656,29 @@ class TestSupplyGraphLoader:
         write_csv(os.path.join(d, "edges_bad.csv"),
                   ["src,dst,label", "0,9,0"])
         with pytest.raises(SchemaError):
+            load_supplygraph(d)
+
+    @pytest.mark.parametrize("name", ["production.csv", "edges_plant.csv",
+                                      "products.csv"])
+    def test_empty_file_exits_one(self, tmp_path, capsys, name):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        open(os.path.join(d, name), "w").close()
+        code = main(["train", "--set", 'task="sg-product"',
+                     "--set", f"data.path={json.dumps(d)}",
+                     "--set", f"output_dir={json.dumps(str(tmp_path))}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{name}: empty file" in err
+        assert "Traceback" not in err
+
+    def test_short_product_row(self, tmp_path):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        with open(os.path.join(d, "products.csv"), "a",
+                  encoding="utf-8") as fh:
+            fh.write("P00,G0\n")
+        with pytest.raises(SchemaError, match="products.csv: short row"):
             load_supplygraph(d)
 
     def test_missing_temporal_file(self, tmp_path):
