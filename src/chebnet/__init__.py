@@ -1,38 +1,3 @@
 """Chebyshev ensemble graph networks for node and edge classification."""
 
 __version__ = "0.1.0"
-
-from chebnet.graph import (
-    GraphContext,
-    build_adjacency,
-    build_graph_context,
-    cheb_apply,
-    degree_and_laplacian,
-    graph_from_features,
-    lambda_max,
-    pearson_correlation,
-    scale_laplacian,
-    spectral_decomposition,
-    spectral_filter_oracle,
-)
-from chebnet.model import EnsembleModel, build_model, edge_embed
-from chebnet.training import (
-    TrainingConfig,
-    cross_validate,
-    ensemble_loss,
-    fit_full,
-    kfold_split,
-    nll_loss,
-    predict,
-    train_model,
-)
-
-__all__ = [
-    "GraphContext", "build_adjacency", "build_graph_context", "cheb_apply",
-    "degree_and_laplacian", "graph_from_features", "lambda_max",
-    "pearson_correlation", "scale_laplacian", "spectral_decomposition",
-    "spectral_filter_oracle",
-    "EnsembleModel", "build_model", "edge_embed",
-    "TrainingConfig", "cross_validate", "ensemble_loss", "fit_full",
-    "kfold_split", "nll_loss", "predict", "train_model",
-]

@@ -20,7 +20,7 @@ from chebnet import data as datamod
 from chebnet.archive import ArchiveError, load_archive, restore_model, save_archive
 from chebnet.config import (ConfigError, config_json, resolve_config,
                             training_config)
-from chebnet.data import SchemaError
+from chebnet.data import SchemaError, _fmt
 from chebnet.graph import build_graph_context
 from chebnet.metrics import compute_metrics, confusion_csv, format_metrics
 from chebnet.model import build_model
@@ -64,10 +64,6 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-
-
-def _fmt(x):
-    return repr(float(x))
 
 
 def _write(path, text):
@@ -227,8 +223,15 @@ def _restore_and_load(args, cfg):
                           if not k.startswith("extra.")})
     graph = build_graph_context(adjacency, channel_names)
     dataset = load_task_dataset(cfg)
-    feats = datamod.apply_zscore(dataset.features, entries["extra.norm_mean"],
-                                 entries["extra.norm_std"])
+    if record["task"] != dataset.task:
+        raise ArchiveError(f"{path}: the checkpoint is for {record['task']} "
+                           f"data but task {cfg['task']!r} is {dataset.task}")
+    mean, std = entries["extra.norm_mean"], entries["extra.norm_std"]
+    width = dataset.features.shape[1]
+    if mean.shape != (width,) or std.shape != (width,):
+        raise ArchiveError(f"{path}: the checkpoint normalizes {mean.size} "
+                           f"feature columns but the data has {width}")
+    feats = datamod.apply_zscore(dataset.features, mean, std)
     return model, graph, dataset, feats, class_names
 
 

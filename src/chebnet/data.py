@@ -401,6 +401,12 @@ def _load_temporal_csv(path):
     products = tuple(h.strip() for h in header[1:])
     if not products:
         raise SchemaError(f"{path}: no product columns")
+    repeated = [p for i, p in enumerate(products) if p in products[:i]]
+    if repeated:
+        raise SchemaError(f"{path}: product {repeated[0]!r} has more than "
+                          f"one column")
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
     dated = []
     for r in rows:
         if len(r) != len(header):
@@ -621,42 +627,6 @@ def synth_generate(n_samples, n_channels, n_classes, separation, seed,
     return dataset, truth_adjacency
 
 
-def synth_edge_generate(n_nodes, n_features, n_communities, separation,
-                        n_edges, seed, threshold=DEFAULT_THRESHOLD):
-    """Edge-relation dataset: node communities induce both the node-feature
-    graph and the edge labels (ordered community pair -> class)."""
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
-    rng = np.random.default_rng(seed)
-    comm = np.arange(n_nodes) % n_communities
-    rng.shuffle(comm)
-    # orthogonal community signatures with unit-scale entries, so the shared
-    # component carries separation**2 of each feature's variance
-    directions = np.sqrt(n_features) * _orthonormal_directions(
-        rng, n_features, n_communities)
-    feats = (separation * directions.T[comm]
-             + rng.standard_normal((n_nodes, n_features)))
-
-    src = rng.integers(0, n_nodes, size=n_edges)
-    dst = rng.integers(0, n_nodes - 1, size=n_edges)
-    dst = np.where(dst >= src, dst + 1, dst)  # no self-loop edges
-    labels = comm[src] * n_communities + comm[dst]
-
-    rho = separation ** 2 / (separation ** 2 + 1.0)
-    truth_corr = np.where(comm[:, None] == comm[None, :], rho, 0.0)
-    np.fill_diagonal(truth_corr, 1.0)
-    truth_adjacency = build_adjacency(truth_corr, threshold)
-
-    dataset = Dataset(
-        features=feats,
-        targets=labels,
-        task=EDGE_TASK,
-        n_classes=n_communities ** 2,
-        edges=np.stack([src, dst], axis=1),
-    )
-    return dataset, truth_adjacency
-
-
 # ---------------------------------------------------------------------------
 # synthetic export (same formats the loaders read)
 
@@ -682,12 +652,6 @@ def write_adjacency_csv(path, adjacency, channel_names):
         writer.writerow(list(channel_names))
         for row in adjacency:
             writer.writerow([_fmt(v) for v in row])
-
-
-def read_adjacency_csv(path):
-    names, rows, _ = _read_csv(path)
-    return (np.array([[float(v) for v in r] for r in rows], dtype=np.float64),
-            tuple(names))
 
 
 def write_supplygraph_dir(directory, n_products=12, n_dates=40,

@@ -4,9 +4,7 @@ The pipeline: Pearson correlation across feature channels, sigmoid squashing
 of the absolute correlations with a threshold cut, degree / Laplacian
 assembly, largest eigenvalue by power iteration, rescaling of the spectrum
 into [-1, 1], and the Chebyshev three-term recurrence (``cheb_apply``) that
-builds the matrices T_k(Ls) the convolution layers filter with.  A dense
-eigendecomposition filter is provided as a slow reference path for tests;
-production code never eigendecomposes.
+builds the matrices T_k(Ls) the convolution layers filter with.
 
 All functions are pure and operate on float64 numpy arrays.
 """
@@ -19,6 +17,9 @@ import numpy as np
 # useless here (it spans the Laplacian null space), so a fixed pseudorandom
 # direction is used instead.
 _POWER_SEED = 0x5D1F7A2C
+# Power-iteration budget and relative convergence tolerance.
+_POWER_MAX_ITER = 1000
+_POWER_TOL = 1e-10
 
 DEFAULT_THRESHOLD = 0.7
 
@@ -87,7 +88,7 @@ def degree_and_laplacian(adjacency):
     return degree, laplacian
 
 
-def lambda_max(laplacian, max_iter=1000, tol=1e-10):
+def lambda_max(laplacian):
     """Largest Laplacian eigenvalue by power iteration.
 
     Falls back to 2.0 when the estimate is below 1e-9 (edgeless graph), which
@@ -100,7 +101,7 @@ def lambda_max(laplacian, max_iter=1000, tol=1e-10):
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = lap @ v
         lam_new = float(v @ w)
         norm = np.linalg.norm(w)
@@ -108,7 +109,7 @@ def lambda_max(laplacian, max_iter=1000, tol=1e-10):
             lam = 0.0
             break
         v = w / norm
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
+        if abs(lam_new - lam) <= _POWER_TOL * max(1.0, abs(lam_new)):
             lam = lam_new
             break
         lam = lam_new
@@ -184,52 +185,3 @@ def cheb_apply(scaled_laplacian, x, order):
     for _ in range(2, order):
         terms.append(2.0 * (ls @ terms[-1]) - terms[-2])
     return terms
-
-
-def spectral_decomposition(laplacian):
-    """Eigendecomposition of a symmetric PSD Laplacian.
-
-    Returns (eigenvalues ascending, eigenvector matrix U) with
-    U diag(w) U^T = L; the columns of U are the graph Fourier basis.
-    Reference-path machinery only.
-    """
-    lap = _as_matrix(laplacian, "laplacian")
-    _check_symmetric(lap, "laplacian")
-    evals, evecs = np.linalg.eigh(lap)
-    return evals, evecs
-
-
-def _cheb_scalar(t, k):
-    """T_k evaluated pointwise via the trigonometric closed form."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    inside = np.abs(t) <= 1.0
-    out[inside] = np.cos(k * np.arccos(t[inside]))
-    above = t > 1.0
-    out[above] = np.cosh(k * np.arccosh(t[above]))
-    below = t < -1.0
-    out[below] = ((-1.0) ** k) * np.cosh(k * np.arccosh(-t[below]))
-    return out
-
-
-def spectral_filter_oracle(laplacian, theta, x):
-    """Spectral filtering through a dense eigendecomposition (test oracle).
-
-    Computes U (sum_k theta_k T_k(scaled eigenvalues)) U^T x, i.e. the same
-    filter as the Chebyshev recurrence but evaluated in the Fourier basis
-    with the scalar closed form.  Exact, slow, and deliberately independent
-    of cheb_apply.
-    """
-    lap = _as_matrix(laplacian, "laplacian")
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64)
-    evals, evecs = spectral_decomposition(lap)
-    lam = lambda_max(lap)  # same estimate the production path uses
-    scaled = 2.0 * evals / lam - 1.0
-    gain = np.zeros_like(scaled)
-    for k, coef in enumerate(theta):
-        gain += coef * _cheb_scalar(scaled, k)
-    xhat = evecs.T @ x
-    if xhat.ndim == 1:
-        return evecs @ (gain * xhat)
-    return evecs @ (gain[:, None] * xhat)

@@ -13,8 +13,8 @@ with ``diagonal=True`` (B, N) rows that stand for diagonal node-signal
 matrices, whose input gradient they do not compute; Linear and BatchNorm
 likewise broadcast over leading batch dimensions, and Conv1D takes
 (B, C, L) only.  There is no general autodiff: the fixed two-branch topology
-is differentiated by hand and validated against finite differences (see
-``grad_check``).
+is differentiated by hand and validated against finite differences in the
+tests.
 
 The activations are (rows, width) arrays with many rows and few channels,
 so the per-channel passes are written for that shape: a bias add, a
@@ -618,36 +618,3 @@ class BatchNorm:
         dx -= xc
         _channelwise(np.multiply, dx, self.gamma.value * inv_std, out=dx)
         return dx.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-def grad_check(f, wrt, h=1e-5):
-    """Compare analytic gradients against central finite differences.
-
-    ``f()`` must run a deterministic forward/backward pass and return
-    ``(loss, grads)`` with one gradient array per entry of ``wrt`` (the value
-    arrays, perturbed in place).  Returns the maximum relative error
-    |a - n| / max(1e-8, |a| + |n|) over every element.
-    """
-    _, analytic = f()
-    analytic = [np.array(g, dtype=np.float64, copy=True) for g in analytic]
-    if len(analytic) != len(wrt):
-        raise ValueError("f() must return one gradient per checked array")
-    worst = 0.0
-    for value, grad in zip(wrt, analytic):
-        flat = value.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f()[0]
-            flat[i] = orig - h
-            lo = f()[0]
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * h)
-            err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -19,12 +19,6 @@ from chebnet.model import (build_model, conv_inputs_edge, conv_inputs_node,
                            edge_embed)
 from chebnet.optim import make_optimizer
 
-__all__ = [
-    "TrainingConfig", "DivergenceError", "nll_loss", "nll_loss_grad",
-    "ensemble_loss", "kfold_split", "train_model", "cross_validate",
-    "fit_full", "predict", "edge_embed", "HISTORY_HEADER",
-]
-
 # named sub-seed components
 SEED_FOLDS = 0
 SEED_INIT = 1

@@ -1,0 +1,146 @@
+"""Reference implementations that only the tests use.
+
+The eigendecomposition filter oracle, the finite-difference gradient
+checker, an edge-relation dataset generator and a reader for the adjacency
+CSV that ``chebnet export --what graph`` writes.  None of them is on a path
+the ``chebnet`` commands run.
+"""
+
+import numpy as np
+
+from chebnet.data import (EDGE_TASK, Dataset, _orthonormal_directions,
+                          _read_csv)
+from chebnet.graph import (DEFAULT_THRESHOLD, _as_matrix, _check_symmetric,
+                           build_adjacency, lambda_max)
+
+
+# ---------------------------------------------------------------------------
+# spectral filter oracle
+
+
+def spectral_decomposition(laplacian):
+    """Eigendecomposition of a symmetric PSD Laplacian.
+
+    Returns (eigenvalues ascending, eigenvector matrix U) with
+    U diag(w) U^T = L; the columns of U are the graph Fourier basis.
+    """
+    lap = _as_matrix(laplacian, "laplacian")
+    _check_symmetric(lap, "laplacian")
+    evals, evecs = np.linalg.eigh(lap)
+    return evals, evecs
+
+
+def _cheb_scalar(t, k):
+    """T_k evaluated pointwise via the trigonometric closed form."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.empty_like(t)
+    inside = np.abs(t) <= 1.0
+    out[inside] = np.cos(k * np.arccos(t[inside]))
+    above = t > 1.0
+    out[above] = np.cosh(k * np.arccosh(t[above]))
+    below = t < -1.0
+    out[below] = ((-1.0) ** k) * np.cosh(k * np.arccosh(-t[below]))
+    return out
+
+
+def spectral_filter_oracle(laplacian, theta, x):
+    """Spectral filtering through a dense eigendecomposition.
+
+    Computes U (sum_k theta_k T_k(scaled eigenvalues)) U^T x, i.e. the same
+    filter as the Chebyshev recurrence but evaluated in the Fourier basis
+    with the scalar closed form.  Exact, slow, and deliberately independent
+    of cheb_apply.
+    """
+    lap = _as_matrix(laplacian, "laplacian")
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    x = np.asarray(x, dtype=np.float64)
+    evals, evecs = spectral_decomposition(lap)
+    lam = lambda_max(lap)  # same estimate the production path uses
+    scaled = 2.0 * evals / lam - 1.0
+    gain = np.zeros_like(scaled)
+    for k, coef in enumerate(theta):
+        gain += coef * _cheb_scalar(scaled, k)
+    xhat = evecs.T @ x
+    if xhat.ndim == 1:
+        return evecs @ (gain * xhat)
+    return evecs @ (gain[:, None] * xhat)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient checking
+
+
+def grad_check(f, wrt, h=1e-5):
+    """Compare analytic gradients against central finite differences.
+
+    ``f()`` must run a deterministic forward/backward pass and return
+    ``(loss, grads)`` with one gradient array per entry of ``wrt`` (the value
+    arrays, perturbed in place).  Returns the maximum relative error
+    |a - n| / max(1e-8, |a| + |n|) over every element.
+    """
+    _, analytic = f()
+    analytic = [np.array(g, dtype=np.float64, copy=True) for g in analytic]
+    if len(analytic) != len(wrt):
+        raise ValueError("f() must return one gradient per checked array")
+    worst = 0.0
+    for value, grad in zip(wrt, analytic):
+        flat = value.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = f()[0]
+            flat[i] = orig - h
+            lo = f()[0]
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * h)
+            err = abs(gflat[i] - numeric) / max(1e-8, abs(gflat[i]) + abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# edge-relation data
+
+
+def synth_edge_generate(n_nodes, n_features, n_communities, separation,
+                        n_edges, seed, threshold=DEFAULT_THRESHOLD):
+    """Edge-relation dataset: node communities induce both the node-feature
+    graph and the edge labels (ordered community pair -> class)."""
+    if separation < 0:
+        raise ValueError("separation must be nonnegative")
+    rng = np.random.default_rng(seed)
+    comm = np.arange(n_nodes) % n_communities
+    rng.shuffle(comm)
+    # orthogonal community signatures with unit-scale entries, so the shared
+    # component carries separation**2 of each feature's variance
+    directions = np.sqrt(n_features) * _orthonormal_directions(
+        rng, n_features, n_communities)
+    feats = (separation * directions.T[comm]
+             + rng.standard_normal((n_nodes, n_features)))
+
+    src = rng.integers(0, n_nodes, size=n_edges)
+    dst = rng.integers(0, n_nodes - 1, size=n_edges)
+    dst = np.where(dst >= src, dst + 1, dst)  # no self-loop edges
+    labels = comm[src] * n_communities + comm[dst]
+
+    rho = separation ** 2 / (separation ** 2 + 1.0)
+    truth_corr = np.where(comm[:, None] == comm[None, :], rho, 0.0)
+    np.fill_diagonal(truth_corr, 1.0)
+    truth_adjacency = build_adjacency(truth_corr, threshold)
+
+    dataset = Dataset(
+        features=feats,
+        targets=labels,
+        task=EDGE_TASK,
+        n_classes=n_communities ** 2,
+        edges=np.stack([src, dst], axis=1),
+    )
+    return dataset, truth_adjacency
+
+
+def read_adjacency_csv(path):
+    """The (matrix, channel names) of a ``write_adjacency_csv`` file."""
+    names, rows, _ = _read_csv(path)
+    return (np.array([[float(v) for v in r] for r in rows], dtype=np.float64),
+            tuple(names))

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from chebnet.cli import main
-from chebnet.data import (Dataset, load_dataco, synth_edge_generate,
-                          synth_generate, write_dataco_csv, zscore_normalize)
+from chebnet.data import (Dataset, load_dataco, synth_generate,
+                          write_dataco_csv, zscore_normalize)
 from chebnet.graph import (build_adjacency, build_graph_context, cheb_apply,
-                           graph_from_features, pearson_correlation,
-                           spectral_filter_oracle)
+                           graph_from_features, pearson_correlation)
 from chebnet.layers import (BatchNorm, ChebConv, Conv1D, GATLayer, GCNConv,
-                            Linear, grad_check)
+                            Linear)
 from chebnet.model import build_model, conv_inputs_node
 from chebnet.training import (SEED_SYNTH, TrainingConfig, cross_validate,
                               kfold_split, nll_loss_grad, subseed,
                               train_model)
+
+from oracles import grad_check, spectral_filter_oracle, synth_edge_generate
 
 
 def report(name, ok, detail=""):

@@ -14,8 +14,9 @@ from chebnet.archive import load_archive, save_archive
 from chebnet.cli import main
 from chebnet.config import (DEFAULTS, ConfigError, parse_override,
                             resolve_config, training_config)
-from chebnet.data import read_adjacency_csv
 from chebnet.training import TrainingConfig
+
+from oracles import read_adjacency_csv
 
 FAST = [
     "--set", "synth.n_samples=60",
@@ -432,6 +433,57 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", path,
                      "--out", str(tmp_path / "eval"), *FAST]) == 1
         assert "architecture record" in capsys.readouterr().err
+
+    def test_fewer_feature_columns_exit_one(self, tmp_path, capsys):
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        synth = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "node", "--out", synth, *FAST]) == 0
+        data = ["--set", 'task="dataco-risk"',
+                "--set", 'data.target_column="target"',
+                "--set", 'data.feature_columns=["ch0","ch1","ch2"]',
+                "--set", "data.path=" + json.dumps(
+                    os.path.join(synth, "synthetic.csv"))]
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *data]) == 1
+        assert main(["export", "--checkpoint", path, "--what", "embeddings",
+                     "--out", str(tmp_path / "export"), *data]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"{path}: the checkpoint normalizes 10 feature "
+                         f"columns but the data has 3") == 2
+        assert "Traceback" not in err
+
+    def test_edge_checkpoint_on_node_task_exits_one(self, tmp_path, capsys):
+        sg = os.path.join(str(tmp_path / "synth"), "supplygraph")
+        assert main(["synth", "--kind", "edges",
+                     "--out", str(tmp_path / "synth")]) == 0
+        assert main(["train", "--set", f'output_dir="{tmp_path / "runs"}"',
+                     "--set", 'task="sg-plant-edges"',
+                     "--set", f"data.path={json.dumps(sg)}",
+                     "--set", "training.epochs=2",
+                     "--set", "training.folds=2"]) == 0
+        path = str(tmp_path / "runs" / "cheb" / "checkpoint.bin")
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert (f"{path}: the checkpoint is for edge-class data but task "
+                f"'synthetic' is node-class") in err
+        assert "Traceback" not in err
+
+    def test_node_checkpoint_on_edge_task_exits_one(self, tmp_path, capsys):
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        sg = os.path.join(str(tmp_path / "synth"), "supplygraph")
+        assert main(["synth", "--kind", "edges",
+                     "--out", str(tmp_path / "synth")]) == 0
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"),
+                     "--set", 'task="sg-product-edges"',
+                     "--set", f"data.path={json.dumps(sg)}"]) == 1
+        err = capsys.readouterr().err
+        assert (f"{path}: the checkpoint is for node-class data but task "
+                f"'sg-product-edges' is edge-class") in err
+        assert "Traceback" not in err
 
     def test_missing_checkpoint_exits_one(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),

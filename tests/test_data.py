@@ -15,11 +15,12 @@ from chebnet.cli import main
 from chebnet.data import (DATACO_FEATURES, DATACO_TARGET, SchemaError,
                           apply_zscore, build_sg_edge_dataset,
                           build_sg_node_dataset, load_dataco,
-                          load_supplygraph, read_adjacency_csv,
-                          synth_edge_generate, synth_generate, window_series,
+                          load_supplygraph, synth_generate, window_series,
                           write_adjacency_csv, write_dataco_csv,
                           write_supplygraph_dir, zscore_normalize)
 from chebnet.graph import build_adjacency, pearson_correlation
+
+from oracles import read_adjacency_csv, synth_edge_generate
 
 
 def write_csv(path, lines):
@@ -670,6 +671,44 @@ class TestSupplyGraphLoader:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{name}: empty file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("task", ["sg-product", "sg-plant-edges"])
+    @pytest.mark.parametrize("name", ["delivery_to_distributor.csv",
+                                      "production.csv"])
+    def test_header_only_signal_exits_one(self, tmp_path, capsys, name,
+                                          task):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        path = os.path.join(d, name)
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header)
+        code = main(["train", "--set", f"task={json.dumps(task)}",
+                     "--set", f"data.path={json.dumps(d)}",
+                     "--set", f"output_dir={json.dumps(str(tmp_path))}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{name}: no data rows" in err
+        assert "Traceback" not in err
+
+    def test_repeated_product_column_exits_one(self, tmp_path, capsys):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        for name in datamod.SG_SIGNALS:
+            path = os.path.join(d, f"{name}.csv")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace("date,P00,P01,", "date,P00,P00,", 1))
+        code = main(["train", "--set", 'task="sg-product"',
+                     "--set", f"data.path={json.dumps(d)}",
+                     "--set", f"output_dir={json.dumps(str(tmp_path))}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("delivery_to_distributor.csv: product 'P00' has more than "
+                "one column") in err
         assert "Traceback" not in err
 
     def test_short_product_row(self, tmp_path):

@@ -16,7 +16,6 @@ from chebnet.layers import (
     GATLayer,
     GCNConv,
     Linear,
-    grad_check,
     leaky_relu,
     leaky_relu_backward,
     log_softmax,
@@ -24,6 +23,8 @@ from chebnet.layers import (
     relu,
     relu_backward,
 )
+
+from oracles import grad_check
 
 TOL = 1e-4
 

@@ -8,6 +8,7 @@ and the dense-eigendecomposition spectral filter.
 import numpy as np
 import pytest
 
+from chebnet.data import synth_generate, zscore_normalize
 from chebnet.graph import (
     build_adjacency,
     build_graph_context,
@@ -17,9 +18,10 @@ from chebnet.graph import (
     lambda_max,
     pearson_correlation,
     scale_laplacian,
-    spectral_decomposition,
-    spectral_filter_oracle,
 )
+from chebnet.training import SEED_SYNTH, subseed
+
+from oracles import spectral_decomposition, spectral_filter_oracle
 
 
 def random_adjacency(rng, n, density=0.6):
@@ -170,6 +172,16 @@ class TestLambdaMax:
             if dense < 1e-9:
                 continue
             assert lambda_max(lap) == pytest.approx(dense, rel=1e-8)
+
+    @pytest.mark.xfail(strict=True, reason="power iteration stops short of "
+                       "the largest eigenvalue on the default synthetic graph "
+                       "(1.4252247 against 1.4257319)")
+    def test_matches_dense_eigensolver_on_default_synthetic_graph(self):
+        dataset, _ = synth_generate(400, 10, 2, 3.0, subseed(4, SEED_SYNTH))
+        normalized, _, _ = zscore_normalize(dataset.features)
+        ctx = graph_from_features(normalized, threshold=0.7)
+        dense = np.linalg.eigvalsh(ctx.laplacian)[-1]
+        assert lambda_max(ctx.laplacian) == pytest.approx(dense, rel=1e-8)
 
 
 class TestScaleLaplacian:

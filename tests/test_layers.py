@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebnet.graph import build_graph_context, cheb_apply, spectral_filter_oracle
+from chebnet.graph import build_graph_context, cheb_apply
 from chebnet.layers import (
     BatchNorm,
     ChebConv,
@@ -23,6 +23,8 @@ from chebnet.layers import (
     relu,
     relu_backward,
 )
+
+from oracles import spectral_filter_oracle
 
 
 def make_graph(rng, n, density=0.7):
