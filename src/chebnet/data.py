@@ -387,13 +387,10 @@ def _parse_date(text):
 @dataclass
 class SupplyGraphData:
     products: tuple
-    dates: tuple
     series: dict                      # signal name -> (T x P) array
     edges: dict = field(default_factory=dict)   # kind -> (E x 2, E labels)
     groups: np.ndarray = None         # per-product group label or None
-    plants: np.ndarray = None
     group_names: tuple = ()
-    plant_names: tuple = ()
 
 
 def _load_temporal_csv(path):
@@ -417,8 +414,7 @@ def _load_temporal_csv(path):
             raise SchemaError(f"{path}: non-numeric value in row {r[0]!r}") from None
         dated.append((_parse_date(r[0]), values))
     dated.sort(key=lambda t: t[0])
-    matrix = np.array([v for _, v in dated], dtype=np.float64)
-    return products, tuple(d for d, _ in dated), matrix
+    return products, np.array([v for _, v in dated], dtype=np.float64)
 
 
 def _load_edge_csv(path, n_products):
@@ -454,25 +450,24 @@ def load_supplygraph(directory):
     """
     series = {}
     products = None
-    dates = None
     for name in SG_SIGNALS:
         path = os.path.join(directory, f"{name}.csv")
         if not os.path.exists(path):
             raise SchemaError(f"missing temporal file {path}")
-        prods, ds, matrix = _load_temporal_csv(path)
+        prods, matrix = _load_temporal_csv(path)
         if products is None:
-            products, dates = prods, ds
+            products, n_dates = prods, matrix.shape[0]
         else:
             if set(prods) != set(products):
                 raise SchemaError(
                     f"{path}: product set differs from {SG_SIGNALS[0]}.csv")
             order = [prods.index(p) for p in products]
             matrix = matrix[:, order]
-            if matrix.shape[0] != len(dates):
+            if matrix.shape[0] != n_dates:
                 raise SchemaError(f"{path}: date count differs")
         series[name] = matrix
 
-    data = SupplyGraphData(products=products, dates=dates, series=series)
+    data = SupplyGraphData(products=products, series=series)
 
     for entry in sorted(os.listdir(directory)):
         if entry.startswith("edges_") and entry.endswith(".csv"):
@@ -490,16 +485,13 @@ def load_supplygraph(directory):
         short = [r for r in meta_rows if len(r) < 3]
         if short:
             raise SchemaError(f"{meta_path}: short row {short[0]!r}")
-        rows = {r[0].strip(): (r[1].strip(), r[2].strip()) for r in meta_rows}
-        missing = [p for p in products if p not in rows]
+        groups = {r[0].strip(): r[1].strip() for r in meta_rows}
+        missing = [p for p in products if p not in groups]
         if missing:
             raise SchemaError(f"{meta_path}: missing products {missing[:5]}")
-        groups, gcodes = _encode_first_appearance([rows[p][0] for p in products])
-        plants, pcodes = _encode_first_appearance([rows[p][1] for p in products])
-        data.groups = np.array(groups, dtype=np.int64)
-        data.plants = np.array(plants, dtype=np.int64)
-        data.group_names = tuple(gcodes)
-        data.plant_names = tuple(pcodes)
+        codes, names = _encode_first_appearance([groups[p] for p in products])
+        data.groups = np.array(codes, dtype=np.int64)
+        data.group_names = tuple(names)
     return data
 
 

@@ -6,15 +6,16 @@ the model sets it); in eval mode their forward caches nothing and clears the
 cache.  Conv1D, which only training runs, always caches.  Backward reads the
 cache once and releases it, so each backward needs a forward of its own; it
 accumulates parameter gradients into ``Parameter.grad`` and returns the
-gradient with respect to the layer's input, or None when called with the
-keyword ``input_grad=False`` (graph layers and Conv1D), which skips it.
-Graph layers accept a single graph signal (N, F) or a batch (B, N, F), or
-with ``diagonal=True`` (B, N) rows that stand for diagonal node-signal
-matrices, whose input gradient they do not compute; Linear and BatchNorm
-likewise broadcast over leading batch dimensions, and Conv1D takes
-(B, C, L) only.  There is no general autodiff: the fixed two-branch topology
-is differentiated by hand and validated against finite differences in the
-tests.
+gradient with respect to the layer's input.  Only Conv1D's backward takes
+``input_grad=False``, which skips that gradient and returns None.  Graph
+layers accept a single graph signal (N, F) or a batch (B, N, F), or with
+``diagonal=True`` (B, N) rows that stand for diagonal node-signal matrices,
+for which their backward forms no input gradient and returns None; Linear
+and BatchNorm likewise broadcast over leading batch dimensions, and Conv1D
+takes (B, C, L) only.  The activation backwards take the bool sign mask
+x > 0.0 of the activation's input, which is all they read.  There is no
+general autodiff: the fixed two-branch topology is differentiated by hand
+and validated against finite differences in the tests.
 
 The activations are (rows, width) arrays with many rows and few channels,
 so the per-channel passes are written for that shape: a bias add, a
@@ -118,20 +119,20 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def relu_backward(up, x):
-    """Gradient of ``relu``; ``x`` is its input or the bool mask ``x > 0.0``,
-    which give the same bits."""
-    return up * (x > 0.0)
+def relu_backward(up, positive):
+    """Gradient of ``relu`` from the sign mask ``positive`` = x > 0.0 of
+    its input x."""
+    return up * positive
 
 
 def leaky_relu(x, slope=0.1):
     return np.where(x > 0.0, x, slope * x)
 
 
-def leaky_relu_backward(up, x, slope=0.1):
-    """Gradient of ``leaky_relu``; ``x`` is its input or the bool mask
-    ``x > 0.0``, which give the same bits."""
-    return up * np.where(x > 0.0, 1.0, slope)
+def leaky_relu_backward(up, positive, slope=0.1):
+    """Gradient of ``leaky_relu`` from the sign mask ``positive`` = x > 0.0
+    of its input x."""
+    return up * np.where(positive, 1.0, slope)
 
 
 def log_softmax(x):
@@ -167,16 +168,28 @@ def dropout_backward(up, mask):
 # graph layers
 
 
-def _diagonal_input(layer, graph, x):
-    """Check (B, N) rows for a graph layer's ``diagonal=True`` mode, in which
-    row b stands for the node-signal matrix diag(x_b): node i carries the
-    value x_b[i] as its feature i, so the input width is the node count."""
-    if x.ndim != 2 or x.shape[1] != layer.in_features:
-        raise ValueError(f"expected (batch, {layer.in_features}) rows, got "
-                         f"shape {x.shape}")
-    if layer.in_features != graph.n_nodes:
-        raise ValueError(f"diagonal input has {layer.in_features} channels but "
-                         f"the graph has {graph.n_nodes} nodes")
+def _graph_input(layer, graph, x, diagonal):
+    """A graph layer's input as float64, checked.  Dense input is (N, F_in)
+    or (B, N, F_in) with N the graph's node count.  With ``diagonal=True``
+    it is (B, N) rows, row b standing for the node-signal matrix diag(x_b):
+    node i carries the value x_b[i] as its feature i, so the input width is
+    the node count."""
+    x = np.asarray(x, dtype=np.float64)
+    if diagonal:
+        if x.ndim != 2 or x.shape[1] != layer.in_features:
+            raise ValueError(f"expected (batch, {layer.in_features}) rows, "
+                             f"got shape {x.shape}")
+        if layer.in_features != graph.n_nodes:
+            raise ValueError(f"diagonal input has {layer.in_features} "
+                             f"channels but the graph has {graph.n_nodes} "
+                             f"nodes")
+    elif x.ndim < 2 or x.shape[-1] != layer.in_features:
+        raise ValueError(f"expected (..., nodes, {layer.in_features}) input, "
+                         f"got shape {x.shape}")
+    elif x.shape[-2] != graph.n_nodes:
+        raise ValueError(f"input has {x.shape[-2]} nodes but the graph has "
+                         f"{graph.n_nodes}")
+    return x
 
 
 def _diagonal_apply(x, basis, w):
@@ -209,7 +222,7 @@ class ChebConv:
     (T_k(Ls) is symmetric).  The cache holds x and the basis.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
-    ``_diagonal_input``): then y = x @ M with
+    ``_graph_input``): then y = x @ M with
     M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], and no (B, N, N) array
     is formed.  Its backward returns no input gradient.
     """
@@ -231,17 +244,13 @@ class ChebConv:
         return [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, graph, x, *, diagonal=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = _graph_input(self, graph, x, diagonal)
         w = self.weight.value
         basis = np.stack(cheb_apply(graph.scaled_laplacian,
                                     np.eye(graph.n_nodes), self.order))
         if diagonal:
-            _diagonal_input(self, graph, x)
             y = _diagonal_apply(x, basis, w)
         else:
-            if x.shape[-1] != self.in_features:
-                raise ValueError(f"expected {self.in_features} input "
-                                 f"features, got {x.shape[-1]}")
             y = x @ w[0]
             for k in range(1, self.order):
                 y += basis[k] @ (x @ w[k])
@@ -249,7 +258,7 @@ class ChebConv:
         self._cache = (x, basis, diagonal) if self.training else None
         return y
 
-    def backward(self, up, *, input_grad=True):
+    def backward(self, up):
         if self._cache is None:
             raise InvalidStateError(
                 "ChebConv.backward without a train-mode forward")
@@ -264,12 +273,11 @@ class ChebConv:
         xf = _flat2(x, self.in_features)
         dw = np.empty_like(w)
         dw[0] = xf.T @ _flat2(up, self.out_features)
-        dx = up @ w[0].T if input_grad else None
+        dx = up @ w[0].T
         for k in range(1, self.order):
             u = basis[k] @ up
             dw[k] = xf.T @ _flat2(u, self.out_features)
-            if input_grad:
-                dx += u @ w[k].T
+            dx += u @ w[k].T
         self.weight.accumulate(dw)
         return dx
 
@@ -279,7 +287,7 @@ class GCNConv:
     y = D^-1/2 (W + I) D^-1/2 x theta + bias.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
-    ``_diagonal_input``) and computes y = x @ M with
+    ``_graph_input``) and computes y = x @ M with
     M[i, n, f] = P[n, i] theta[i, f], P the propagation matrix; its backward
     returns no input gradient.
     """
@@ -304,23 +312,19 @@ class GCNConv:
         return dinv[:, None] * a * dinv[None, :]
 
     def forward(self, graph, x, *, diagonal=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = _graph_input(self, graph, x, diagonal)
         prop = self.propagation(graph.adjacency)
         if diagonal:
-            _diagonal_input(self, graph, x)
             xin = x
             y = _diagonal_apply(x, prop[None], self.weight.value[None])
         else:
-            if x.shape[-1] != self.in_features:
-                raise ValueError(f"expected {self.in_features} input "
-                                 f"features, got {x.shape[-1]}")
             xin = prop @ x
             y = xin @ self.weight.value
         _channelwise(np.add, y, self.bias.value, out=y)
         self._cache = (prop, xin, diagonal) if self.training else None
         return y
 
-    def backward(self, up, *, input_grad=True):
+    def backward(self, up):
         if self._cache is None:
             raise InvalidStateError(
                 "GCNConv.backward without a train-mode forward")
@@ -334,8 +338,6 @@ class GCNConv:
                 _diagonal_weight_grad(prop[None], xin, up)[0])
             return None
         self.weight.accumulate(_flat2(xin, self.in_features).T @ upf)
-        if not input_grad:
-            return None
         return prop @ (up @ self.weight.value.T)  # prop is symmetric
 
 
@@ -349,8 +351,9 @@ class GATLayer:
     with slope ``ACTIVATION_SLOPE``.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
-    ``_diagonal_input``), whose transform is h = x[..., None] * psi; its
-    backward returns no input gradient.
+    ``_graph_input``), whose transform is h = x[..., None] * psi; its
+    backward returns no input gradient.  The cache keeps the leaky
+    activations' sign masks, not their inputs.
     """
 
     LOGIT_SLOPE = 0.2
@@ -370,25 +373,10 @@ class GATLayer:
     def parameters(self):
         return [("transform", self.transform), ("attention", self.attention)]
 
-    def attention_coefficients(self, graph, x):
-        """Softmax-normalized attention rows (inference helper for tests)."""
-        return self._attend(graph, x, False)[1]["alpha"]
-
     def forward(self, graph, x, *, diagonal=False):
-        y, cache = self._attend(graph, x, diagonal)
-        self._cache = cache if self.training else None
-        return y
-
-    def _attend(self, graph, x, diagonal):
-        """The forward pass; returns (output, backward cache).  The cache
-        keeps the leaky activations' sign masks, not their inputs."""
-        x = np.asarray(x, dtype=np.float64)
+        x = _graph_input(self, graph, x, diagonal)
         if diagonal:
-            _diagonal_input(self, graph, x)
             h = x[..., None] * self.transform.value
-        elif x.shape[-1] != self.in_features:
-            raise ValueError(
-                f"expected {self.in_features} input features, got {x.shape[-1]}")
         else:
             h = x @ self.transform.value
         mask = (graph.adjacency != 0.0) | np.eye(graph.n_nodes, dtype=bool)
@@ -403,12 +391,12 @@ class GATLayer:
         expd = np.exp(masked)
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
-        y = leaky_relu(agg, self.ACTIVATION_SLOPE)
-        return y, {"x": x, "diagonal": diagonal, "h": h,
-                   "logits_positive": logits > 0.0, "alpha": alpha,
-                   "agg_positive": agg > 0.0}
+        self._cache = {"x": x, "diagonal": diagonal, "h": h,
+                       "logits_positive": logits > 0.0, "alpha": alpha,
+                       "agg_positive": agg > 0.0} if self.training else None
+        return leaky_relu(agg, self.ACTIVATION_SLOPE)
 
-    def backward(self, up, *, input_grad=True):
+    def backward(self, up):
         if self._cache is None:
             raise InvalidStateError(
                 "GATLayer.backward without a train-mode forward")
@@ -440,8 +428,6 @@ class GATLayer:
             return None
         self.transform.accumulate(
             _flat2(c["x"], self.in_features).T @ _flat2(dh, self.out_features))
-        if not input_grad:
-            return None
         return dh @ self.transform.value.T
 
 

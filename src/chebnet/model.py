@@ -17,19 +17,22 @@ ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv: the
 propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
 The later ChebConv layers apply the same N x N matrices T_k(Ls) to their
 dense (B, N, F) input.
-The first graph layer's input gradient is not computed, for node and edge
-tasks alike, since nothing reads it; nor is the first Conv1D's.
+The diagonal first layer forms no input gradient.  An edge task's first
+graph layer takes the dense (N, F) node features and returns one, which
+nothing reads.  The first Conv1D is called with ``input_grad=False`` (only
+Conv1D takes it) and computes none.
 
 Only a training-mode forward keeps what the backward reads, and each
 backward releases it.  Of every ReLU and LeakyReLU pre-activation the model
-keeps only the bool sign mask z > 0, which is all their backward reads.  An
-eval-mode forward (prediction, ``layer_activations``) keeps nothing.
+keeps only the bool sign mask z > 0, which is what their backward takes.
+An eval-mode forward (prediction, ``layer_activations``) keeps nothing.
 """
 
 import math
 
 import numpy as np
 
+from chebnet.data import EDGE_TASK
 from chebnet.layers import (
     BatchNorm,
     ChebConv,
@@ -153,7 +156,7 @@ class EnsembleModel:
             lin.training = training
         h = np.asarray(features, dtype=np.float64)
         yield None, h
-        diagonal = self.task != "edge-class"
+        diagonal = self.task != EDGE_TASK
         for layer, bn in self.blocks:
             z = layer.forward(graph, h, diagonal=diagonal)
             positive = z > 0.0 if training else None
@@ -168,13 +171,13 @@ class EnsembleModel:
         Node tasks take (B, C) feature rows; edge tasks take the (N, F) node
         feature matrix plus the edge index array to score.
         """
-        if self.task == "edge-class" and edges is None:
+        if self.task == EDGE_TASK and edges is None:
             raise ValueError("edge task needs an edge list")
         signs = []
         for positive, h in self._blocks(graph, features, training):
             signs.append(positive)
         h, mask = dropout(h, self.dropout_p, rng=rng, training=training)
-        if self.task == "edge-class":
+        if self.task == EDGE_TASK:
             ee = edge_embed(h, edges)
             l1 = self.edge_head[0].forward(ee)
             a1 = relu(l1)
@@ -187,7 +190,7 @@ class EnsembleModel:
         if training:
             cache = {"signs": signs[1:], "mask": mask, "n_nodes": h.shape[-2],
                      "out": out}
-            if self.task == "edge-class":
+            if self.task == EDGE_TASK:
                 cache.update(edges=np.asarray(edges, dtype=np.int64),
                              emb_shape=h.shape, l1_positive=l1 > 0.0)
             self._gcache = cache
@@ -203,7 +206,7 @@ class EnsembleModel:
                                "graph_forward")
         self._gcache = None
         dlogits = log_softmax_backward(dout, c["out"])
-        if self.task == "edge-class":
+        if self.task == EDGE_TASK:
             da1 = self.edge_head[1].backward(dlogits)
             dl1 = relu_backward(da1, c["l1_positive"])
             dee = self.edge_head[0].backward(dl1)
@@ -217,10 +220,10 @@ class EnsembleModel:
                 dpooled[..., None, :],
                 dpooled.shape[:-1] + (c["n_nodes"], dpooled.shape[-1])).copy()
         dh = dropout_backward(dh, c["mask"])
-        for i in reversed(range(len(self.blocks))):
-            layer, bn = self.blocks[i]
-            dz = relu_backward(bn.backward(dh), c["signs"][i])
-            dh = layer.backward(dz, input_grad=i > 0)
+        # the first block's result, the input gradient, has no reader
+        for (layer, bn), positive in zip(reversed(self.blocks),
+                                         reversed(c["signs"])):
+            dh = layer.backward(relu_backward(bn.backward(dh), positive))
 
     # -- conv branch ----------------------------------------------------------
 
@@ -262,7 +265,7 @@ class EnsembleModel:
         matrices, diag(mean of the rows).
         """
         acts = [h for _, h in self._blocks(graph, features, False)]
-        if self.task == "edge-class":
+        if self.task == EDGE_TASK:
             return acts
         return [np.diag(acts[0].mean(axis=0))] + [h.mean(axis=0)
                                                   for h in acts[1:]]
@@ -275,7 +278,7 @@ def default_graph_dims(task, variant, width, n_classes, embedding_dim):
     gcn/gat baselines); edge tasks end at the embedding width fed to the
     edge head.
     """
-    if task == "edge-class":
+    if task == EDGE_TASK:
         return [EDGE_HEAD_HIDDEN, EDGE_HEAD_HIDDEN, embedding_dim]
     mid = max(math.ceil(width / 2), n_classes)
     if variant == "cheb":
@@ -302,7 +305,7 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
     graph_dims = [int(d) for d in graph_dims]
     if not 3 <= len(graph_dims) <= 4:
         raise ValueError("graph branch depth must be 3 or 4")
-    if task != "edge-class" and graph_dims[-1] != n_classes:
+    if task != EDGE_TASK and graph_dims[-1] != n_classes:
         raise ValueError("last graph dimension must equal the class count")
     orders = [int(k) for k in cheb_orders]
     orders += [1] * (len(graph_dims) - len(orders))
@@ -317,7 +320,7 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
         f_in = f_out
 
     ch, length = conv_shape
-    seq_len = 2 * length if task == "edge-class" else length
+    seq_len = 2 * length if task == EDGE_TASK else length
     min_len = 2 * (Conv1D.KERNEL_LEN - 1) + 1
     if seq_len < min_len:
         raise ValueError(
@@ -326,7 +329,7 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
                    Conv1D(conv_kernels, n_classes, rng=rng)]
 
     edge_head = None
-    if task == "edge-class":
+    if task == EDGE_TASK:
         edge_head = [Linear(2 * graph_dims[-1], EDGE_HEAD_HIDDEN, rng=rng),
                      Linear(EDGE_HEAD_HIDDEN, n_classes, rng=rng)]
 

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use.
 
-The eigendecomposition filter oracle, the finite-difference gradient
-checker, an edge-relation dataset generator and a reader for the adjacency
-CSV that ``chebnet export --what graph`` writes.  None of them is on a path
+The eigendecomposition filter oracle, a node-by-node graph attention
+oracle, the finite-difference gradient checker, an edge-relation dataset
+generator and a reader for the adjacency CSV that ``chebnet export --what
+graph`` writes.  None of them is on a path
 the ``chebnet`` commands run.
 """
 
@@ -64,6 +65,41 @@ def spectral_filter_oracle(laplacian, theta, x):
     if xhat.ndim == 1:
         return evecs @ (gain * xhat)
     return evecs @ (gain[:, None] * xhat)
+
+
+# ---------------------------------------------------------------------------
+# graph attention oracle
+
+
+def gat_attention_oracle(layer, graph, x):
+    """A GATLayer's attention rows and output on dense (N, F_in) input,
+    computed one neighbourhood at a time: node u attends to itself and to
+    every v with a nonzero adjacency entry, with logits
+    leaky(a_src . h_u + a_dst . h_v) normalized by a softmax over that set.
+    Returns (alpha (N, N), zero outside each neighbourhood; output (N, F_out)).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    psi, a = layer.transform.value, layer.attention.value
+    a_src, a_dst = a[: layer.out_features], a[layer.out_features:]
+    n = graph.n_nodes
+    h = [x[u] @ psi for u in range(n)]
+    alpha = np.zeros((n, n))
+    out = np.empty((n, layer.out_features))
+    for u in range(n):
+        hood = [v for v in range(n) if v == u or graph.adjacency[u, v] != 0.0]
+        logits = []
+        for v in hood:
+            e = float(a_src @ h[u] + a_dst @ h[v])
+            logits.append(e if e > 0.0 else layer.LOGIT_SLOPE * e)
+        top = max(logits)
+        weights = [np.exp(e - top) for e in logits]
+        total = sum(weights)
+        agg = np.zeros(layer.out_features)
+        for v, w in zip(hood, weights):
+            alpha[u, v] = w / total
+            agg += alpha[u, v] * h[v]
+        out[u] = np.where(agg > 0.0, agg, layer.ACTIVATION_SLOPE * agg)
+    return alpha, out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from chebnet.archive import load_archive, save_archive
 from chebnet.cli import main
 from chebnet.config import (DEFAULTS, ConfigError, parse_override,
                             resolve_config, training_config)
+from chebnet.data import write_supplygraph_dir
 from chebnet.training import TrainingConfig
 
 from oracles import read_adjacency_csv
@@ -451,6 +452,50 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.count(f"{path}: the checkpoint normalizes 10 feature "
                          f"columns but the data has 3") == 2
+        assert "Traceback" not in err
+
+    def test_reordered_feature_columns_exit_one(self, tmp_path, capsys):
+        """Right width, wrong order: the graph's channels must match the
+        data's in order, or the model is scored on permuted inputs."""
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        synth = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "node", "--out", synth, *FAST]) == 0
+        columns = [f"ch{i}" for i in reversed(range(10))]
+        data = ["--set", 'task="dataco-risk"',
+                "--set", 'data.target_column="target"',
+                "--set", f"data.feature_columns={json.dumps(columns)}",
+                "--set", "data.path=" + json.dumps(
+                    os.path.join(synth, "synthetic.csv"))]
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *data]) == 1
+        assert main(["export", "--checkpoint", path, "--what", "embeddings",
+                     "--out", str(tmp_path / "export"), *data]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"{path}: channel 0 of the checkpoint's graph is "
+                         f"'ch0' but the data's is 'ch9'") == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("variant", ["cheb", "gat"])
+    def test_edge_data_with_fewer_products_exits_one(self, tmp_path, capsys,
+                                                     variant):
+        """An edge checkpoint's graph has one node per product."""
+        dirs = {n: write_supplygraph_dir(str(tmp_path / f"sg{n}"),
+                                         n_products=n)
+                for n in (12, 10)}
+        task = ["--set", 'task="sg-plant-edges"']
+        assert main(["train", "--set", f'output_dir="{tmp_path / "runs"}"',
+                     "--set", f'variant="{variant}"', *task,
+                     "--set", f"data.path={json.dumps(dirs[12])}",
+                     "--set", "training.epochs=2",
+                     "--set", "training.folds=2"]) == 0
+        path = str(tmp_path / "runs" / variant / "checkpoint.bin")
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *task,
+                     "--set", f"data.path={json.dumps(dirs[10])}"]) == 1
+        err = capsys.readouterr().err
+        assert (f"{path}: the checkpoint's graph has 12 nodes but the data "
+                f"has 10") in err
         assert "Traceback" not in err
 
     def test_edge_checkpoint_on_node_task_exits_one(self, tmp_path, capsys):

@@ -182,9 +182,9 @@ class TestGradCheckHarness:
         proj = rng.standard_normal((5, 4))
         h = 1e-6
         for fwd, bwd in (
-                (relu, relu_backward),
+                (relu, lambda u, a: relu_backward(u, a > 0.0)),
                 (lambda a: leaky_relu(a, 0.1),
-                 lambda u, a: leaky_relu_backward(u, a, 0.1)),
+                 lambda u, a: leaky_relu_backward(u, a > 0.0, 0.1)),
                 (log_softmax, lambda u, a: log_softmax_backward(u, log_softmax(a)))):
             analytic = bwd(proj, x)
             numeric = np.zeros_like(x)

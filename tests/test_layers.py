@@ -24,7 +24,7 @@ from chebnet.layers import (
     relu_backward,
 )
 
-from oracles import spectral_filter_oracle
+from oracles import gat_attention_oracle, spectral_filter_oracle
 
 
 def make_graph(rng, n, density=0.7):
@@ -85,8 +85,9 @@ class TestActivations:
             dropout(np.ones(3), 1.0, rng=np.random.default_rng(2))
 
     def test_sign_mask_backward_is_bitwise_equal(self):
-        """The model keeps only x > 0; the backward from that mask must
-        give the same bits as from x, signed zeros included."""
+        """The backwards take only the mask x > 0; they must give the bits
+        of up times the activation's derivative at x, signed zeros
+        included."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal(1000)
         x[::7], x[3::11] = 0.0, -0.0
@@ -94,10 +95,10 @@ class TestActivations:
         up[::5] = 0.0
         positive = x > 0.0
         assert (relu_backward(up, positive).tobytes()
-                == relu_backward(up, x).tobytes())
+                == (up * np.where(x > 0.0, 1.0, 0.0)).tobytes())
         for slope in (0.1, 0.2):
             assert (leaky_relu_backward(up, positive, slope).tobytes()
-                    == leaky_relu_backward(up, x, slope).tobytes())
+                    == (up * np.where(x > 0.0, 1.0, slope)).tobytes())
 
 
 class TestChebConv:
@@ -195,6 +196,26 @@ class TestSeededConstructors:
             make()
 
 
+class TestDenseInputCheck:
+    @pytest.mark.parametrize("make", [
+        lambda r: ChebConv(3, 2, order=1, rng=r),
+        lambda r: ChebConv(3, 2, order=3, rng=r),
+        lambda r: GCNConv(3, 2, rng=r),
+        lambda r: GATLayer(3, 2, rng=r),
+    ], ids=["cheb-k1", "cheb-k3", "gcn", "gat"])
+    def test_rejects_wrong_node_count(self, make):
+        """Dense input has one row per graph node; an order-1 ChebConv
+        multiplies by no graph matrix, so only this check catches it."""
+        rng = np.random.default_rng(16)
+        graph = make_graph(rng, 6)
+        layer = make(rng)
+        for x in (np.ones((5, 3)), np.ones((2, 7, 3))):
+            with pytest.raises(ValueError,
+                               match=f"input has {x.shape[-2]} nodes but "
+                                     f"the graph has 6"):
+                layer.forward(graph, x)
+
+
 class TestGCNConv:
     def test_single_node_self_loop(self):
         rng = np.random.default_rng(9)
@@ -230,6 +251,15 @@ class TestGCNConv:
                                    atol=1e-12)
 
 
+def attend(layer, graph, x):
+    """The layer's attention rows for dense input x, after checking its
+    forward against the node-by-node oracle."""
+    alpha, want = gat_attention_oracle(layer, graph, x)
+    np.testing.assert_allclose(layer.forward(graph, x), want, rtol=0,
+                               atol=1e-12)
+    return alpha
+
+
 class TestGATLayer:
     def test_single_neighbor_attention(self):
         # node 2 has no edges, so its neighborhood is itself alone
@@ -237,8 +267,7 @@ class TestGATLayer:
         graph = build_graph_context(w)
         rng = np.random.default_rng(12)
         layer = GATLayer(2, 3, rng=rng)
-        alpha = layer.attention_coefficients(graph,
-                                             rng.standard_normal((3, 2)))
+        alpha = attend(layer, graph, rng.standard_normal((3, 2)))
         assert alpha[2, 2] == pytest.approx(1.0)
         assert (alpha[2, :2] == 0.0).all()
 
@@ -250,7 +279,7 @@ class TestGATLayer:
         rng = np.random.default_rng(13)
         layer = GATLayer(2, 3, rng=rng)
         x = np.array([[0.4, -1.0], [2.0, 0.3], [2.0, 0.3]])
-        alpha = layer.attention_coefficients(graph, x)
+        alpha = attend(layer, graph, x)
         # node 0's neighbors 1 and 2 share what node 0 leaves for others
         half = (1.0 - alpha[0, 0]) / 2.0
         assert 0.0 < half < 0.5
@@ -262,8 +291,7 @@ class TestGATLayer:
         for _ in range(5):
             graph = make_graph(rng, 5)
             layer = GATLayer(3, 4, rng=rng)
-            alpha = layer.attention_coefficients(
-                graph, rng.standard_normal((5, 3)))
+            alpha = attend(layer, graph, rng.standard_normal((5, 3)))
             assert np.abs(alpha.sum(axis=-1) - 1.0).max() < 1e-9
 
     def test_removing_neighbor_renormalizes(self):
@@ -271,10 +299,10 @@ class TestGATLayer:
         w = np.ones((4, 4)) - np.eye(4)
         x = rng.standard_normal((4, 3))
         layer = GATLayer(3, 2, rng=rng)
-        full = layer.attention_coefficients(build_graph_context(w), x)
+        full = attend(layer, build_graph_context(w), x)
         w2 = w.copy()
         w2[0, 3] = w2[3, 0] = 0.0
-        reduced = layer.attention_coefficients(build_graph_context(w2), x)
+        reduced = attend(layer, build_graph_context(w2), x)
         # remaining coefficients of row 0 (node 0 itself and nodes 1, 2)
         # are the softmax over the reduced set
         kept = full[0, :3] / full[0, :3].sum()
@@ -467,11 +495,10 @@ class TestCacheLifecycle:
         with pytest.raises(InvalidStateError):
             layer.backward(up)
 
-    @staticmethod
-    def check_without_input_grad(name):
+    def test_conv1d_without_input_grad(self):
         """``backward(up, input_grad=False)`` returns None and accumulates
         the same parameter gradients as a full backward."""
-        layer, forward = _cache_case(name)
+        layer, forward = _cache_case("conv1d")
         up = np.random.default_rng(31).standard_normal(forward().shape)
         layer.backward(up)
         full = [p.grad.copy() for _, p in layer.parameters()]
@@ -481,13 +508,6 @@ class TestCacheLifecycle:
         assert layer.backward(up, input_grad=False) is None
         for (_, p), want in zip(layer.parameters(), full):
             np.testing.assert_array_equal(p.grad, want)
-
-    def test_conv1d_without_input_grad(self):
-        self.check_without_input_grad("conv1d")
-
-    @pytest.mark.parametrize("name", ["cheb", "gcn", "gat"])
-    def test_graph_layer_without_input_grad(self, name):
-        self.check_without_input_grad(name)
 
 
 def same_bits(got, want):

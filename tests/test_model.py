@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chebnet.data import synth_generate, zscore_normalize, Dataset
+from chebnet.data import EDGE_TASK, synth_generate, zscore_normalize, Dataset
 from chebnet.graph import build_graph_context, graph_from_features
 from chebnet.layers import ChebConv, GATLayer, GCNConv
 from chebnet.model import (build_model, conv_inputs_edge, conv_inputs_node,
@@ -260,14 +260,15 @@ class TestCacheLifecycle:
 class TestInputGradient:
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_first_block_returns_none(self, variant):
-        """graph_backward asks only the first graph layer to skip its input
-        gradient, for node and edge tasks alike."""
+        """The diagonal first layer of a node model forms no input
+        gradient; an edge model's dense first layer returns one of its
+        input's shape, which graph_backward discards."""
         rng = np.random.default_rng(15)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             returned = []
             for layer, _ in model.blocks:
-                def backward(up, _inner=layer.backward, **kwargs):
-                    dx = _inner(up, **kwargs)
+                def backward(up, _inner=layer.backward):
+                    dx = _inner(up)
                     returned.append(dx)
                     return dx
                 layer.backward = backward
@@ -275,7 +276,11 @@ class TestInputGradient:
                                       rng=rng)
             model.graph_backward(np.ones_like(glp))
             *upper, first = returned    # backward runs last block first
-            assert first is None
+            if model.task == EDGE_TASK:
+                assert isinstance(first, np.ndarray)
+                assert first.shape == feats.shape
+            else:
+                assert first is None
             assert all(isinstance(dx, np.ndarray) for dx in upper)
 
 
