@@ -204,8 +204,8 @@ def _restore_and_load(args, cfg):
     load cfg's dataset and z-score it with the archived statistics; returns
     (model, graph, dataset, normalized features, class names).  The data
     must fit the checkpoint: same task kind and feature width, and the
-    graph's nodes, which are a node task's channels in order and an edge
-    task's products by count."""
+    graph's nodes in order, which are a node task's channels and an edge
+    task's products."""
     path = args.checkpoint
     entries, meta = load_archive(path)
     adjacency, channel_names = _stored_graph(entries, meta, path)
@@ -234,19 +234,20 @@ def _restore_and_load(args, cfg):
     if mean.shape != (width,) or std.shape != (width,):
         raise ArchiveError(f"{path}: the checkpoint normalizes {mean.size} "
                            f"feature columns but the data has {width}")
-    if dataset.task == datamod.EDGE_TASK:
-        if len(dataset.features) != graph.n_nodes:
-            raise ArchiveError(f"{path}: the checkpoint's graph has "
-                               f"{graph.n_nodes} nodes but the data has "
-                               f"{len(dataset.features)}")
-    else:
-        # the checkpoint's channel i is column i of the data
-        for i, (want, got) in enumerate(zip(graph.channel_names,
-                                            dataset.channel_names)):
-            if want != got:
-                raise ArchiveError(f"{path}: channel {i} of the checkpoint's "
-                                   f"graph is {want!r} but the data's is "
-                                   f"{got!r}")
+    edge = dataset.task == datamod.EDGE_TASK
+    if edge and len(dataset.features) != graph.n_nodes:
+        raise ArchiveError(f"{path}: the checkpoint's graph has "
+                           f"{graph.n_nodes} nodes but the data has "
+                           f"{len(dataset.features)}")
+    # the checkpoint's node i is column i of node-task data and row i
+    # (product i) of edge-task data
+    node = "product" if edge else "channel"
+    for i, (want, got) in enumerate(zip(graph.channel_names,
+                                        dataset.channel_names)):
+        if want != got:
+            raise ArchiveError(f"{path}: {node} {i} of the checkpoint's "
+                               f"graph is {want!r} but the data's is "
+                               f"{got!r}")
     feats = datamod.apply_zscore(dataset.features, mean, std)
     return model, graph, dataset, feats, class_names
 

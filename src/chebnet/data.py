@@ -57,7 +57,10 @@ class Dataset:
 
     ``features`` is (samples x channels) for node tasks and
     (nodes x node_features) for edge tasks, where ``targets`` then labels
-    the rows of ``edges``.  ``conv_shape`` is the (channels, length) layout
+    the rows of ``edges``.  ``channel_names`` names the nodes of the graph
+    built from the features: a node task's channels (``ch<i>`` by default)
+    or an edge task's nodes, the feature rows (``n<i>`` by default; products
+    for supply-graph data).  ``conv_shape`` is the (channels, length) layout
     the convolutional branch reshapes one feature row into.
     """
 
@@ -95,7 +98,10 @@ class Dataset:
         if self.targets.size and (
                 self.targets.min() < 0 or self.targets.max() >= self.n_classes):
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        if not self.channel_names:
+        if not self.channel_names and self.task == EDGE_TASK:
+            self.channel_names = tuple(
+                f"n{i}" for i in range(self.features.shape[0]))
+        elif not self.channel_names:
             self.channel_names = tuple(
                 f"ch{i}" for i in range(self.features.shape[1]))
         if self.conv_shape is None:
@@ -525,7 +531,7 @@ def build_sg_node_dataset(sg, window=20, stride=1):
 
 def build_sg_edge_dataset(sg, kind):
     """Edge-relation classification over products; node features are the
-    concatenated temporal signals."""
+    concatenated temporal signals, and the products name the nodes."""
     if kind not in sg.edges:
         raise SchemaError(
             f"edge kind {kind!r} not found (have {sorted(sg.edges)})")
@@ -533,13 +539,12 @@ def build_sg_edge_dataset(sg, kind):
     t = sg.series[SG_SIGNALS[0]].shape[0]
     feats = np.concatenate(
         [sg.series[name].T for name in SG_SIGNALS], axis=1)  # (P, 4T)
-    names = tuple(f"{sig}_t{j}" for sig in SG_SIGNALS for j in range(t))
     return Dataset(
         features=feats,
         targets=labels,
         task=EDGE_TASK,
         n_classes=len(label_names),
-        channel_names=names,
+        channel_names=sg.products,
         edges=edges,
         conv_shape=(len(SG_SIGNALS), t),
         class_names=label_names,

@@ -17,6 +17,16 @@ x > 0.0 of the activation's input, which is all they read.  There is no
 general autodiff: the fixed two-branch topology is differentiated by hand
 and validated against finite differences in the tests.
 
+Ownership: ``relu``, ``leaky_relu``, ``relu_backward``,
+``leaky_relu_backward``, ``BatchNorm.forward`` and ``BatchNorm.backward``
+overwrite the array they are given and return it (BatchNorm's train-mode y
+is the one new array among them, because its xc stays cached).  A caller
+passes them only an array it owns and no longer reads, such as a layer's
+fresh output or a fresh upstream gradient, and takes any sign mask it
+keeps before the activation overwrites its input.  Every other layer
+leaves its arguments as they are.  An in-place ufunc gives the bits of its
+out-of-place form, so this changes no result.
+
 The activations are (rows, width) arrays with many rows and few channels,
 so the per-channel passes are written for that shape: a bias add, a
 BatchNorm centring or scaling broadcasts its vector over rows of about 64
@@ -116,23 +126,28 @@ def _column_sums(a):
 
 
 def relu(x):
-    return np.maximum(x, 0.0)
+    """ReLU, in place on x."""
+    return np.maximum(x, 0.0, out=x)
 
 
 def relu_backward(up, positive):
     """Gradient of ``relu`` from the sign mask ``positive`` = x > 0.0 of
-    its input x."""
-    return up * positive
+    its input x, in place on ``up``."""
+    return np.multiply(up, positive, out=up)
 
 
 def leaky_relu(x, slope=0.1):
-    return np.where(x > 0.0, x, slope * x)
+    """LeakyReLU, in place on x."""
+    return leaky_relu_backward(x, x > 0.0, slope)
 
 
 def leaky_relu_backward(up, positive, slope=0.1):
     """Gradient of ``leaky_relu`` from the sign mask ``positive`` = x > 0.0
-    of its input x."""
-    return up * np.where(positive, 1.0, slope)
+    of its input x, in place on ``up``: one multiply by ``slope`` where the
+    mask is false.  LeakyReLU is x times its own derivative, so with
+    ``up`` = x this is ``leaky_relu(x)``, which is how a caller that keeps
+    the mask applies the activation without forming it twice."""
+    return np.multiply(up, slope, out=up, where=~positive)
 
 
 def log_softmax(x):
@@ -385,16 +400,18 @@ class GATLayer:
         s = h @ a_src
         d = h @ a_dst
         logits = s[..., :, None] + d[..., None, :]
-        act = leaky_relu(logits, self.LOGIT_SLOPE)
+        logits_positive = logits > 0.0
+        act = leaky_relu_backward(logits, logits_positive, self.LOGIT_SLOPE)
         masked = np.where(mask, act, -np.inf)
         masked -= masked.max(axis=-1, keepdims=True)
         expd = np.exp(masked)
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
+        agg_positive = agg > 0.0
         self._cache = {"x": x, "diagonal": diagonal, "h": h,
-                       "logits_positive": logits > 0.0, "alpha": alpha,
-                       "agg_positive": agg > 0.0} if self.training else None
-        return leaky_relu(agg, self.ACTIVATION_SLOPE)
+                       "logits_positive": logits_positive, "alpha": alpha,
+                       "agg_positive": agg_positive} if self.training else None
+        return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
     def backward(self, up):
         if self._cache is None:
@@ -402,9 +419,9 @@ class GATLayer:
                 "GATLayer.backward without a train-mode forward")
         c = self._cache
         self._cache = None
-        up = np.asarray(up, dtype=np.float64)
-        dagg = leaky_relu_backward(up, c["agg_positive"],
-                                   self.ACTIVATION_SLOPE)
+        # the activation backward works in place, and ``up`` is the caller's
+        dagg = leaky_relu_backward(np.array(up, dtype=np.float64),
+                                   c["agg_positive"], self.ACTIVATION_SLOPE)
         alpha = c["alpha"]
         h = c["h"]
         dalpha = dagg @ h.swapaxes(-1, -2)
@@ -534,6 +551,11 @@ class BatchNorm:
     normalized xhat = xc * inv_std), from which the backward works with the
     same scale.  Every per-channel statistic is one einsum reduction over
     the rows, which builds no (rows, width) temporary.
+
+    Both passes overwrite the array they are given (see the module
+    docstring): a train-mode forward centres x in place and caches it as
+    xc, an eval-mode forward returns y in x's memory, and the backward
+    forms dx in ``up``'s.
     """
 
     EPS = 1e-5
@@ -565,19 +587,19 @@ class BatchNorm:
                 raise ValueError("batch norm needs at least 2 rows in train mode")
             rows = flat.shape[0]
             mean = np.einsum("ij->j", flat) / rows
-            xc = _channelwise(np.subtract, flat, mean)
+            xc = _channelwise(np.subtract, flat, mean, out=flat)
             var = np.einsum("ij,ij->j", xc, xc) / rows
             self.running_mean *= 1.0 - self.MOMENTUM
             self.running_mean += self.MOMENTUM * mean
             self.running_var *= 1.0 - self.MOMENTUM
             self.running_var += self.MOMENTUM * var
         else:
-            xc = _channelwise(np.subtract, flat, self.running_mean)
+            xc = _channelwise(np.subtract, flat, self.running_mean, out=flat)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         scale = self.gamma.value * inv_std
         self._cache = (xc, inv_std, x.shape) if self.training else None
-        # eval mode keeps no xc, so it scales xc in place
+        # eval mode keeps no xc, so y takes its memory, the input's
         y = _channelwise(np.multiply, xc, scale,
                          out=None if self.training else xc)
         _channelwise(np.add, y, self.beta.value, out=y)
@@ -597,7 +619,7 @@ class BatchNorm:
         up_xc = np.einsum("ij,ij->j", upf, xc)
         self.gamma.accumulate(up_xc * inv_std)
         self.beta.accumulate(up_sum)
-        dx = _channelwise(np.subtract, upf, up_sum / rows)
+        dx = _channelwise(np.subtract, upf, up_sum / rows, out=upf)
         # xc is no longer cached: reuse it
         _channelwise(np.multiply, xc, np.square(inv_std) * up_xc / rows,
                      out=xc)

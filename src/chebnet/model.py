@@ -26,6 +26,21 @@ Only a training-mode forward keeps what the backward reads, and each
 backward releases it.  Of every ReLU and LeakyReLU pre-activation the model
 keeps only the bool sign mask z > 0, which is what their backward takes.
 An eval-mode forward (prediction, ``layer_activations``) keeps nothing.
+
+The activations and BatchNorm overwrite the array they are given (see
+``chebnet.layers``), and the model passes them only arrays it owns: a
+layer's fresh output or a fresh upstream gradient, never the caller's
+features or conv sequences.  So a block's ReLU, BatchNorm centring (train)
+or whole normalization (eval) take no new array, and in the backward
+BatchNorm forms dx in its upstream gradient, which the ReLU backward then
+masks in place.  Sign masks are taken before the activation runs.
+
+An eval-mode node-task graph forward runs the rows in blocks of
+``_eval_block_rows`` and concatenates their log-probabilities: each sample
+is independent there, and a block's activations stay small enough to be
+reused from the heap instead of mapped afresh.  An edge task's graph
+couples every node, so it runs as one block, as does
+``layer_activations``, whose batch means span all rows.
 """
 
 import math
@@ -43,7 +58,6 @@ from chebnet.layers import (
     Parameter,
     dropout,
     dropout_backward,
-    leaky_relu,
     leaky_relu_backward,
     log_softmax,
     log_softmax_backward,
@@ -55,6 +69,9 @@ VARIANTS = ("cheb", "gcn", "gat")
 
 CONV_SLOPE = 0.1
 EDGE_HEAD_HIDDEN = 100
+# Byte budget for the widest activation of one block of an eval-mode
+# node-task graph forward (see ``EnsembleModel._eval_block_rows``).
+EVAL_BLOCK_BYTES = 4 << 20
 
 
 def edge_embed(node_embeddings, edges):
@@ -164,15 +181,39 @@ class EnsembleModel:
             diagonal = False
             yield positive, h
 
+    def _eval_block_rows(self, n_nodes):
+        """Rows per block of an eval-mode node-task graph forward: as many
+        as keep the widest activation, (rows, N, width) float64 with width
+        the widest of N and the layers' outputs, within
+        ``EVAL_BLOCK_BYTES``; at least one."""
+        width = max([n_nodes] + [layer.out_features
+                                 for layer, _ in self.blocks])
+        return max(1, EVAL_BLOCK_BYTES // (8 * n_nodes * width))
+
     def graph_forward(self, graph, features, edges=None, training=False,
                       rng=None):
         """Log-probabilities of the graph branch.
 
         Node tasks take (B, C) feature rows; edge tasks take the (N, F) node
-        feature matrix plus the edge index array to score.
+        feature matrix plus the edge index array to score.  An eval-mode
+        node-task forward runs the rows in blocks of ``_eval_block_rows``.
         """
-        if self.task == EDGE_TASK and edges is None:
-            raise ValueError("edge task needs an edge list")
+        if self.task == EDGE_TASK:
+            if edges is None:
+                raise ValueError("edge task needs an edge list")
+        elif not training:
+            # near-equal blocks, so none is a stray row: a one-row product
+            # does not keep the bits of the same row in a larger block
+            x = np.asarray(features, dtype=np.float64)
+            n_blocks = -(-len(x) // self._eval_block_rows(graph.n_nodes))
+            return np.concatenate([
+                self._graph_block(graph, rows, None, False, None)
+                for rows in np.array_split(x, max(n_blocks, 1))])
+        return self._graph_block(graph, features, edges, training, rng)
+
+    def _graph_block(self, graph, features, edges, training, rng):
+        """``graph_forward`` of one block of rows (an edge task's whole
+        graph); a training-mode call keeps the backward's cache."""
         signs = []
         for positive, h in self._blocks(graph, features, training):
             signs.append(positive)
@@ -180,8 +221,8 @@ class EnsembleModel:
         if self.task == EDGE_TASK:
             ee = edge_embed(h, edges)
             l1 = self.edge_head[0].forward(ee)
-            a1 = relu(l1)
-            l2 = self.edge_head[1].forward(a1)
+            l1_positive = l1 > 0.0 if training else None
+            l2 = self.edge_head[1].forward(relu(l1))
             out = log_softmax(l2)
         else:
             pooled = h.mean(axis=-2)
@@ -192,7 +233,7 @@ class EnsembleModel:
                      "out": out}
             if self.task == EDGE_TASK:
                 cache.update(edges=np.asarray(edges, dtype=np.int64),
-                             emb_shape=h.shape, l1_positive=l1 > 0.0)
+                             emb_shape=h.shape, l1_positive=l1_positive)
             self._gcache = cache
         return out
 
@@ -230,13 +271,17 @@ class EnsembleModel:
     def conv_forward(self, sequences):
         """Log-probabilities of the conv branch for (B, channels, length).
         Only training runs this branch, so it always caches."""
+        # each LeakyReLU is applied in place from the sign mask the backward
+        # keeps (z times its derivative; see ``leaky_relu_backward``)
         z1 = self.conv_layers[0].forward(sequences)
-        a1 = leaky_relu(z1, CONV_SLOPE)
+        z1_positive = z1 > 0.0
+        a1 = leaky_relu_backward(z1, z1_positive, CONV_SLOPE)
         z2 = self.conv_layers[1].forward(a1)
-        a2 = leaky_relu(z2, CONV_SLOPE)
+        z2_positive = z2 > 0.0
+        a2 = leaky_relu_backward(z2, z2_positive, CONV_SLOPE)
         pooled = a2.mean(axis=-1)
         out = log_softmax(pooled)
-        self._ccache = {"z1_positive": z1 > 0.0, "z2_positive": z2 > 0.0,
+        self._ccache = {"z1_positive": z1_positive, "z2_positive": z2_positive,
                         "out": out, "tail": z2.shape[-1]}
         return out
 

@@ -254,12 +254,8 @@ def _fit(dataset, mask, config, instance):
     edge = dataset.task == EDGE_TASK
     norm, mean, std = zscore_normalize(
         dataset.features if edge else dataset.features[mask])
-    if edge:
-        graph = graph_from_features(
-            norm.T, config.threshold, [f"n{i}" for i in range(norm.shape[0])])
-    else:
-        graph = graph_from_features(norm, config.threshold,
-                                    dataset.channel_names)
+    graph = graph_from_features(norm.T if edge else norm, config.threshold,
+                                dataset.channel_names)
     model, history = train_model(_subset(dataset, norm, mask), graph, config,
                                  instance=instance)
     return model, history, graph, mean, std

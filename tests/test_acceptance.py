@@ -164,9 +164,10 @@ def _run_plain(layer, x, proj):
 def _run_batchnorm(layer, x, proj):
     layer.running_mean[...] = 0.0
     layer.running_var[...] = 1.0
-    y = layer.forward(x)
+    # BatchNorm works in place on what it is given: pass copies
+    y = layer.forward(x.copy())
     loss = float((y * proj).sum())
-    dx = layer.backward(proj)
+    dx = layer.backward(proj.copy())
     return loss, [p.grad.copy() for _, p in layer.parameters()] + [dx]
 
 

@@ -50,6 +50,26 @@ def rewrite_meta(path, update):
                  + raw[16 + hlen:])
 
 
+def reverse_products(directory, out):
+    """Copy of a supply-graph directory with its products in reverse order:
+    every signal file's product columns and every edge index reversed, so
+    it holds the same data under another product order."""
+    os.makedirs(out)
+    with open(os.path.join(directory, "production.csv"), newline="") as fh:
+        last = len(next(csv.reader(fh))) - 2  # a date column, then products
+    for entry in os.listdir(directory):
+        with open(os.path.join(directory, entry), newline="") as fh:
+            rows = list(csv.reader(fh))
+        if entry.startswith("edges_"):
+            rows = rows[:1] + [[str(last - int(s)), str(last - int(d)), lab]
+                               for s, d, lab in rows[1:]]
+        elif entry != "products.csv":
+            rows = [r[:1] + r[:0:-1] for r in rows]
+        with open(os.path.join(out, entry), "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return out
+
+
 def last_train_accuracy(run_dir):
     with open(os.path.join(run_dir, "history.csv")) as fh:
         return float(list(csv.reader(fh))[-1][4])
@@ -496,6 +516,29 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert (f"{path}: the checkpoint's graph has 12 nodes but the data "
                 f"has 10") in err
+        assert "Traceback" not in err
+
+    def test_reordered_products_exit_one(self, tmp_path, capsys):
+        """Same products in another order: an edge checkpoint's graph nodes
+        are its products, so they must match the data's in order."""
+        sg = write_supplygraph_dir(str(tmp_path / "sg"))
+        flipped = reverse_products(sg, str(tmp_path / "flipped"))
+        task = ["--set", 'task="sg-plant-edges"']
+        assert main(["train", "--set", f'output_dir="{tmp_path / "runs"}"',
+                     "--set", 'variant="gcn"', *task,
+                     "--set", f"data.path={json.dumps(sg)}",
+                     "--set", "training.epochs=2",
+                     "--set", "training.folds=2"]) == 0
+        path = str(tmp_path / "runs" / "gcn" / "checkpoint.bin")
+        assert load_archive(path)[1]["channel_names"][:2] == ["P00", "P01"]
+        data = [*task, "--set", f"data.path={json.dumps(flipped)}"]
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *data]) == 1
+        assert main(["export", "--checkpoint", path, "--what", "embeddings",
+                     "--out", str(tmp_path / "export"), *data]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"{path}: product 0 of the checkpoint's graph is "
+                         f"'P00' but the data's is 'P11'") == 2
         assert "Traceback" not in err
 
     def test_edge_checkpoint_on_node_task_exits_one(self, tmp_path, capsys):

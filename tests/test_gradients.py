@@ -149,9 +149,10 @@ class TestLayerGradients:
             # fresh running stats each call so perturbations do not leak
             layer.running_mean[...] = 0.0
             layer.running_var[...] = 1.0
-            y = layer.forward(x)
+            # BatchNorm works in place on what it is given: pass copies
+            y = layer.forward(x.copy())
             loss = float((y * proj).sum())
-            dx = layer.backward(proj)
+            dx = layer.backward(proj.copy())
             return loss, [p.grad.copy() for _, p in layer.parameters()] + [dx]
 
         assert grad_check(f, arrays) < TOL
@@ -181,21 +182,22 @@ class TestGradCheckHarness:
         x = rng.standard_normal((5, 4)) + 0.05  # keep away from the kink
         proj = rng.standard_normal((5, 4))
         h = 1e-6
+        # the activations work in place on what they are given: pass copies
         for fwd, bwd in (
                 (relu, lambda u, a: relu_backward(u, a > 0.0)),
                 (lambda a: leaky_relu(a, 0.1),
                  lambda u, a: leaky_relu_backward(u, a > 0.0, 0.1)),
                 (log_softmax, lambda u, a: log_softmax_backward(u, log_softmax(a)))):
-            analytic = bwd(proj, x)
+            analytic = bwd(proj.copy(), x)
             numeric = np.zeros_like(x)
             flat = x.reshape(-1)
             nflat = numeric.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                hi = float((fwd(x) * proj).sum())
+                hi = float((fwd(x.copy()) * proj).sum())
                 flat[i] = orig - h
-                lo = float((fwd(x) * proj).sum())
+                lo = float((fwd(x.copy()) * proj).sum())
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2 * h)
             assert np.abs(analytic - numeric).max() < 1e-4

@@ -94,11 +94,37 @@ class TestActivations:
         up = rng.standard_normal(1000)
         up[::5] = 0.0
         positive = x > 0.0
-        assert (relu_backward(up, positive).tobytes()
+        # the backwards work in place on ``up``: pass copies
+        assert (relu_backward(up.copy(), positive).tobytes()
                 == (up * np.where(x > 0.0, 1.0, 0.0)).tobytes())
         for slope in (0.1, 0.2):
-            assert (leaky_relu_backward(up, positive, slope).tobytes()
+            assert (leaky_relu_backward(up.copy(), positive, slope).tobytes()
                     == (up * np.where(x > 0.0, 1.0, slope)).tobytes())
+
+
+class TestInPlace:
+    """The ownership contract: the activations and BatchNorm reuse the
+    array they are given instead of allocating a full-size result."""
+
+    def test_activations_return_their_argument(self):
+        rng = np.random.default_rng(4)
+        x, up = rng.standard_normal((2, 50, 3))
+        positive = x > 0.0
+        assert relu_backward(up, positive) is up
+        assert leaky_relu_backward(up, positive, 0.2) is up
+        assert leaky_relu(x, 0.2) is x
+        assert relu(x) is x
+
+    def test_batchnorm_works_in_the_given_arrays(self):
+        rng = np.random.default_rng(5)
+        bn = BatchNorm(3)
+        x, up = rng.standard_normal((2, 4, 5, 3))
+        bn.forward(x)
+        assert np.shares_memory(bn._cache[0], x)   # xc is x, centred
+        assert np.shares_memory(bn.backward(up), up)
+        bn.training = False
+        x = rng.standard_normal((4, 5, 3))
+        assert np.shares_memory(bn.forward(x), x)
 
 
 class TestChebConv:
@@ -375,7 +401,7 @@ class TestBatchNorm:
         x = rng.standard_normal((200, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         bn = BatchNorm(3)
-        y = bn.forward(x)
+        y = bn.forward(x.copy())  # BatchNorm centres its input in place
         assert np.abs(y - x).max() < 1e-4
 
     def test_normalizes_batch(self):
@@ -396,7 +422,7 @@ class TestBatchNorm:
             bn.forward(rng.standard_normal((64, 2)) * 2 + 5)
         bn.training = False
         x = rng.standard_normal((8, 2))
-        y = bn.forward(x)
+        y = bn.forward(x.copy())  # an eval-mode forward overwrites its input
         expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.EPS)
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
@@ -426,8 +452,9 @@ class TestBatchNorm:
         bn.beta.value[...] = rng.standard_normal(3)
         x = rng.standard_normal((5, 4, 3)) * 3.0 + 1.0
         up = rng.standard_normal((5, 4, 3))
-        y = bn.forward(x)
-        dx = bn.backward(up)
+        # BatchNorm works in place on what it is given: pass copies
+        y = bn.forward(x.copy())
+        dx = bn.backward(up.copy())
 
         flat, upf = x.reshape(-1, 3), up.reshape(-1, 3)
         n = flat.shape[0]
@@ -675,14 +702,16 @@ class TestFullWidthPasses:
         bn.running_var[...] = rng.uniform(0.5, 2.0, width)
 
         want = batchnorm_reference(bn, x, up)
-        got = (bn.forward(x), bn.backward(up), bn.running_mean,
+        # BatchNorm works in place on what it is given: pass copies
+        got = (bn.forward(x.copy()), bn.backward(up.copy()), bn.running_mean,
                bn.running_var, bn.gamma.grad, bn.beta.grad)
         for g, w in zip(got, want):
             assert same_bits(g, w)
 
         bn.training = False
         x = rng.standard_normal(shape)
-        assert same_bits(bn.forward(x), batchnorm_reference(bn, x, None)[0])
+        assert same_bits(bn.forward(x.copy()),
+                         batchnorm_reference(bn, x, None)[0])
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["linear", "cheb", "gcn"]),

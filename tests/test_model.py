@@ -5,12 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from chebnet import model as model_module
 from chebnet.data import EDGE_TASK, synth_generate, zscore_normalize, Dataset
 from chebnet.graph import build_graph_context, graph_from_features
 from chebnet.layers import ChebConv, GATLayer, GCNConv
 from chebnet.model import (build_model, conv_inputs_edge, conv_inputs_node,
                            default_graph_dims)
-from chebnet.training import TrainingConfig, train_model
+from chebnet.training import (TrainingConfig, cross_validate, predict,
+                              train_model)
+
+from oracles import synth_edge_generate
 
 
 def make_graph(rng, n):
@@ -282,6 +286,76 @@ class TestInputGradient:
             else:
                 assert first is None
             assert all(isinstance(dx, np.ndarray) for dx in upper)
+
+
+class TestCallerArraysUntouched:
+    """The activations and BatchNorm overwrite what they are given, so the
+    model must hand them only arrays it owns: no training or inference path
+    may write into the caller's features or conv sequences."""
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    @pytest.mark.parametrize("task", ["node", "edge"])
+    def test_features_and_conv_inputs_keep_their_bits(self, task, variant):
+        if task == "node":
+            dataset, _ = synth_generate(24, 10, 2, separation=2.0, seed=3)
+            graph = graph_from_features(dataset.features, 0.6)
+        else:
+            dataset, _ = synth_edge_generate(10, 6, 2, separation=2.0,
+                                             n_edges=30, seed=3)
+            graph = graph_from_features(dataset.features.T, 0.6)
+        cfg = TrainingConfig(variant=variant, epochs=3, folds=2, seed=0,
+                             early_stop=False, threshold=0.6)
+        feats = dataset.features
+        before = feats.copy()
+        # a node task's conv sequences are a view of its features
+        model, _ = train_model(dataset, graph, cfg)
+        cross_validate(dataset, cfg)
+        predict(model, graph, feats, dataset.edges)
+        model.layer_activations(graph, feats, dataset.edges)
+        assert feats.tobytes() == before.tobytes()
+
+        seqs = (conv_inputs_node(feats, dataset.conv_shape)
+                if task == "node" else
+                conv_inputs_edge(feats, dataset.edges, dataset.conv_shape))
+        seqs_before = seqs.copy()
+        model.conv_backward(np.ones_like(model.conv_forward(seqs)))
+        assert seqs.tobytes() == seqs_before.tobytes()
+        assert feats.tobytes() == before.tobytes()
+
+
+class TestBlockedEval:
+    """An eval-mode node-task forward runs its rows in blocks, and each
+    row's log-probabilities must keep the bits of one whole-batch block.
+    BLAS does not promise that a row's products are independent of the
+    row count, so this guards it at the benchmark shapes: sg-product's 372
+    windows of 80 channels at K = 3, dataco-csv's 20 000 rows of 11
+    channels, and a row count one past a whole block."""
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    @pytest.mark.parametrize("rows, nodes, orders", [
+        (372, 80, [3, 3, 3, 3]), (20000, 11, [1]), (4333, 11, [1])])
+    def test_blocks_keep_the_bits_of_one_block(self, monkeypatch, variant,
+                                               rows, nodes, orders):
+        rng = np.random.default_rng(16)
+        graph = make_graph(rng, nodes)
+        model = build_model("node-class", variant, nodes, 3, (1, nodes),
+                            rng=rng, cheb_orders=orders)
+        for _, bn in model.blocks:
+            bn.running_mean[...] = rng.standard_normal(bn.width)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, bn.width)
+        x = rng.standard_normal((rows, nodes))
+        assert model._eval_block_rows(nodes) < rows
+        blocked = model.graph_forward(graph, x)
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
+        whole = model.graph_forward(graph, x)
+        assert blocked.shape == (rows, 3)
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_empty_batch(self):
+        rng = np.random.default_rng(17)
+        graph = make_graph(rng, 10)
+        model = build_model("node-class", "cheb", 10, 2, (1, 10), rng=rng)
+        assert model.graph_forward(graph, np.zeros((0, 10))).shape == (0, 2)
 
 
 class TestOverfitQuick:
