@@ -278,7 +278,7 @@ def cmd_export(args):
         print(f"wrote {args.out}/adjacency.csv")
         return 0
     model, graph, dataset, feats, _ = _restore_and_load(args, cfg)
-    acts = model.layer_activations(graph, feats, dataset.edges)
+    acts = model.layer_activations(graph, feats)
     labels = ["input"] + [f"layer{i + 1}" for i in range(len(acts) - 1)]
     for label, act in zip(labels, acts):
         path = os.path.join(args.out, f"embeddings_{label}.csv")

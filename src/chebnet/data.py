@@ -14,6 +14,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from datetime import date, timedelta
+from itertools import zip_longest
 
 import numpy as np
 
@@ -420,7 +421,8 @@ def _load_temporal_csv(path):
             raise SchemaError(f"{path}: non-numeric value in row {r[0]!r}") from None
         dated.append((_parse_date(r[0]), values))
     dated.sort(key=lambda t: t[0])
-    return products, np.array([v for _, v in dated], dtype=np.float64)
+    return (products, [d for d, _ in dated],
+            np.array([v for _, v in dated], dtype=np.float64))
 
 
 def _load_edge_csv(path, n_products):
@@ -451,8 +453,9 @@ def _load_edge_csv(path, n_products):
 def load_supplygraph(directory):
     """Load the four temporal CSVs plus any edge CSVs and product metadata.
 
-    The four temporal files must agree on the product set; columns are
-    realigned to the first file's order.  Dates only order the rows.
+    The four temporal files must agree on the product set and list the
+    same dates; columns are realigned to the first file's order and rows
+    are sorted by date.
     """
     series = {}
     products = None
@@ -460,17 +463,22 @@ def load_supplygraph(directory):
         path = os.path.join(directory, f"{name}.csv")
         if not os.path.exists(path):
             raise SchemaError(f"missing temporal file {path}")
-        prods, matrix = _load_temporal_csv(path)
+        prods, dates, matrix = _load_temporal_csv(path)
         if products is None:
-            products, n_dates = prods, matrix.shape[0]
+            products, first_dates = prods, dates
         else:
             if set(prods) != set(products):
                 raise SchemaError(
                     f"{path}: product set differs from {SG_SIGNALS[0]}.csv")
             order = [prods.index(p) for p in products]
             matrix = matrix[:, order]
-            if matrix.shape[0] != n_dates:
-                raise SchemaError(f"{path}: date count differs")
+            if dates != first_dates:
+                # the first sorted position where the dates differ
+                here, there = next((d, r) for d, r in
+                                   zip_longest(dates, first_dates) if d != r)
+                raise SchemaError(
+                    f"{path}: dates differ from {SG_SIGNALS[0]}.csv: "
+                    f"{here or 'no row'} where it has {there or 'no row'}")
         series[name] = matrix
 
     data = SupplyGraphData(products=products, series=series)

@@ -1,12 +1,12 @@
 """Differentiable layers with explicit forward and backward passes.
 
-Only a train-mode forward caches what the layer's backward pass needs.  The
-graph layers, Linear and BatchNorm have a ``training`` attribute (true until
-the model sets it); in eval mode their forward caches nothing and clears the
-cache.  Conv1D, which only training runs, always caches.  Backward reads the
-cache once and releases it, so each backward needs a forward of its own; it
-accumulates parameter gradients into ``Parameter.grad`` and returns the
-gradient with respect to the layer's input.  Only Conv1D's backward takes
+Every layer follows one cache rule, kept by the ``_Layer`` base: a layer's
+``training`` attribute is true until the model sets it; a train-mode
+forward caches what the backward reads, an eval-mode forward caches nothing
+and clears the cache, and the backward takes the cache once, so each
+backward needs a train-mode forward of its own.  The backward accumulates
+parameter gradients into ``Parameter.grad`` and returns the gradient with
+respect to the layer's input.  Only Conv1D's backward takes
 ``input_grad=False``, which skips that gradient and returns None.  Graph
 layers accept a single graph signal (N, F) or a batch (B, N, F), or with
 ``diagonal=True`` (B, N) rows that stand for diagonal node-signal matrices,
@@ -44,6 +44,30 @@ from chebnet.graph import cheb_apply
 
 class InvalidStateError(RuntimeError):
     """Raised when backward is called without a matching forward."""
+
+
+def take_once(owner, name, message):
+    """Return the cache ``owner.<name>`` and clear it; raise
+    ``InvalidStateError(message)`` when there is none."""
+    cache = getattr(owner, name)
+    if cache is None:
+        raise InvalidStateError(message)
+    setattr(owner, name, None)
+    return cache
+
+
+class _Layer:
+    """The cache rule of every layer (see the module docstring)."""
+
+    training = True
+    _cache = None
+
+    def _keep(self, cache):
+        self._cache = cache if self.training else None
+
+    def _take(self):
+        return take_once(self, "_cache", f"{type(self).__name__}.backward "
+                                         f"without a train-mode forward")
 
 
 class Parameter:
@@ -224,7 +248,7 @@ def _diagonal_weight_grad(basis, x, up):
     return (basis.transpose(2, 0, 1) @ g).transpose(1, 0, 2)
 
 
-class ChebConv:
+class ChebConv(_Layer):
     """Graph convolution by a K-order Chebyshev polynomial of the scaled
     Laplacian: y = sum_k T_k(Ls) x theta_k + bias.
 
@@ -252,8 +276,6 @@ class ChebConv:
             glorot_uniform(rng, (order, in_features, out_features),
                            order * in_features, out_features))
         self.bias = Parameter(np.zeros(out_features))
-        self.training = True
-        self._cache = None
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -270,15 +292,11 @@ class ChebConv:
             for k in range(1, self.order):
                 y += basis[k] @ (x @ w[k])
         _channelwise(np.add, y, self.bias.value, out=y)
-        self._cache = (x, basis, diagonal) if self.training else None
+        self._keep((x, basis, diagonal))
         return y
 
     def backward(self, up):
-        if self._cache is None:
-            raise InvalidStateError(
-                "ChebConv.backward without a train-mode forward")
-        x, basis, diagonal = self._cache
-        self._cache = None
+        x, basis, diagonal = self._take()
         up = np.asarray(up, dtype=np.float64)
         self.bias.accumulate(_column_sums(_flat2(up, self.out_features)))
         if diagonal:
@@ -297,7 +315,7 @@ class ChebConv:
         return dx
 
 
-class GCNConv:
+class GCNConv(_Layer):
     """Symmetric-normalized graph convolution with added self-loops:
     y = D^-1/2 (W + I) D^-1/2 x theta + bias.
 
@@ -314,8 +332,6 @@ class GCNConv:
             glorot_uniform(rng, (in_features, out_features),
                            in_features, out_features))
         self.bias = Parameter(np.zeros(out_features))
-        self.training = True
-        self._cache = None
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -336,15 +352,11 @@ class GCNConv:
             xin = prop @ x
             y = xin @ self.weight.value
         _channelwise(np.add, y, self.bias.value, out=y)
-        self._cache = (prop, xin, diagonal) if self.training else None
+        self._keep((prop, xin, diagonal))
         return y
 
     def backward(self, up):
-        if self._cache is None:
-            raise InvalidStateError(
-                "GCNConv.backward without a train-mode forward")
-        prop, xin, diagonal = self._cache
-        self._cache = None
+        prop, xin, diagonal = self._take()
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
         self.bias.accumulate(_column_sums(upf))
@@ -356,7 +368,7 @@ class GCNConv:
         return prop @ (up @ self.weight.value.T)  # prop is symmetric
 
 
-class GATLayer:
+class GATLayer(_Layer):
     """Single-head graph attention over each node's neighborhood: the node
     itself and its nonzero-adjacency neighbors.
 
@@ -382,8 +394,6 @@ class GATLayer:
                            in_features, out_features))
         self.attention = Parameter(
             glorot_uniform(rng, (2 * out_features,), 2 * out_features, 1))
-        self.training = True
-        self._cache = None
 
     def parameters(self):
         return [("transform", self.transform), ("attention", self.attention)]
@@ -408,17 +418,13 @@ class GATLayer:
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
         agg_positive = agg > 0.0
-        self._cache = {"x": x, "diagonal": diagonal, "h": h,
-                       "logits_positive": logits_positive, "alpha": alpha,
-                       "agg_positive": agg_positive} if self.training else None
+        self._keep({"x": x, "diagonal": diagonal, "h": h,
+                    "logits_positive": logits_positive, "alpha": alpha,
+                    "agg_positive": agg_positive})
         return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
     def backward(self, up):
-        if self._cache is None:
-            raise InvalidStateError(
-                "GATLayer.backward without a train-mode forward")
-        c = self._cache
-        self._cache = None
+        c = self._take()
         # the activation backward works in place, and ``up`` is the caller's
         dagg = leaky_relu_backward(np.array(up, dtype=np.float64),
                                    c["agg_positive"], self.ACTIVATION_SLOPE)
@@ -452,7 +458,7 @@ class GATLayer:
 # non-graph layers
 
 
-class Conv1D:
+class Conv1D(_Layer):
     """Valid 1-D cross-correlation, kernel length 5, stride 1, over
     (batch, channels, length) input.
 
@@ -471,7 +477,6 @@ class Conv1D:
             glorot_uniform(rng, (n_kernels, in_channels, self.KERNEL_LEN),
                            fan_in, fan_out))
         self.bias = Parameter(np.zeros(n_kernels))
-        self._cache = None
 
     def parameters(self):
         return [("kernels", self.kernels), ("bias", self.bias)]
@@ -486,23 +491,19 @@ class Conv1D:
                 f"sequence length {x.shape[2]} is shorter than the kernel "
                 f"({self.KERNEL_LEN})")
         y = kernels.conv1d_forward(x, self.kernels.value, self.bias.value)
-        self._cache = x
+        self._keep(x)
         return y
 
     def backward(self, up, *, input_grad=True):
-        if self._cache is None:
-            raise InvalidStateError("Conv1D.backward without a forward")
-        x = self._cache
-        self._cache = None
         dx, dw, db = kernels.conv1d_backward(
-            x, self.kernels.value, np.asarray(up, dtype=np.float64),
-            input_grad=input_grad)
+            self._take(), self.kernels.value,
+            np.asarray(up, dtype=np.float64), input_grad=input_grad)
         self.kernels.accumulate(dw)
         self.bias.accumulate(db)
         return dx
 
 
-class Linear:
+class Linear(_Layer):
     """Affine map y = x W + b over the last axis."""
 
     def __init__(self, in_features, out_features, *, rng):
@@ -512,8 +513,6 @@ class Linear:
             glorot_uniform(rng, (in_features, out_features),
                            in_features, out_features))
         self.bias = Parameter(np.zeros(out_features))
-        self.training = True
-        self._cache = None
 
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -523,16 +522,12 @@ class Linear:
         if x.shape[-1] != self.in_features:
             raise ValueError(
                 f"expected {self.in_features} input features, got {x.shape[-1]}")
-        self._cache = x if self.training else None
+        self._keep(x)
         y = x @ self.weight.value
         return _channelwise(np.add, y, self.bias.value, out=y)
 
     def backward(self, up):
-        if self._cache is None:
-            raise InvalidStateError(
-                "Linear.backward without a train-mode forward")
-        x = self._cache
-        self._cache = None
+        x = self._take()
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
         self.weight.accumulate(_flat2(x, self.in_features).T @ upf)
@@ -540,7 +535,7 @@ class Linear:
         return up @ self.weight.value.T
 
 
-class BatchNorm:
+class BatchNorm(_Layer):
     """Per-channel batch normalization over all leading axes.
 
     Train mode normalizes with (biased) batch statistics and folds them into
@@ -567,8 +562,6 @@ class BatchNorm:
         self.beta = Parameter(np.zeros(width))
         self.running_mean = np.zeros(width)
         self.running_var = np.ones(width)
-        self.training = True
-        self._cache = None
 
     def parameters(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -598,7 +591,7 @@ class BatchNorm:
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         scale = self.gamma.value * inv_std
-        self._cache = (xc, inv_std, x.shape) if self.training else None
+        self._keep((xc, inv_std, x.shape))
         # eval mode keeps no xc, so y takes its memory, the input's
         y = _channelwise(np.multiply, xc, scale,
                          out=None if self.training else xc)
@@ -606,11 +599,7 @@ class BatchNorm:
         return y.reshape(x.shape)
 
     def backward(self, up):
-        if self._cache is None:
-            raise InvalidStateError(
-                "BatchNorm.backward without a train-mode forward")
-        xc, inv_std, shape = self._cache
-        self._cache = None
+        xc, inv_std, shape = self._take()
         upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
         rows = upf.shape[0]
         # with xhat = xc * inv_std: dgamma = sum(up * xhat) and

@@ -22,10 +22,10 @@ graph layer takes the dense (N, F) node features and returns one, which
 nothing reads.  The first Conv1D is called with ``input_grad=False`` (only
 Conv1D takes it) and computes none.
 
-Only a training-mode forward keeps what the backward reads, and each
-backward releases it.  Of every ReLU and LeakyReLU pre-activation the model
-keeps only the bool sign mask z > 0, which is what their backward takes.
-An eval-mode forward (prediction, ``layer_activations``) keeps nothing.
+Both branches keep the cache rule of ``chebnet.layers`` (``take_once``).
+Of every ReLU and LeakyReLU pre-activation the model keeps only the bool
+sign mask z > 0, which is what their backward takes.  An eval-mode forward
+(prediction, ``layer_activations``) keeps nothing.
 
 The activations and BatchNorm overwrite the array they are given (see
 ``chebnet.layers``), and the model passes them only arrays it owns: a
@@ -63,6 +63,7 @@ from chebnet.layers import (
     log_softmax_backward,
     relu,
     relu_backward,
+    take_once,
 )
 
 VARIANTS = ("cheb", "gcn", "gat")
@@ -241,11 +242,8 @@ class EnsembleModel:
         """Accumulate the graph branch's parameter gradients and release
         the forward's cache; returns nothing, since no caller reads the
         gradient of the input."""
-        c = self._gcache
-        if c is None:
-            raise RuntimeError("graph_backward without a training-mode "
-                               "graph_forward")
-        self._gcache = None
+        c = take_once(self, "_gcache",
+                      "graph_backward without a training-mode graph_forward")
         dlogits = log_softmax_backward(dout, c["out"])
         if self.task == EDGE_TASK:
             da1 = self.edge_head[1].backward(dlogits)
@@ -289,10 +287,7 @@ class EnsembleModel:
         """Accumulate the conv branch's parameter gradients and release the
         forward's cache.  The first Conv1D computes no input gradient, since
         nothing reads it; returns nothing."""
-        c = self._ccache
-        if c is None:
-            raise RuntimeError("conv_backward without a conv_forward")
-        self._ccache = None
+        c = take_once(self, "_ccache", "conv_backward without a conv_forward")
         dpooled = log_softmax_backward(dout, c["out"])
         da2 = np.repeat(dpooled[..., None] / c["tail"], c["tail"], axis=-1)
         dz2 = leaky_relu_backward(da2, c["z2_positive"], CONV_SLOPE)
@@ -302,7 +297,7 @@ class EnsembleModel:
 
     # -- inference helpers ------------------------------------------------------
 
-    def layer_activations(self, graph, features, edges=None):
+    def layer_activations(self, graph, features):
         """Eval-mode per-node activations: input plus each graph block output.
 
         Node tasks average over the sample batch so every matrix has one row
@@ -338,7 +333,8 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
 
     ``width`` is the channel count for node tasks (= node count of the
     correlation graph) and the per-node feature width for edge tasks.
-    Graph layers past the end of ``cheb_orders`` get order 1.
+    Graph layers past the end of ``cheb_orders`` get order 1; for the cheb
+    variant, orders past the last graph layer must be 1.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -356,6 +352,9 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
     orders += [1] * (len(graph_dims) - len(orders))
     if any(k < 1 for k in orders):
         raise ValueError("Chebyshev orders must be >= 1")
+    if variant == "cheb" and any(k != 1 for k in orders[len(graph_dims):]):
+        raise ValueError(f"cheb_orders {orders} sets an order above 1 past "
+                         f"the last of the {len(graph_dims)} graph layers")
 
     blocks = []
     f_in = width

@@ -15,8 +15,7 @@ import numpy as np
 from chebnet.data import EDGE_TASK, Dataset, apply_zscore, zscore_normalize
 from chebnet.graph import DEFAULT_THRESHOLD, graph_from_features
 from chebnet.metrics import (Metrics, compute_metrics, metrics_from_confusion)
-from chebnet.model import (build_model, conv_inputs_edge, conv_inputs_node,
-                           edge_embed)
+from chebnet.model import build_model, conv_inputs_edge, conv_inputs_node
 from chebnet.optim import make_optimizer
 
 # named sub-seed components

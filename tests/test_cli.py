@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import struct
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -245,6 +246,13 @@ class TestTrainCommand:
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         code = main(["train", "--set", "nonsense=1"])
         assert code == 1
+
+    def test_orders_past_the_last_cheb_layer_exit_one(self, tmp_path,
+                                                       capsys):
+        code = main(["train", "--set", f'output_dir="{tmp_path}"', *FAST,
+                     "--set", "model.cheb_orders=[1,1,1,1,7]"])
+        assert code == 1
+        assert "cheb_orders" in capsys.readouterr().err
 
     def test_allocation_failure_exits_one(self, tmp_path, monkeypatch,
                                           capsys):
@@ -753,6 +761,29 @@ class TestSynthCommand:
         ])
         assert code == 0
         assert os.path.exists(tmp_path / "runs3" / "cheb" / "metrics.txt")
+
+    @pytest.mark.parametrize("task", ["sg-product", "sg-plant-edges"])
+    def test_signal_dates_that_differ_exit_one(self, tmp_path, capsys, task):
+        """production.csv's dates moved by 400 days: the signals no longer
+        line up in time, so the directory is rejected."""
+        out = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "edges", "--out", out]) == 0
+        path = os.path.join(out, "supplygraph", "production.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for r in rows[1:]:
+            r[0] = str(date.fromisoformat(r[0]) + timedelta(days=400))
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = main(["train", "--set", f'output_dir="{tmp_path / "runs"}"',
+                     "--set", f'task="{task}"',
+                     "--set", f'data.path="{os.path.dirname(path)}"',
+                     "--set", "training.epochs=1",
+                     "--set", "training.folds=2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "production.csv: dates differ" in err
+        assert "2024-02-05 where it has 2023-01-01" in err
 
     def test_bad_kind_exits_one(self, tmp_path):
         assert main(["synth", "--kind", "tabular",

@@ -631,12 +631,14 @@ class TestSupplyGraphLoader:
         assert sg.products == ("p0", "p1", "p2")
 
     def test_slash_dates_sorted(self, tmp_path):
+        """Rows sort by date, and both spellings of a day are one date."""
         d = tmp_path / "sg"
         d.mkdir()
         rows = ["date,p0", "2023/01/03,3.0", "2023/01/01,1.0", "2023/01/02,2.0"]
         for name in ("delivery_to_distributor", "factory_issue",
                      "production", "sales_order"):
             write_csv(d / f"{name}.csv", rows)
+        write_csv(d / "production.csv", [r.replace("/", "-") for r in rows])
         sg = load_supplygraph(str(d))
         np.testing.assert_array_equal(sg.series["production"][:, 0],
                                       [1.0, 2.0, 3.0])

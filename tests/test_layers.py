@@ -1,5 +1,6 @@
 """Layer forward-pass contracts and activation semantics."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -509,10 +510,13 @@ class TestCacheLifecycle:
         up = np.ones_like(forward())
         layer.backward(up)
         assert layer._cache is None
-        with pytest.raises(InvalidStateError):
+        message = (f"{type(layer).__name__}.backward without a train-mode "
+                   f"forward")
+        with pytest.raises(InvalidStateError,
+                           match=f"^{re.escape(message)}$"):
             layer.backward(up)
 
-    @pytest.mark.parametrize("name", CACHE_CASES[:-1])  # Conv1D has no mode
+    @pytest.mark.parametrize("name", CACHE_CASES)
     def test_eval_forward_caches_nothing(self, name):
         layer, forward = _cache_case(name)
         forward()                       # train mode caches ...

@@ -242,7 +242,7 @@ class TestCacheLifecycle:
             assert held_caches(model)
             model.graph_forward(graph, feats, edges, training=False)
             assert held_caches(model) == {}
-            model.layer_activations(graph, feats, edges)
+            model.layer_activations(graph, feats)
             assert held_caches(model) == {}
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
@@ -311,7 +311,7 @@ class TestCallerArraysUntouched:
         model, _ = train_model(dataset, graph, cfg)
         cross_validate(dataset, cfg)
         predict(model, graph, feats, dataset.edges)
-        model.layer_activations(graph, feats, dataset.edges)
+        model.layer_activations(graph, feats)
         assert feats.tobytes() == before.tobytes()
 
         seqs = (conv_inputs_node(feats, dataset.conv_shape)
