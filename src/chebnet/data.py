@@ -421,8 +421,12 @@ def _load_temporal_csv(path):
             raise SchemaError(f"{path}: non-numeric value in row {r[0]!r}") from None
         dated.append((_parse_date(r[0]), values))
     dated.sort(key=lambda t: t[0])
-    return (products, [d for d, _ in dated],
-            np.array([v for _, v in dated], dtype=np.float64))
+    dates = [d for d, _ in dated]
+    repeated = next((d for d, e in zip(dates, dates[1:]) if d == e), None)
+    if repeated is not None:
+        raise SchemaError(f"{path}: date {repeated} is listed in more than "
+                          f"one row")
+    return products, dates, np.array([v for _, v in dated], dtype=np.float64)
 
 
 def _load_edge_csv(path, n_products):

@@ -6,10 +6,12 @@ assembly, largest eigenvalue by power iteration, rescaling of the spectrum
 into [-1, 1], and the Chebyshev three-term recurrence (``cheb_apply``) that
 builds the matrices T_k(Ls) the convolution layers filter with.
 
-All functions are pure and operate on float64 numpy arrays.
+All functions are pure and operate on float64 numpy arrays.  A
+``GraphContext`` keeps the Chebyshev bases it has built (``cheb_basis``),
+so each graph builds a basis once per order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,10 +138,23 @@ class GraphContext:
     lambda_max: float
     scaled_laplacian: np.ndarray
     channel_names: tuple = ()
+    _bases: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self):
         return self.adjacency.shape[0]
+
+    def cheb_basis(self, order):
+        """The (order, N, N) stack of T_k(Ls), ``cheb_apply`` on the
+        identity.  It is built on the first call for an order and kept,
+        read-only, for every later layer and pass on this graph."""
+        basis = self._bases.get(order)
+        if basis is None:
+            basis = np.stack(cheb_apply(self.scaled_laplacian,
+                                        np.eye(self.n_nodes), order))
+            basis.flags.writeable = False
+            self._bases[order] = basis
+        return basis
 
 
 def build_graph_context(adjacency, channel_names=()):
@@ -169,7 +184,7 @@ def cheb_apply(scaled_laplacian, x, order):
     Runs the three-term recurrence T_k = 2 Ls T_{k-1} - T_{k-2}; cost is one
     matrix product per term and no eigendecomposition.  ``x`` may be (N, F)
     or batched (B, N, F); with ``x`` the identity the terms are the matrices
-    T_k(Ls) themselves, which is how ``ChebConv`` uses it.
+    T_k(Ls) themselves, which is how ``GraphContext.cheb_basis`` uses it.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

@@ -6,6 +6,11 @@ the window x[b, :, p:p+T], so the forward is that matrix times the flattened
 kernel bank, the weight gradient is the upstream gradient times it, and the
 input gradient is the forward applied to the zero-padded upstream gradient
 with the flipped kernel bank.
+
+The passes follow the fast-path rules of ``chebnet.layers``.  The forward
+adds the bias to the GEMM's rows, viewed (B, P*F) with the bias tiled P
+times, before the transpose to (B, F, P): broadcast over the short length
+axis the same add runs about twice as slowly, with the same bits.
 """
 
 import numpy as np
@@ -26,12 +31,18 @@ def _columns(x, t):
     return windows.transpose(0, 2, 1, 3).reshape(b * (length - t + 1), c * t)
 
 
-def _correlate(x, w):
-    """Valid cross-correlation of (B, C, L) with (F, C, T), no bias."""
+def _correlate(x, w, bias=None):
+    """Valid cross-correlation of (B, C, L) with (F, C, T), plus ``bias``
+    (F,) unless it is None.  The bias is added to the GEMM's rows, viewed
+    (B, P*F) with the bias tiled P times, before the transpose to
+    (B, F, P)."""
     b, _, length = x.shape
     f, c, t = w.shape
     p = length - t + 1
     y = _columns(x, t) @ w.reshape(f, c * t).T
+    if bias is not None:
+        rows = y.reshape(b, p * f)
+        np.add(rows, np.tile(bias, p), out=rows)
     return np.ascontiguousarray(y.reshape(b, p, f).transpose(0, 2, 1))
 
 
@@ -41,9 +52,7 @@ def conv1d_forward(x, w, b):
     x: (B, C, L), w: (F, C, T), b: (F,); returns (B, F, L-T+1).
     """
     x, w, b = _as_c64(x), _as_c64(w), _as_c64(b)
-    y = _correlate(x, w)
-    y += b[None, :, None]
-    return y
+    return _correlate(x, w, b)
 
 
 def conv1d_backward(x, w, up, *, input_grad=True):

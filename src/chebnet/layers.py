@@ -32,6 +32,23 @@ so the per-channel passes are written for that shape: a bias add, a
 BatchNorm centring or scaling broadcasts its vector over rows of about 64
 elements (``_channelwise``), and a sum over the rows is an einsum
 reduction.  Both give the same bits as the plain numpy expressions.
+
+Fast paths.  The per-epoch passes here, in ``chebnet.model`` and in
+``chebnet.kernels`` are written for numpy's fast paths and keep the bits
+of their plain forms; ``tests/test_fast_paths.py`` pins the rewritten ones
+against those forms at the benchmark shapes.  Three rules hold throughout:
+
+- no ``where=`` ufunc pass on activations: a masked multiply runs element
+  by element, so ``leaky_relu_backward`` multiplies by a factor array
+  looked up from the sign mask;
+- a stacked (3-D) product with a short contraction takes its transposed
+  operand as a contiguous copy (``_matmul_transposed``), faster with the
+  same bits; longer contractions and 2-D products keep the view, which
+  BLAS reads through its transpose flag;
+- no tall flat GEMMs at sg-product shapes: a graph layer's stacked
+  product is not reshaped into one (B*N, F) GEMM, because a GEMM of ~30k
+  rows touches about 16 MB of OpenBLAS buffer pages that the stacked form
+  never does, and the benchmark's peak RSS rises with them.
 """
 
 import math
@@ -39,7 +56,6 @@ import math
 import numpy as np
 
 from chebnet import kernels
-from chebnet.graph import cheb_apply
 
 
 class InvalidStateError(RuntimeError):
@@ -137,6 +153,24 @@ def _channelwise(op, a, v, out=None):
     return out
 
 
+# Longest contraction at which a stacked product takes a contiguous copy
+# of its transposed operand (see ``_matmul_transposed``).
+_SHORT_CONTRACTION = 15
+
+
+def _matmul_transposed(a, bt):
+    """``a @ bt`` for a transposed view ``bt``, with the bits of that
+    product.  A stacked (3-D) ``a`` with a contraction of at most
+    ``_SHORT_CONTRACTION`` takes bt as a contiguous copy, which numpy's
+    stacked matmul runs 2-3x faster than the view, with the same bits.  At
+    longer contractions and for a 2-D ``a`` the view is kept: there BLAS
+    reads it through its transpose flag, and a copy can round the last
+    bits differently (seen under OpenBLAS from 16 terms on)."""
+    if a.ndim > 2 and bt.shape[-2] <= _SHORT_CONTRACTION:
+        bt = np.ascontiguousarray(bt)
+    return a @ bt
+
+
 def _column_sums(a):
     """Sums over the rows of a C-contiguous (rows, width) array, bitwise
     equal to ``a.sum(axis=0)``.  The einsum reduction is 4-5x faster at the
@@ -167,11 +201,15 @@ def leaky_relu(x, slope=0.1):
 
 def leaky_relu_backward(up, positive, slope=0.1):
     """Gradient of ``leaky_relu`` from the sign mask ``positive`` = x > 0.0
-    of its input x, in place on ``up``: one multiply by ``slope`` where the
-    mask is false.  LeakyReLU is x times its own derivative, so with
-    ``up`` = x this is ``leaky_relu(x)``, which is how a caller that keeps
-    the mask applies the activation without forming it twice."""
-    return np.multiply(up, slope, out=up, where=~positive)
+    of its input x, in place on ``up``: one multiply by the factor 1.0
+    where the mask is true and ``slope`` where it is false, looked up from
+    the mask's bytes.  Times 1.0 leaves every value's bits as they are, so
+    this equals the masked multiply by ``slope``.  LeakyReLU is x times its
+    own derivative, so with ``up`` = x this is ``leaky_relu(x)``, which is
+    how a caller that keeps the mask applies the activation without forming
+    it twice."""
+    factor = np.array([slope, 1.0]).take(positive.view(np.uint8))
+    return np.multiply(up, factor, out=up)
 
 
 def log_softmax(x):
@@ -252,11 +290,12 @@ class ChebConv(_Layer):
     """Graph convolution by a K-order Chebyshev polynomial of the scaled
     Laplacian: y = sum_k T_k(Ls) x theta_k + bias.
 
-    Each forward builds the basis, the K matrices T_k(Ls) of size N x N, by
-    ``cheb_apply`` on the identity; both input kinds use it.  Dense input
-    (N, F_in) or (B, N, F_in) is projected and then propagated at the output
-    width, y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), one term at a
-    time.  The backward reads u_k = T_k(Ls) up (u_0 = up) and adds each
+    Both input kinds filter with the basis, the K matrices T_k(Ls) of size
+    N x N, which ``GraphContext.cheb_basis`` builds once per graph and
+    order.  Dense input (N, F_in) or (B, N, F_in) is projected and then
+    propagated at the output width,
+    y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), one term at a time.
+    The backward reads u_k = T_k(Ls) up (u_0 = up) and adds each
     term's dtheta_k = x^T u_k and share u_k theta_k^T of dx as it comes
     (T_k(Ls) is symmetric).  The cache holds x and the basis.
 
@@ -283,8 +322,7 @@ class ChebConv(_Layer):
     def forward(self, graph, x, *, diagonal=False):
         x = _graph_input(self, graph, x, diagonal)
         w = self.weight.value
-        basis = np.stack(cheb_apply(graph.scaled_laplacian,
-                                    np.eye(graph.n_nodes), self.order))
+        basis = graph.cheb_basis(self.order)
         if diagonal:
             y = _diagonal_apply(x, basis, w)
         else:
@@ -306,11 +344,11 @@ class ChebConv(_Layer):
         xf = _flat2(x, self.in_features)
         dw = np.empty_like(w)
         dw[0] = xf.T @ _flat2(up, self.out_features)
-        dx = up @ w[0].T
+        dx = _matmul_transposed(up, w[0].T)
         for k in range(1, self.order):
             u = basis[k] @ up
             dw[k] = xf.T @ _flat2(u, self.out_features)
-            dx += u @ w[k].T
+            dx += _matmul_transposed(u, w[k].T)
         self.weight.accumulate(dw)
         return dx
 
@@ -365,7 +403,8 @@ class GCNConv(_Layer):
                 _diagonal_weight_grad(prop[None], xin, up)[0])
             return None
         self.weight.accumulate(_flat2(xin, self.in_features).T @ upf)
-        return prop @ (up @ self.weight.value.T)  # prop is symmetric
+        # prop is symmetric
+        return prop @ _matmul_transposed(up, self.weight.value.T)
 
 
 class GATLayer(_Layer):
@@ -430,7 +469,9 @@ class GATLayer(_Layer):
                                    c["agg_positive"], self.ACTIVATION_SLOPE)
         alpha = c["alpha"]
         h = c["h"]
-        dalpha = dagg @ h.swapaxes(-1, -2)
+        dalpha = _matmul_transposed(dagg, h.swapaxes(-1, -2))
+        # alpha^T stays a view: a contiguous copy of the (B, N, N) array
+        # measured slower
         dh = alpha.swapaxes(-1, -2) @ dagg
         # softmax backward per neighborhood row (off-neighborhood alpha is 0)
         dact = alpha * (dalpha - (alpha * dalpha).sum(axis=-1, keepdims=True))
@@ -451,7 +492,7 @@ class GATLayer(_Layer):
             return None
         self.transform.accumulate(
             _flat2(c["x"], self.in_features).T @ _flat2(dh, self.out_features))
-        return dh @ self.transform.value.T
+        return _matmul_transposed(dh, self.transform.value.T)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +573,7 @@ class Linear(_Layer):
         upf = _flat2(up, self.out_features)
         self.weight.accumulate(_flat2(x, self.in_features).T @ upf)
         self.bias.accumulate(_column_sums(upf))
-        return up @ self.weight.value.T
+        return _matmul_transposed(up, self.weight.value.T)
 
 
 class BatchNorm(_Layer):

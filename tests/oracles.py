@@ -2,13 +2,15 @@
 
 The eigendecomposition filter oracle, a node-by-node graph attention
 oracle, the finite-difference gradient checker, an edge-relation dataset
-generator and a reader for the adjacency CSV that ``chebnet export --what
-graph`` writes.  None of them is on a path
-the ``chebnet`` commands run.
+generator, a reader for the adjacency CSV that ``chebnet export --what
+graph`` writes, and the plain numpy forms of the per-epoch passes that the
+package computes another, faster way.  None of them is on a path the
+``chebnet`` commands run.
 """
 
 import numpy as np
 
+from chebnet import kernels
 from chebnet.data import (EDGE_TASK, Dataset, _orthonormal_directions,
                           _read_csv)
 from chebnet.graph import (DEFAULT_THRESHOLD, _as_matrix, _check_symmetric,
@@ -180,3 +182,37 @@ def read_adjacency_csv(path):
     names, rows, _ = _read_csv(path)
     return (np.array([[float(v) for v in r] for r in rows], dtype=np.float64),
             tuple(names))
+
+
+# ---------------------------------------------------------------------------
+# plain forms of the fast-path passes
+
+
+def masked_leaky_relu_backward(up, positive, slope):
+    """``layers.leaky_relu_backward`` as a multiply by ``slope`` under the
+    mask ~positive (a ``where=`` ufunc pass), on a copy of ``up``."""
+    out = np.array(up, dtype=np.float64)
+    return np.multiply(out, slope, out=out, where=~positive)
+
+
+def transposed_view_product(a, bt):
+    """``a @ bt`` with ``bt`` the transposed view as it is, the form
+    ``layers._matmul_transposed`` must reproduce."""
+    return a @ bt
+
+
+def mean_readout(h):
+    """The node-task readout as numpy's mean over the node axis."""
+    return h.mean(axis=-2)
+
+
+def broadcast_bias_conv1d(x, w, b):
+    """``kernels.conv1d_forward`` with the bias broadcast over the short
+    length axis of the transposed (B, F, P) output."""
+    n, _, length = x.shape
+    f, c, t = w.shape
+    p = length - t + 1
+    y = kernels._columns(x, t) @ w.reshape(f, c * t).T
+    y = np.ascontiguousarray(y.reshape(n, p, f).transpose(0, 2, 1))
+    y += b[None, :, None]
+    return y

@@ -785,6 +785,31 @@ class TestSynthCommand:
         assert "production.csv: dates differ" in err
         assert "2024-02-05 where it has 2023-01-01" in err
 
+    @pytest.mark.parametrize("task", ["sg-product", "sg-plant-edges"])
+    def test_repeated_date_exits_one(self, tmp_path, capsys, task):
+        """Every signal file lists its sixth date twice: the directory is
+        rejected with a message naming the file and the date."""
+        out = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "edges", "--out", out]) == 0
+        sg_dir = os.path.join(out, "supplygraph")
+        for name in ("delivery_to_distributor", "factory_issue",
+                     "production", "sales_order"):
+            path = os.path.join(sg_dir, f"{name}.csv")
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            with open(path, "a", newline="") as fh:
+                csv.writer(fh).writerow(rows[6])
+        code = main(["train", "--set", f'output_dir="{tmp_path / "runs"}"',
+                     "--set", f'task="{task}"',
+                     "--set", f'data.path="{sg_dir}"',
+                     "--set", "training.epochs=1",
+                     "--set", "training.folds=2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "delivery_to_distributor.csv: date 2023-01-06 is listed in " \
+               "more than one row" in err
+        assert "Traceback" not in err
+
     def test_bad_kind_exits_one(self, tmp_path):
         assert main(["synth", "--kind", "tabular",
                      "--out", str(tmp_path / "x")]) == 1

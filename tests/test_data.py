@@ -643,6 +643,34 @@ class TestSupplyGraphLoader:
         np.testing.assert_array_equal(sg.series["production"][:, 0],
                                       [1.0, 2.0, 3.0])
 
+    def test_repeated_date_rejected(self, tmp_path):
+        """All four signal files list their sixth date twice: a window
+        would span that day as if it were two, so the first file read is
+        rejected, naming the date."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=30, seed=0)
+        for name in ("delivery_to_distributor", "factory_issue",
+                     "production", "sales_order"):
+            path = os.path.join(d, f"{name}.csv")
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            with open(path, "a", newline="") as fh:
+                csv.writer(fh).writerow(rows[6])
+        with pytest.raises(SchemaError) as err:
+            load_supplygraph(d)
+        assert "delivery_to_distributor.csv: date 2023-01-06 is listed in " \
+               "more than one row" in str(err.value)
+
+    def test_both_spellings_of_one_day_repeat_it(self, tmp_path):
+        d = tmp_path / "sg"
+        d.mkdir()
+        for name in ("delivery_to_distributor", "factory_issue",
+                     "production", "sales_order"):
+            write_csv(d / f"{name}.csv",
+                      ["date,p0", "2023-01-01,1.0", "2023/01/01,2.0"])
+        with pytest.raises(SchemaError, match="date 2023-01-01 is listed"):
+            load_supplygraph(str(d))
+
     def test_product_set_mismatch(self, tmp_path):
         d = tmp_path / "sg"
         d.mkdir()

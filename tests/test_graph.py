@@ -8,6 +8,7 @@ and the dense-eigendecomposition spectral filter.
 import numpy as np
 import pytest
 
+from chebnet import graph as graphmod
 from chebnet.data import synth_generate, zscore_normalize
 from chebnet.graph import (
     build_adjacency,
@@ -224,6 +225,27 @@ class TestGraphContext:
                                   channel_names=list("abcd"))
         assert ctx.n_nodes == 4
         assert ctx.channel_names == ("a", "b", "c", "d")
+
+    def test_cheb_basis_built_once_per_order(self, monkeypatch):
+        """Each order's basis is ``cheb_apply`` on the identity, stacked,
+        built on its first request and then returned as the same read-only
+        array."""
+        rng = np.random.default_rng(13)
+        ctx = build_graph_context(random_adjacency(rng, 7))
+        orders = []
+
+        def counting(ls, x, order):
+            orders.append(order)
+            return cheb_apply(ls, x, order)
+
+        monkeypatch.setattr(graphmod, "cheb_apply", counting)
+        basis = ctx.cheb_basis(3)
+        assert ctx.cheb_basis(3) is basis
+        assert ctx.cheb_basis(1).shape == (1, 7, 7)
+        assert orders == [3, 1]
+        want = np.stack(cheb_apply(ctx.scaled_laplacian, np.eye(7), 3))
+        assert basis.tobytes() == want.tobytes()
+        assert not basis.flags.writeable
 
 
 def cheb_matrix_oracle(ls, k):

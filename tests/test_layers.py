@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebnet import graph as graphmod
 from chebnet.graph import build_graph_context, cheb_apply
 from chebnet.layers import (
     BatchNorm,
@@ -587,6 +588,24 @@ class TestChebDense:
         for k in range(1, order):
             want = want + t[k] @ (x @ w[k])
         assert same_bits(layer.forward(graph, x), want + layer.bias.value)
+
+    def test_basis_built_once_per_graph(self, monkeypatch):
+        """Train and eval forwards of two layers on one graph share one
+        basis build per order."""
+        rng = np.random.default_rng(46)
+        graph = make_graph(rng, 9)
+        calls = []
+        real = graphmod.cheb_apply
+        monkeypatch.setattr(graphmod, "cheb_apply",
+                            lambda *args: calls.append(args[2]) or real(*args))
+        first = ChebConv(9, 4, order=3, rng=rng)
+        second = ChebConv(4, 2, order=3, rng=rng)
+        x = rng.standard_normal((5, 9))
+        for training in (False, True):
+            first.training = second.training = training
+            second.forward(graph, first.forward(graph, x, diagonal=True))
+        second.backward(np.ones((5, 9, 2)))
+        assert calls == [3]
 
     def test_forward_holds_three_outputs(self):
         """One forward of an sg-product-sized layer, (372, 80, 80) in and
