@@ -8,8 +8,9 @@ Layout (all integers little-endian):
     header        UTF-8 JSON: {"entries": [{"name", "shape"}...], "meta": {...}}
     payload       float64 little-endian values, concatenated in entry order
 
-The manifest lists every array by name and shape; loading rejects any
-mismatch against the model being restored.
+The manifest lists every array by name and shape; loading rejects an
+entry that holds NaN or an infinity, and any mismatch against the model
+being restored.
 """
 
 import json
@@ -91,6 +92,9 @@ def load_archive(path):
             raise ArchiveError(f"{path}: truncated payload at {item['name']}")
         arr = np.frombuffer(raw[offset:offset + nbytes],
                             dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ArchiveError(f"{path}: {item['name']} holds a non-finite "
+                               f"value")
         entries[item["name"]] = arr
         offset += nbytes
     if offset != len(raw):

@@ -205,11 +205,16 @@ def _restore_and_load(args, cfg):
     (model, graph, dataset, normalized features, class names).  The data
     must fit the checkpoint: same task kind and feature width, and the
     graph's nodes in order, which are a node task's channels and an edge
-    task's products."""
+    task's products.  An archived standard deviation or BatchNorm
+    variance must not be negative."""
     path = args.checkpoint
     entries, meta = load_archive(path)
     adjacency, channel_names = _stored_graph(entries, meta, path)
     _require(entries, ("extra.norm_mean", "extra.norm_std"), path)
+    for name, arr in entries.items():
+        if ((name == "extra.norm_std" or name.endswith(".bn.running_var"))
+                and (arr < 0.0).any()):
+            raise ArchiveError(f"{path}: {name} holds a negative value")
     record = meta.get("architecture")
     if not isinstance(record, dict):
         raise ArchiveError(f"{path}: no architecture record in the header; "

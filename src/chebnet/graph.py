@@ -7,8 +7,9 @@ into [-1, 1], and the Chebyshev three-term recurrence (``cheb_apply``) that
 builds the matrices T_k(Ls) the convolution layers filter with.
 
 All functions are pure and operate on float64 numpy arrays.  A
-``GraphContext`` keeps the Chebyshev bases it has built (``cheb_basis``),
-so each graph builds a basis once per order.
+``GraphContext`` builds every operator the layers filter with, once per
+graph: the Chebyshev bases, GCN's propagation matrix and GAT's
+neighborhood mask.
 """
 
 from dataclasses import dataclass, field
@@ -128,46 +129,65 @@ def scale_laplacian(laplacian, lam):
     return 2.0 * lap / lam - np.eye(lap.shape[0])
 
 
+def _gcn_propagation(adjacency):
+    """D^-1/2 (W + I) D^-1/2 for the adjacency W."""
+    a = adjacency + np.eye(adjacency.shape[0])
+    dinv = 1.0 / np.sqrt(a.sum(axis=1))  # self-loop keeps degrees > 0
+    return dinv[:, None] * a * dinv[None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class GraphContext:
-    """Spectral context of one constructed graph, shared by all layers."""
+    """Spectral context of one constructed graph, shared by all layers.
+    Each operator is built on its first request and kept, read-only, for
+    every later layer and pass on this graph."""
 
     adjacency: np.ndarray
-    degree: np.ndarray
     laplacian: np.ndarray
     lambda_max: float
     scaled_laplacian: np.ndarray
     channel_names: tuple = ()
-    _bases: dict = field(default_factory=dict, init=False, repr=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_nodes(self):
         return self.adjacency.shape[0]
 
+    def _operator(self, key, build):
+        op = self._operators.get(key)
+        if op is None:
+            op = build()
+            op.flags.writeable = False
+            self._operators[key] = op
+        return op
+
     def cheb_basis(self, order):
         """The (order, N, N) stack of T_k(Ls), ``cheb_apply`` on the
-        identity.  It is built on the first call for an order and kept,
-        read-only, for every later layer and pass on this graph."""
-        basis = self._bases.get(order)
-        if basis is None:
-            basis = np.stack(cheb_apply(self.scaled_laplacian,
-                                        np.eye(self.n_nodes), order))
-            basis.flags.writeable = False
-            self._bases[order] = basis
-        return basis
+        identity."""
+        return self._operator(("cheb", order), lambda: np.stack(
+            cheb_apply(self.scaled_laplacian, np.eye(self.n_nodes), order)))
+
+    def propagation(self):
+        """GCN's propagation matrix D^-1/2 (W + I) D^-1/2."""
+        return self._operator("propagation",
+                              lambda: _gcn_propagation(self.adjacency))
+
+    def neighborhood(self):
+        """GAT's (N, N) bool mask of each node's neighborhood: itself and
+        its nonzero-adjacency neighbors."""
+        return self._operator("neighborhood", lambda: (
+            (self.adjacency != 0.0) | np.eye(self.n_nodes, dtype=bool)))
 
 
 def build_graph_context(adjacency, channel_names=()):
     """Run the degree -> Laplacian -> lambda_max -> scaling chain."""
-    degree, laplacian = degree_and_laplacian(adjacency)
+    _, laplacian = degree_and_laplacian(adjacency)
     lam = lambda_max(laplacian)
-    scaled = scale_laplacian(laplacian, lam)
     return GraphContext(
         adjacency=np.asarray(adjacency, dtype=np.float64),
-        degree=degree,
         laplacian=laplacian,
         lambda_max=lam,
-        scaled_laplacian=scaled,
+        scaled_laplacian=scale_laplacian(laplacian, lam),
         channel_names=tuple(channel_names),
     )
 

@@ -355,12 +355,13 @@ class ChebConv(_Layer):
 
 class GCNConv(_Layer):
     """Symmetric-normalized graph convolution with added self-loops:
-    y = D^-1/2 (W + I) D^-1/2 x theta + bias.
+    y = P x theta + bias with P = D^-1/2 (W + I) D^-1/2, the propagation
+    matrix, which ``GraphContext.propagation`` builds once per graph.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``) and computes y = x @ M with
-    M[i, n, f] = P[n, i] theta[i, f], P the propagation matrix; its backward
-    returns no input gradient.
+    M[i, n, f] = P[n, i] theta[i, f]; its backward returns no input
+    gradient.
     """
 
     def __init__(self, in_features, out_features, *, rng):
@@ -374,15 +375,9 @@ class GCNConv(_Layer):
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    @staticmethod
-    def propagation(adjacency):
-        a = adjacency + np.eye(adjacency.shape[0])
-        dinv = 1.0 / np.sqrt(a.sum(axis=1))  # self-loop keeps degrees > 0
-        return dinv[:, None] * a * dinv[None, :]
-
     def forward(self, graph, x, *, diagonal=False):
         x = _graph_input(self, graph, x, diagonal)
-        prop = self.propagation(graph.adjacency)
+        prop = graph.propagation()
         if diagonal:
             xin = x
             y = _diagonal_apply(x, prop[None], self.weight.value[None])
@@ -409,7 +404,8 @@ class GCNConv(_Layer):
 
 class GATLayer(_Layer):
     """Single-head graph attention over each node's neighborhood: the node
-    itself and its nonzero-adjacency neighbors.
+    itself and its nonzero-adjacency neighbors, a mask that
+    ``GraphContext.neighborhood`` builds once per graph.
 
     Attention logit for edge (u, v) is leaky(a . [psi x_u || psi x_v]) with
     slope ``LOGIT_SLOPE``, softmax-normalized over each node's neighborhood;
@@ -443,7 +439,6 @@ class GATLayer(_Layer):
             h = x[..., None] * self.transform.value
         else:
             h = x @ self.transform.value
-        mask = (graph.adjacency != 0.0) | np.eye(graph.n_nodes, dtype=bool)
         a_src = self.attention.value[: self.out_features]
         a_dst = self.attention.value[self.out_features:]
         s = h @ a_src
@@ -451,7 +446,7 @@ class GATLayer(_Layer):
         logits = s[..., :, None] + d[..., None, :]
         logits_positive = logits > 0.0
         act = leaky_relu_backward(logits, logits_positive, self.LOGIT_SLOPE)
-        masked = np.where(mask, act, -np.inf)
+        masked = np.where(graph.neighborhood(), act, -np.inf)
         masked -= masked.max(axis=-1, keepdims=True)
         expd = np.exp(masked)
         alpha = expd / expd.sum(axis=-1, keepdims=True)

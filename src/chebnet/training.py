@@ -127,13 +127,11 @@ def _conv_inputs(dataset, features):
     return conv_inputs_node(features, dataset.conv_shape)
 
 
-def _build_from_config(dataset, graph, config, init_rng):
-    width = graph.n_nodes if dataset.task != EDGE_TASK \
-        else dataset.features.shape[1]
+def _build_from_config(dataset, config, init_rng):
     return build_model(
         task=dataset.task,
         variant=config.variant,
-        width=width,
+        width=dataset.features.shape[1],
         n_classes=dataset.n_classes,
         conv_shape=dataset.conv_shape,
         rng=init_rng,
@@ -168,7 +166,7 @@ def train_model(dataset, graph, config, instance=0):
     init_rng = np.random.default_rng(subseed(config.seed, SEED_INIT, instance))
     drop_rng = np.random.default_rng(
         subseed(config.seed, SEED_DROPOUT, instance))
-    model = _build_from_config(dataset, graph, config, init_rng)
+    model = _build_from_config(dataset, config, init_rng)
     opt_graph = make_optimizer(config.optimizer_graph,
                                model.graph_parameters(),
                                config.lr_graph, config.weight_decay)

@@ -639,6 +639,52 @@ class TestCheckpointFuzz:
                      "--out", str(work / "eval"), *FAST]) in (0, 1)
 
 
+def rewrite_entry(raw, path, name, corrupt):
+    """Write the archive bytes ``raw`` to ``path`` with ``corrupt`` applied
+    in place to its entry ``name`` (no entry when None)."""
+    path.write_bytes(raw)
+    entries, meta = load_archive(path)
+    if name is not None:
+        corrupt(entries[name])
+    save_archive(path, entries.items(), meta)
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("name, corrupt, fault", [
+        ("extra.adjacency", lambda a: np.put(a, 0, np.inf), "non-finite"),
+        ("extra.norm_std", lambda a: np.put(a, 0, np.nan), "non-finite"),
+        ("extra.norm_mean", lambda a: np.put(a, 0, np.inf), "non-finite"),
+        ("graph.0.layer.weight", lambda a: np.put(a, 0, np.nan),
+         "non-finite"),
+        ("graph.0.bn.running_var", lambda a: np.put(a, 0, -1.0), "negative"),
+        ("extra.norm_std", lambda a: np.negative(a, out=a), "negative"),
+    ], ids=["inf-adjacency", "nan-std", "inf-mean", "nan-weight",
+            "negative-variance", "negated-std"])
+    def test_bad_value_exits_one(self, small_checkpoint, capsys, name,
+                                 corrupt, fault):
+        raw, work = small_checkpoint
+        path = work / "bad-value.bin"
+        rewrite_entry(raw, path, name, corrupt)
+        assert main(["eval", "--checkpoint", str(path),
+                     "--out", str(work / "eval-bad"), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: {name} holds a {fault} value" in err
+        assert "Traceback" not in err
+
+    def test_rewritten_intact_checkpoint_evaluates_the_same(
+            self, small_checkpoint):
+        raw, work = small_checkpoint
+        (work / "intact.bin").write_bytes(raw)
+        rewrite_entry(raw, work / "rewritten.bin", None, None)
+        accuracies = []
+        for name in ("intact", "rewritten"):
+            out = str(work / f"eval-{name}")
+            assert main(["eval", "--checkpoint", str(work / f"{name}.bin"),
+                         "--out", out, *FAST]) == 0
+            accuracies.append(eval_accuracy(out))
+        assert accuracies[0] == accuracies[1]
+
+
 class TestExportCommand:
     def test_graph_export_roundtrips(self, tmp_path):
         run_dir = run_train(tmp_path)

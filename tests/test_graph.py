@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chebnet import graph as graphmod
+from chebnet.cli import main
 from chebnet.data import synth_generate, zscore_normalize
 from chebnet.graph import (
     build_adjacency,
@@ -213,9 +214,8 @@ class TestGraphContext:
         rng = np.random.default_rng(9)
         w = random_adjacency(rng, 6)
         ctx = build_graph_context(w)
-        np.testing.assert_allclose(ctx.degree, w.sum(axis=1))
         np.testing.assert_allclose(ctx.laplacian,
-                                   np.diag(ctx.degree) - w)
+                                   np.diag(w.sum(axis=1)) - w)
         assert np.abs(ctx.laplacian.sum(axis=1)).max() < 1e-9
 
     def test_from_features(self):
@@ -229,9 +229,11 @@ class TestGraphContext:
     def test_cheb_basis_built_once_per_order(self, monkeypatch):
         """Each order's basis is ``cheb_apply`` on the identity, stacked,
         built on its first request and then returned as the same read-only
-        array."""
+        array; so are GCN's propagation matrix and GAT's neighborhood."""
         rng = np.random.default_rng(13)
-        ctx = build_graph_context(random_adjacency(rng, 7))
+        w = random_adjacency(rng, 7)
+        w[6, :] = w[:, 6] = 0.0  # an isolated node
+        ctx = build_graph_context(w)
         orders = []
 
         def counting(ls, x, order):
@@ -245,7 +247,48 @@ class TestGraphContext:
         assert orders == [3, 1]
         want = np.stack(cheb_apply(ctx.scaled_laplacian, np.eye(7), 3))
         assert basis.tobytes() == want.tobytes()
-        assert not basis.flags.writeable
+        a = w + np.eye(7)
+        d = a.sum(axis=1)
+        prop = ctx.propagation()
+        np.testing.assert_allclose(prop, a / np.sqrt(np.outer(d, d)),
+                                   rtol=1e-15)
+        hood = ctx.neighborhood()
+        assert hood.dtype == bool
+        np.testing.assert_array_equal(hood, a != 0.0)
+        assert hood[6].sum() == 1 and hood[6, 6]
+        for op, repeat in ((basis, ctx.cheb_basis(3)),
+                           (prop, ctx.propagation()),
+                           (hood, ctx.neighborhood())):
+            assert repeat is op
+            assert not op.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = op[0, 1]
+
+    @pytest.mark.parametrize("variant, operator", [
+        ("gcn", "propagation"), ("gat", "neighborhood")])
+    def test_baseline_operator_built_once_per_graph(self, tmp_path,
+                                                    monkeypatch, variant,
+                                                    operator):
+        """A 2-fold, 5-epoch default synthetic train builds 3 graphs (one
+        per fold and the final fit) and its variant's operator once on
+        each, for every layer, epoch and pass."""
+        graphs, built = [], []
+        real_context = graphmod.build_graph_context
+        real_operator = graphmod.GraphContext._operator
+
+        def counting(ctx, key, build):
+            return real_operator(ctx, key,
+                                 lambda: built.append((ctx, key)) or build())
+
+        monkeypatch.setattr(
+            graphmod, "build_graph_context",
+            lambda *args: graphs.append(real_context(*args)) or graphs[-1])
+        monkeypatch.setattr(graphmod.GraphContext, "_operator", counting)
+        assert main(["train", "--set", f'variant="{variant}"',
+                     "--set", "training.folds=2", "--set", "training.epochs=5",
+                     "--set", f'output_dir="{tmp_path}"']) == 0
+        assert len(graphs) == 3
+        assert built == [(g, operator) for g in graphs]
 
 
 def cheb_matrix_oracle(ls, k):

@@ -257,7 +257,7 @@ class TestGCNConv:
     def test_propagation_symmetric(self):
         rng = np.random.default_rng(10)
         graph = make_graph(rng, 6)
-        prop = GCNConv.propagation(graph.adjacency)
+        prop = graph.propagation()
         np.testing.assert_allclose(prop, prop.T, atol=1e-12)
 
     def test_path_graph_hand_computed(self):
@@ -758,7 +758,7 @@ class TestFullWidthPasses:
                 want = x @ w[0] + graph.scaled_laplacian @ (x @ w[1]) \
                     + layer.bias.value
             else:
-                want = (layer.propagation(graph.adjacency) @ x) @ w \
+                want = (graph.propagation() @ x) @ w \
                     + layer.bias.value
             got = layer.forward(graph, x)
         assert same_bits(got, want)
