@@ -205,8 +205,10 @@ def _restore_and_load(args, cfg):
     (model, graph, dataset, normalized features, class names).  The data
     must fit the checkpoint: same task kind and feature width, and the
     graph's nodes in order, which are a node task's channels and an edge
-    task's products.  An archived standard deviation or BatchNorm
-    variance must not be negative."""
+    task's products.  Its targets are relabelled by class name to the
+    checkpoint's class order, and a class the checkpoint lacks is an error.
+    An archived standard deviation or BatchNorm variance must not be
+    negative."""
     path = args.checkpoint
     entries, meta = load_archive(path)
     adjacency, channel_names = _stored_graph(entries, meta, path)
@@ -239,20 +241,23 @@ def _restore_and_load(args, cfg):
     if mean.shape != (width,) or std.shape != (width,):
         raise ArchiveError(f"{path}: the checkpoint normalizes {mean.size} "
                            f"feature columns but the data has {width}")
-    edge = dataset.task == datamod.EDGE_TASK
-    if edge and len(dataset.features) != graph.n_nodes:
+    if dataset.n_nodes != graph.n_nodes:
         raise ArchiveError(f"{path}: the checkpoint's graph has "
                            f"{graph.n_nodes} nodes but the data has "
-                           f"{len(dataset.features)}")
-    # the checkpoint's node i is column i of node-task data and row i
-    # (product i) of edge-task data
-    node = "product" if edge else "channel"
+                           f"{dataset.n_nodes}")
+    # the checkpoint's node i is the data's node i: a node task's channel i,
+    # an edge task's product i
+    node = "product" if dataset.task == datamod.EDGE_TASK else "channel"
     for i, (want, got) in enumerate(zip(graph.channel_names,
                                         dataset.channel_names)):
         if want != got:
             raise ArchiveError(f"{path}: {node} {i} of the checkpoint's "
                                f"graph is {want!r} but the data's is "
                                f"{got!r}")
+    try:
+        dataset = dataset.relabel(class_names)
+    except ValueError as exc:
+        raise ArchiveError(f"{path}: {exc}") from None
     feats = datamod.apply_zscore(dataset.features, mean, std)
     return model, graph, dataset, feats, class_names
 

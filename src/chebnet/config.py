@@ -174,12 +174,14 @@ def _validate(cfg):
         bad("training.epochs", "must be >= 0")
     if t["early_stop_patience"] < 1:
         bad("training.early_stop_patience", "must be >= 1")
-    if t["lr_graph"] <= 0 or t["lr_conv"] <= 0:
-        bad("training.lr_graph", "learning rates must be positive")
+    for key in ("lr_graph", "lr_conv"):
+        if t[key] <= 0:
+            bad(f"training.{key}", "must be > 0")
     if t["weight_decay"] < 0:
         bad("training.weight_decay", "must be >= 0")
-    if t["window"] < 1 or t["stride"] < 1:
-        bad("training.window", "window and stride must be >= 1")
+    for key in ("window", "stride"):
+        if t[key] < 1:
+            bad(f"training.{key}", "must be >= 1")
     for key in ("optimizer_graph", "optimizer_conv"):
         if t[key] not in ("adam", "sgd"):
             bad(f"training.{key}", "must be adam or sgd")

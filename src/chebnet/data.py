@@ -7,12 +7,15 @@ column per product, edge CSVs ``edges_<kind>.csv`` with ``src,dst,label``
 rows, and an optional ``products.csv`` with ``product,group,plant`` labels).
 Synthetic generators emit the same shapes so the whole pipeline can be
 exercised without the proprietary datasets.
+
+``Dataset`` holds the task layout: what a sample is, which feature axis
+holds the graph's nodes and how a sample becomes a conv sequence.
 """
 
 import csv
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from itertools import zip_longest
 
@@ -50,6 +53,22 @@ SG_SIGNALS = (
     "production",
     "sales_order",
 )
+
+
+def conv_inputs_node(features, conv_shape):
+    """Reshape (B, C) samples into (B, channels, length) conv sequences."""
+    feats = np.asarray(features, dtype=np.float64)
+    ch, length = conv_shape
+    return feats.reshape(feats.shape[0], ch, length)
+
+
+def conv_inputs_edge(node_features, edges, conv_shape):
+    """Per-edge conv sequences: endpoint sequences concatenated along length."""
+    feats = np.asarray(node_features, dtype=np.float64)
+    edges = np.asarray(edges, dtype=np.int64)
+    ch, length = conv_shape
+    shaped = feats.reshape(feats.shape[0], ch, length)
+    return np.concatenate([shaped[edges[:, 0]], shaped[edges[:, 1]]], axis=2)
 
 
 @dataclass
@@ -99,12 +118,10 @@ class Dataset:
         if self.targets.size and (
                 self.targets.min() < 0 or self.targets.max() >= self.n_classes):
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
-        if not self.channel_names and self.task == EDGE_TASK:
+        if not self.channel_names:
+            prefix = "n" if self.task == EDGE_TASK else "ch"
             self.channel_names = tuple(
-                f"n{i}" for i in range(self.features.shape[0]))
-        elif not self.channel_names:
-            self.channel_names = tuple(
-                f"ch{i}" for i in range(self.features.shape[1]))
+                f"{prefix}{i}" for i in range(self.n_nodes))
         if self.conv_shape is None:
             self.conv_shape = (1, self.features.shape[1])
         if self.conv_shape[0] * self.conv_shape[1] != self.features.shape[1]:
@@ -115,6 +132,44 @@ class Dataset:
     @property
     def n_samples(self):
         return len(self.targets)
+
+    @property
+    def n_nodes(self):
+        """Nodes of the graph: a node task's columns, an edge task's rows."""
+        return self.features.shape[0 if self.task == EDGE_TASK else 1]
+
+    def select(self, mask):
+        """The samples ``mask`` picks: a node task's rows, or an edge task's
+        edges over all of its nodes."""
+        if self.task == EDGE_TASK:
+            return replace(self, targets=self.targets[mask],
+                           edges=self.edges[mask])
+        return replace(self, features=self.features[mask],
+                       targets=self.targets[mask])
+
+    def relabel(self, class_names):
+        """This dataset with its targets indexing ``class_names``, matched
+        by name; a class of its own that ``class_names`` lacks raises."""
+        index = {name: i for i, name in enumerate(class_names)}
+        unknown = [name for name in self.class_names if name not in index]
+        if unknown:
+            raise ValueError(f"the data's class {unknown[0]!r} is not one of "
+                             f"{list(class_names)}")
+        codes = np.array([index[name] for name in self.class_names],
+                         dtype=np.int64)
+        return replace(self, targets=codes[self.targets],
+                       n_classes=len(class_names),
+                       class_names=tuple(class_names))
+
+    def node_signals(self, features):
+        """``features`` as the samples x nodes matrix the graph is built on."""
+        return features.T if self.task == EDGE_TASK else features
+
+    def conv_sequences(self, features):
+        """The conv branch's input: one sequence per node-task row or edge."""
+        if self.task == EDGE_TASK:
+            return conv_inputs_edge(features, self.edges, self.conv_shape)
+        return conv_inputs_node(features, self.conv_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +558,13 @@ def load_supplygraph(directory):
         short = [r for r in meta_rows if len(r) < 3]
         if short:
             raise SchemaError(f"{meta_path}: short row {short[0]!r}")
-        groups = {r[0].strip(): r[1].strip() for r in meta_rows}
+        groups = {}
+        for r in meta_rows:
+            product = r[0].strip()
+            if product in groups:
+                raise SchemaError(f"{meta_path}: product {product!r} is "
+                                  f"listed in more than one row")
+            groups[product] = r[1].strip()
         missing = [p for p in products if p not in groups]
         if missing:
             raise SchemaError(f"{meta_path}: missing products {missing[:5]}")

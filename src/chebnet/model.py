@@ -92,22 +92,6 @@ def edge_embed(node_embeddings, edges):
     return np.concatenate([emb[edges[:, 0]], emb[edges[:, 1]]], axis=1)
 
 
-def conv_inputs_node(features, conv_shape):
-    """Reshape (B, C) samples into (B, channels, length) conv sequences."""
-    feats = np.asarray(features, dtype=np.float64)
-    ch, length = conv_shape
-    return feats.reshape(feats.shape[0], ch, length)
-
-
-def conv_inputs_edge(node_features, edges, conv_shape):
-    """Per-edge conv sequences: endpoint sequences concatenated along length."""
-    feats = np.asarray(node_features, dtype=np.float64)
-    edges = np.asarray(edges, dtype=np.int64)
-    ch, length = conv_shape
-    shaped = feats.reshape(feats.shape[0], ch, length)
-    return np.concatenate([shaped[edges[:, 0]], shaped[edges[:, 1]]], axis=2)
-
-
 def _node_mean(h):
     """The mean readout over the node axis of (B, N, F) activations, bit
     for bit ``h.mean(axis=-2)``.  The node sum is an einsum reduction,

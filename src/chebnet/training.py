@@ -6,16 +6,19 @@ evaluates the held-out fold; the pooled confusion matrix is the sum over
 folds.  All randomness derives from the single config seed through named
 sub-seeds (fold split / init / dropout / synthesis), so identical configs
 reproduce identical runs bitwise.
+
+The task layout (a fold's samples, the graph's node axis, the conv
+sequences) is ``Dataset``'s; this module never compares task kinds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from chebnet.data import EDGE_TASK, Dataset, apply_zscore, zscore_normalize
+from chebnet.data import apply_zscore, zscore_normalize
 from chebnet.graph import DEFAULT_THRESHOLD, graph_from_features
 from chebnet.metrics import (Metrics, compute_metrics, metrics_from_confusion)
-from chebnet.model import build_model, conv_inputs_edge, conv_inputs_node
+from chebnet.model import build_model
 from chebnet.optim import make_optimizer
 
 # named sub-seed components
@@ -121,12 +124,6 @@ def predict(model, graph, features, edges=None):
     return np.argmax(log_probs, axis=-1)
 
 
-def _conv_inputs(dataset, features):
-    if dataset.task == EDGE_TASK:
-        return conv_inputs_edge(features, dataset.edges, dataset.conv_shape)
-    return conv_inputs_node(features, dataset.conv_shape)
-
-
 def _build_from_config(dataset, config, init_rng):
     return build_model(
         task=dataset.task,
@@ -176,7 +173,7 @@ def train_model(dataset, graph, config, instance=0):
     feats = dataset.features
     targets = dataset.targets
     edges = dataset.edges
-    conv_x = _conv_inputs(dataset, feats)
+    conv_x = dataset.conv_sequences(feats)
 
     history = []
     streak = 0
@@ -222,62 +219,40 @@ class CVResult:
     fold_plan: np.ndarray
 
 
-def _subset(dataset, features, mask):
-    """The training rows of ``dataset`` selected by ``mask``, on ``features``.
+def _fit(dataset, config, instance):
+    """Normalize ``dataset``, build its correlation graph and train on it;
+    returns (model, history, graph, mean, std).
 
-    ``mask`` picks targets, and for edge tasks the matching edges as well.
+    An edge task's selection keeps every node, so its statistics and graph
+    are the same for every fold.
     """
-    edges = dataset.edges[mask] if dataset.task == EDGE_TASK else None
-    return Dataset(
-        features=features,
-        targets=dataset.targets[mask],
-        task=dataset.task,
-        n_classes=dataset.n_classes,
-        channel_names=dataset.channel_names,
-        edges=edges,
-        conv_shape=dataset.conv_shape,
-        class_names=dataset.class_names,
-    )
-
-
-def _fit(dataset, mask, config, instance):
-    """Normalize, build the correlation graph and train on the rows ``mask``
-    selects; returns (model, history, graph, mean, std).
-
-    Node tasks take the normalization statistics and the graph from the
-    selected rows.  Edge tasks select edges; the node-feature matrix they
-    normalize (and hence the graph) is the same for every mask.
-    """
-    edge = dataset.task == EDGE_TASK
-    norm, mean, std = zscore_normalize(
-        dataset.features if edge else dataset.features[mask])
-    graph = graph_from_features(norm.T if edge else norm, config.threshold,
+    norm, mean, std = zscore_normalize(dataset.features)
+    graph = graph_from_features(dataset.node_signals(norm), config.threshold,
                                 dataset.channel_names)
-    model, history = train_model(_subset(dataset, norm, mask), graph, config,
-                                 instance=instance)
+    model, history = train_model(replace(dataset, features=norm), graph,
+                                 config, instance=instance)
     return model, history, graph, mean, std
 
 
 def cross_validate(dataset, config):
     """K-fold cross-validation; every sample is tested exactly once.
 
-    Each fold is one ``_fit`` on the other folds' rows, then a prediction on
-    its own rows z-scored with that fit's statistics.
+    Each fold is one ``_fit`` on the other folds' samples, then a
+    prediction on its own samples z-scored with that fit's statistics.
     """
     n = dataset.n_samples
     plan = kfold_split(n, config.folds, subseed(config.seed, SEED_FOLDS))
     fold_results = []
     pooled_confusion = np.zeros((dataset.n_classes, dataset.n_classes),
                                 dtype=np.int64)
-    edge = dataset.task == EDGE_TASK
-
     for fold in range(config.folds):
         test = plan == fold
-        model, history, graph, mean, std = _fit(dataset, ~test, config, fold)
-        feats = dataset.features if edge else dataset.features[test]
-        preds = predict(model, graph, apply_zscore(feats, mean, std),
-                        dataset.edges[test] if edge else None)
-        m = compute_metrics(preds, dataset.targets[test], dataset.n_classes)
+        model, history, graph, mean, std = _fit(dataset.select(~test), config,
+                                                fold)
+        held = dataset.select(test)
+        preds = predict(model, graph, apply_zscore(held.features, mean, std),
+                        held.edges)
+        m = compute_metrics(preds, held.targets, dataset.n_classes)
         pooled_confusion += m.confusion
         fold_results.append(FoldResult(fold=fold, metrics=m, history=history))
 
@@ -294,5 +269,4 @@ def fit_full(dataset, config):
     Returns (model, history, graph, mean, std); the normalization record and
     graph are what a later evaluation of new data must reuse.
     """
-    return _fit(dataset, np.ones(dataset.n_samples, dtype=bool), config,
-                config.folds)
+    return _fit(dataset, config, config.folds)

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from chebnet.cli import main
-from chebnet.data import (Dataset, load_dataco, synth_generate,
-                          write_dataco_csv, zscore_normalize)
+from chebnet.data import (Dataset, conv_inputs_node, load_dataco,
+                          synth_generate, write_dataco_csv, zscore_normalize)
 from chebnet.graph import (build_adjacency, build_graph_context, cheb_apply,
                            graph_from_features, pearson_correlation)
 from chebnet.layers import (BatchNorm, ChebConv, Conv1D, GATLayer, GCNConv,
                             Linear)
-from chebnet.model import build_model, conv_inputs_node
+from chebnet.model import build_model
 from chebnet.training import (SEED_SYNTH, TrainingConfig, cross_validate,
                               kfold_split, nll_loss_grad, subseed,
                               train_model)

@@ -135,6 +135,7 @@ class TestConfig:
         "model.graph_dims=[10,5,0,2]", "seed=-1",
         "synth.n_samples=0", "synth.n_samples=-5", "synth.n_channels=0",
         "synth.n_channels=1", "synth.n_classes=0", "synth.n_classes=11",
+        "training.lr_conv=0", "training.stride=0",
     ])
     def test_bad_value_names_key(self, override):
         key = override.split("=", 1)[0]
@@ -549,6 +550,21 @@ class TestEvalCommand:
                          f"'P00' but the data's is 'P11'") == 2
         assert "Traceback" not in err
 
+    def test_node_graph_of_other_size_exits_one(self, tmp_path, capsys):
+        """A node checkpoint's graph has one node per feature column."""
+        run_dir = run_train(tmp_path)
+        path = os.path.join(run_dir, "checkpoint.bin")
+        entries, meta = load_archive(path)
+        entries["extra.adjacency"] = entries["extra.adjacency"][:9, :9]
+        meta["channel_names"] = meta["channel_names"][:9]
+        save_archive(path, entries.items(), meta)
+        assert main(["eval", "--checkpoint", path,
+                     "--out", str(tmp_path / "eval"), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert (f"{path}: the checkpoint's graph has 9 nodes but the data "
+                f"has 10") in err
+        assert "Traceback" not in err
+
     def test_edge_checkpoint_on_node_task_exits_one(self, tmp_path, capsys):
         sg = os.path.join(str(tmp_path / "synth"), "supplygraph")
         assert main(["synth", "--kind", "edges",
@@ -579,6 +595,61 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert (f"{path}: the checkpoint is for node-class data but task "
                 f"'sg-product-edges' is edge-class") in err
+        assert "Traceback" not in err
+
+    def test_classes_matched_by_name(self, tmp_path):
+        """A file holding only the target-1 rows is scored under class
+        '1.0', the checkpoint's class of that name, not under the file's
+        own first class."""
+        synth = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "node", "--out", synth]) == 0
+        full, ones = (os.path.join(synth, f"{name}.csv")
+                      for name in ("synthetic", "ones"))
+        with open(full, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(ones, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                rows[:1] + [r for r in rows[1:] if r[-1] == "1"])
+        task = ["--set", 'task="dataco-risk"',
+                "--set", 'data.target_column="target"']
+        assert main(["train", *task, "--set", f"data.path={json.dumps(full)}",
+                     "--set", "training.epochs=30",
+                     "--set", "training.folds=2",
+                     "--set", f'output_dir="{tmp_path / "runs"}"']) == 0
+        path = str(tmp_path / "runs" / "cheb" / "checkpoint.bin")
+        for name, data in (("full", full), ("ones", ones)):
+            assert main(["eval", *task, "--set",
+                         f"data.path={json.dumps(data)}",
+                         "--checkpoint", path,
+                         "--out", str(tmp_path / name)]) == 0
+        with open(tmp_path / "full" / "eval_confusion.csv") as fh:
+            full_rows = list(csv.reader(fh))
+        with open(tmp_path / "ones" / "eval_confusion.csv") as fh:
+            ones_rows = list(csv.reader(fh))
+        assert full_rows[2] == ["1.0", "23", "177"]
+        assert ones_rows == [full_rows[0], ["0.0", "0", "0"], full_rows[2]]
+        assert eval_accuracy(str(tmp_path / "ones")) == 0.885
+
+    def test_class_the_checkpoint_lacks_exits_one(self, tmp_path, capsys):
+        synth = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "node", "--out", synth, *FAST]) == 0
+        data = os.path.join(synth, "synthetic.csv")
+        task = ["--set", 'task="dataco-risk"',
+                "--set", 'data.target_column="target"',
+                "--set", f"data.path={json.dumps(data)}"]
+        assert main(["train", *task, *FAST,
+                     "--set", f'output_dir="{tmp_path / "runs"}"']) == 0
+        with open(data, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[1][-1] = "7"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        path = str(tmp_path / "runs" / "cheb" / "checkpoint.bin")
+        assert main(["eval", *task, "--checkpoint", path,
+                     "--out", str(tmp_path / "eval")]) == 1
+        err = capsys.readouterr().err
+        assert (f"{path}: the data's class '7.0' is not one of "
+                f"['0.0', '1.0']") in err
         assert "Traceback" not in err
 
     def test_missing_checkpoint_exits_one(self, tmp_path):

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from chebnet import data as datamod
 from chebnet.cli import main
-from chebnet.data import (DATACO_FEATURES, DATACO_TARGET, SchemaError,
-                          apply_zscore, build_sg_edge_dataset,
-                          build_sg_node_dataset, load_dataco,
+from chebnet.data import (DATACO_FEATURES, DATACO_TARGET, EDGE_TASK,
+                          NODE_TASK, Dataset, SchemaError, apply_zscore,
+                          build_sg_edge_dataset, build_sg_node_dataset,
+                          conv_inputs_edge, conv_inputs_node, load_dataco,
                           load_supplygraph, synth_generate, window_series,
                           write_adjacency_csv, write_dataco_csv,
                           write_supplygraph_dir, zscore_normalize)
@@ -750,6 +752,35 @@ class TestSupplyGraphLoader:
         with pytest.raises(SchemaError, match="products.csv: short row"):
             load_supplygraph(d)
 
+    def test_repeated_product_row_rejected(self, tmp_path):
+        """A product listed twice in products.csv is rejected rather than
+        taking the group of its last row."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        with open(os.path.join(d, "products.csv"), "a",
+                  encoding="utf-8") as fh:
+            fh.write("P00,G9,PL0\n")
+        with pytest.raises(SchemaError) as err:
+            load_supplygraph(d)
+        assert "products.csv: product 'P00' is listed in more than one " \
+               "row" in str(err.value)
+
+    @pytest.mark.parametrize("task", ["sg-product", "sg-plant-edges"])
+    def test_repeated_product_row_exits_one(self, tmp_path, capsys, task):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        with open(os.path.join(d, "products.csv"), "a",
+                  encoding="utf-8") as fh:
+            fh.write("P00,G0,PL0\n")
+        code = main(["train", "--set", f"task={json.dumps(task)}",
+                     "--set", f"data.path={json.dumps(d)}",
+                     "--set", f"output_dir={json.dumps(str(tmp_path))}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "products.csv: product 'P00' is listed in more than one " \
+               "row" in err
+        assert "Traceback" not in err
+
     def test_missing_temporal_file(self, tmp_path):
         d = tmp_path / "sg"
         d.mkdir()
@@ -814,3 +845,64 @@ class TestDatacoExport:
         loaded = load_dataco(path, target_column="target")
         np.testing.assert_allclose(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.targets, ds.targets)
+
+
+class TestDatasetLayout:
+    """``Dataset`` decides what a sample is and which axis holds the
+    graph's nodes."""
+
+    def node(self):
+        rng = np.random.default_rng(0)
+        return Dataset(features=rng.standard_normal((6, 4)),
+                       targets=[0, 1, 0, 1, 1, 0], task=NODE_TASK,
+                       n_classes=2, conv_shape=(2, 2))
+
+    def edge(self):
+        rng = np.random.default_rng(1)
+        return Dataset(features=rng.standard_normal((5, 6)),
+                       targets=[0, 1, 2, 0, 1], task=EDGE_TASK, n_classes=3,
+                       edges=[[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+                       conv_shape=(2, 3))
+
+    def test_node_task_layout(self):
+        ds = self.node()
+        mask = np.array([True, False, True, True, False, False])
+        sub = ds.select(mask)
+        assert ds.n_nodes == sub.n_nodes == 4
+        assert ds.channel_names == ("ch0", "ch1", "ch2", "ch3")
+        np.testing.assert_array_equal(sub.features, ds.features[mask])
+        np.testing.assert_array_equal(sub.targets, [0, 0, 1])
+        assert sub.edges is None
+        assert (sub.conv_shape, sub.class_names) == (ds.conv_shape,
+                                                     ds.class_names)
+        assert ds.node_signals(ds.features) is ds.features
+        np.testing.assert_array_equal(
+            sub.conv_sequences(sub.features),
+            conv_inputs_node(ds.features[mask], (2, 2)))
+        assert sub.conv_sequences(sub.features).shape == (3, 2, 2)
+
+    def test_edge_task_layout(self):
+        """An edge task's selection picks edges and keeps every node row."""
+        ds = self.edge()
+        mask = np.array([False, True, False, True, True])
+        sub = ds.select(mask)
+        assert ds.n_nodes == sub.n_nodes == 5
+        assert ds.channel_names == ("n0", "n1", "n2", "n3", "n4")
+        np.testing.assert_array_equal(sub.features, ds.features)
+        np.testing.assert_array_equal(sub.edges, ds.edges[mask])
+        np.testing.assert_array_equal(sub.targets, [1, 0, 1])
+        np.testing.assert_array_equal(ds.node_signals(ds.features),
+                                      ds.features.T)
+        np.testing.assert_array_equal(
+            sub.conv_sequences(sub.features),
+            conv_inputs_edge(ds.features, ds.edges[mask], (2, 3)))
+        assert sub.conv_sequences(sub.features).shape == (3, 2, 6)
+
+    def test_relabel_matches_class_names(self):
+        ds = replace(self.node(), class_names=("late", "early"))
+        out = ds.relabel(["early", "late", "lost"])
+        np.testing.assert_array_equal(out.targets, 1 - ds.targets)
+        assert out.n_classes == 3
+        assert out.class_names == ("early", "late", "lost")
+        with pytest.raises(ValueError, match="class 'early' is not one of"):
+            ds.relabel(["late", "lost"])

@@ -206,7 +206,8 @@ class TestGradCheckHarness:
 class TestModelGradient:
     def test_full_ensemble_loss_gradient(self):
         """End-to-end check of the assembled model's backward wiring."""
-        from chebnet.model import build_model, conv_inputs_node
+        from chebnet.data import conv_inputs_node
+        from chebnet.model import build_model
         from chebnet.training import nll_loss, nll_loss_grad
 
         rng = np.random.default_rng(9)
@@ -249,7 +250,8 @@ class TestModelGradient:
 def edge_model_grad_error(variant):
     """grad_check error of an edge model's parameters under the ensemble
     loss; its first graph layer computes no input gradient."""
-    from chebnet.model import build_model, conv_inputs_edge
+    from chebnet.data import conv_inputs_edge
+    from chebnet.model import build_model
     from chebnet.training import nll_loss, nll_loss_grad
 
     rng = np.random.default_rng(10)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from chebnet import model as model_module
-from chebnet.data import EDGE_TASK, synth_generate, zscore_normalize, Dataset
+from chebnet.data import (EDGE_TASK, conv_inputs_edge, conv_inputs_node,
+                          synth_generate, zscore_normalize, Dataset)
 from chebnet.graph import build_graph_context, graph_from_features
 from chebnet.layers import ChebConv, GATLayer, GCNConv
-from chebnet.model import (build_model, conv_inputs_edge, conv_inputs_node,
-                           default_graph_dims)
+from chebnet.model import build_model, default_graph_dims
 from chebnet.training import (TrainingConfig, cross_validate, predict,
                               train_model)
 

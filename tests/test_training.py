@@ -235,7 +235,7 @@ class TestTrainModel:
 class TestLossDecreaseProperty:
     def test_single_sample_step_decreases_loss(self):
         """One optimizer step at tiny lr strictly decreases a sample's loss."""
-        from chebnet.model import conv_inputs_node
+        from chebnet.data import conv_inputs_node
         from chebnet.optim import make_optimizer
 
         rng = np.random.default_rng(3)
@@ -272,7 +272,7 @@ class TestLossDecreaseProperty:
 class TestAlphaRouting:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_extreme_alpha_zeroes_other_branch(self, alpha):
-        from chebnet.model import conv_inputs_node
+        from chebnet.data import conv_inputs_node
 
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((8, 10))
