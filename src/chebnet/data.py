@@ -13,6 +13,7 @@ holds the graph's nodes and how a sample becomes a conv sequence.
 """
 
 import csv
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -224,17 +225,17 @@ def _is_missing(value):
     return value is None or value.strip() == ""
 
 
-def _read_csv(path, header_only=False):
-    """Read a CSV file: (header, rows, header_lines).
+def _read_csv(path, header_only=False, encoding="utf-8-sig"):
+    """Read a CSV file in ``encoding``: (header, rows, header_lines).
 
     ``rows`` holds every record after the header that has a non-missing
     cell (none when ``header_only``); ``header_lines`` is the number of
-    lines the header record spans.  An empty file, or a record csv cannot
-    read (one with a field longer than ``csv.field_size_limit()``, say),
-    raises SchemaError naming the file.
+    lines the header record spans.  An empty file, a record csv cannot
+    read (one with a field longer than ``csv.field_size_limit()``, say) or
+    bytes the encoding cannot decode raise SchemaError naming the file.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        with open(path, newline="", encoding=encoding) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -242,7 +243,7 @@ def _read_csv(path, header_only=False):
             header_lines = reader.line_num
             rows = [] if header_only else [
                 r for r in reader if any(not _is_missing(c) for c in r)]
-    except csv.Error as exc:
+    except (csv.Error, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return header, rows, header_lines
 
@@ -284,17 +285,36 @@ def _encode_first_appearance(values):
 _PER_CELL_BYTES = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _numpy_may_read(path):
-    """Whether numpy's reader may parse the file without disagreeing with
-    the per-cell path.
+def _scan_csv(path):
+    """(encoding, numpy may read) of a transaction CSV, both decided from
+    one read of its bytes (see ``_text_encoding`` and
+    ``_numpy_may_read``)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return _text_encoding(raw), _numpy_may_read(raw)
+
+
+def _text_encoding(raw):
+    """The encoding of a transaction CSV's bytes ``raw``: UTF-8 (a leading
+    BOM dropped) when the whole file decodes as UTF-8, else latin-1, which
+    decodes every byte."""
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return "latin-1"
+    return "utf-8-sig"
+
+
+def _numpy_may_read(raw):
+    """Whether numpy's reader may parse a file of bytes ``raw`` without
+    disagreeing with the per-cell path.
 
     Not when the file holds a byte of ``_PER_CELL_BYTES``, nor when a field
     could be longer than csv's field limit, which the per-cell path refuses
     and numpy does not: a field is that long only in a file that is, and
     within one line unless quoted.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     if any(b in raw for b in _PER_CELL_BYTES):
         return False
     limit = csv.field_size_limit()
@@ -312,37 +332,36 @@ def _numpy_may_read(path):
     return True
 
 
-def _parse_numeric(path, skiprows, usecols):
-    """The ``usecols`` cells of every data row as one float array, parsed by
-    numpy's C reader; None where the per-cell path must read the file.
+def _parse_numeric(path, skiprows, usecols, encoding):
+    """The ``usecols`` cells of every data row of a file in ``encoding`` as
+    one float array, parsed by numpy's C reader; None where the per-cell
+    path must read the file.
 
-    That is when ``_numpy_may_read`` says so, a cell does not parse as a
-    number (a word, a missing cell, a spelling such as ``1_000`` that only
-    ``float()`` takes), a row is too short, or the file has no data row or
-    is not UTF-8.
+    That is when a cell does not parse as a number (a word, a missing cell,
+    a spelling such as ``1_000`` that only ``float()`` takes), a row is too
+    short, or the file has no data row.
     """
-    if not _numpy_may_read(path):
-        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")    # a header-only file warns
             return np.loadtxt(path, delimiter=",", usecols=usecols,
                               comments=None, quotechar='"',
-                              encoding="utf-8-sig", ndmin=2,
+                              encoding=encoding, ndmin=2,
                               skiprows=skiprows)
     except (ValueError, Warning):
         return None
 
 
-def _parse_cells(path, usecols):
-    """Per-cell parse of a transaction CSV: (features, targets, numeric, rows).
+def _parse_cells(path, usecols, encoding):
+    """Per-cell parse of a transaction CSV in ``encoding``: (features,
+    targets, numeric, rows).
 
     Each feature column is parsed with ``_parse_column`` and, unless
     numeric, coded by first appearance.  ``targets`` is the parsed target
     column when ``numeric``, else its raw cells; ``rows`` counts the
     non-blank data rows.
     """
-    _, rows, _ = _read_csv(path)
+    _, rows, _ = _read_csv(path, encoding=encoding)
 
     def column(i):
         return [r[i] if i < len(r) else "" for r in rows]
@@ -372,14 +391,17 @@ def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
     non-finite.  Numeric targets are remapped to dense labels by sorted
     value, so a 0/1 late-delivery flag keeps 1 = late.
 
-    When every feature and target cell is a number that numpy's C reader
-    parses, one ``np.loadtxt`` call reads the file; ``write_dataco_csv``
-    output is such a file.  Any other file (a word column such as the real
-    DataCo export's ``Type``, a missing cell, a ragged row, a spelling only
-    Python's ``float()`` takes) is read cell by cell.  Both give the same
-    dataset, bit for bit.
+    The file is read as UTF-8 (a leading BOM dropped) when all of it
+    decodes as UTF-8, else as latin-1.  When every feature and target cell
+    is a number that numpy's C reader parses, one ``np.loadtxt`` call reads
+    the file; ``write_dataco_csv`` output is such a file.  Any other file
+    (a word column such as the real DataCo export's ``Type``, a missing
+    cell, a ragged row, a spelling only Python's ``float()`` takes) is read
+    cell by cell.  Both give the same dataset, bit for bit.
     """
-    header, _, header_lines = _read_csv(path, header_only=True)
+    encoding, numpy_may_read = _scan_csv(path)
+    header, _, header_lines = _read_csv(path, header_only=True,
+                                        encoding=encoding)
     header = [h.strip() for h in header]
     if target_column not in header:
         raise SchemaError(f"{path}: missing target column {target_column!r}")
@@ -395,9 +417,11 @@ def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
         raise SchemaError(f"{path}: no feature columns")
 
     usecols = [header.index(c) for c in [*feature_columns, target_column]]
-    table = _parse_numeric(path, header_lines, usecols)
+    table = (_parse_numeric(path, header_lines, usecols, encoding)
+             if numpy_may_read else None)
     if table is None:
-        feats, targets, target_numeric, n_rows = _parse_cells(path, usecols)
+        feats, targets, target_numeric, n_rows = _parse_cells(path, usecols,
+                                                              encoding)
     else:
         feats, targets, target_numeric, n_rows = (
             table[:, :-1], table[:, -1], True, len(table))
@@ -474,6 +498,8 @@ def _load_temporal_csv(path):
             values = [float(v) for v in r[1:]]
         except ValueError:
             raise SchemaError(f"{path}: non-numeric value in row {r[0]!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise SchemaError(f"{path}: non-finite value in row {r[0]!r}")
         dated.append((_parse_date(r[0]), values))
     dated.sort(key=lambda t: t[0])
     dates = [d for d, _ in dated]
@@ -512,9 +538,10 @@ def _load_edge_csv(path, n_products):
 def load_supplygraph(directory):
     """Load the four temporal CSVs plus any edge CSVs and product metadata.
 
-    The four temporal files must agree on the product set and list the
-    same dates; columns are realigned to the first file's order and rows
-    are sorted by date.
+    The four temporal files must agree on the product set, list the same
+    dates and hold only finite numbers; columns are realigned to the first
+    file's order and rows are sorted by date.  ``products.csv`` must give
+    each of those products, and no other, one row with a non-empty group.
     """
     series = {}
     products = None
@@ -564,10 +591,17 @@ def load_supplygraph(directory):
             if product in groups:
                 raise SchemaError(f"{meta_path}: product {product!r} is "
                                   f"listed in more than one row")
+            if _is_missing(r[1]):
+                raise SchemaError(f"{meta_path}: product {product!r} has an "
+                                  f"empty group cell")
             groups[product] = r[1].strip()
         missing = [p for p in products if p not in groups]
         if missing:
             raise SchemaError(f"{meta_path}: missing products {missing[:5]}")
+        unknown = [p for p in groups if p not in products]
+        if unknown:
+            raise SchemaError(f"{meta_path}: products {unknown[:5]} have no "
+                              f"signal columns")
         codes, names = _encode_first_appearance([groups[p] for p in products])
         data.groups = np.array(codes, dtype=np.int64)
         data.group_names = tuple(names)

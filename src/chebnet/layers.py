@@ -17,15 +17,34 @@ x > 0.0 of the activation's input, which is all they read.  There is no
 general autodiff: the fixed two-branch topology is differentiated by hand
 and validated against finite differences in the tests.
 
-Ownership: ``relu``, ``leaky_relu``, ``relu_backward``,
-``leaky_relu_backward``, ``BatchNorm.forward`` and ``BatchNorm.backward``
-overwrite the array they are given and return it (BatchNorm's train-mode y
-is the one new array among them, because its xc stays cached).  A caller
-passes them only an array it owns and no longer reads, such as a layer's
-fresh output or a fresh upstream gradient, and takes any sign mask it
-keeps before the activation overwrites its input.  Every other layer
-leaves its arguments as they are.  An in-place ufunc gives the bits of its
-out-of-place form, so this changes no result.
+Ownership: ``relu``, ``relu_backward``, ``leaky_relu_backward``,
+``BatchNorm.forward`` and ``BatchNorm.backward`` overwrite the array they
+are given and return it (BatchNorm's train-mode y is the one new array
+among them, because its xc stays cached).  A caller passes them only an
+array it owns and no longer reads, such as a layer's fresh output or a
+fresh upstream gradient, and takes any sign mask it keeps before the
+activation overwrites its input.  Every other layer leaves its arguments
+as they are.  An in-place ufunc gives the bits of its out-of-place form,
+so this changes no result.
+
+Backward order: ChebConv and GCNConv on dense input compute their weight
+gradients first, then drop their reference to the cached input, and only
+then allocate dx.  A hidden graph layer's cached input is the previous
+BatchNorm's output, which nothing else holds, so dx takes the heap block
+that input frees; an input the caller still holds (an edge task's node
+features) is only unreferenced, never written.  dx is formed in sample
+blocks of at most ``_DX_BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's
+chain P (up theta^T) makes no full-size temporary.  ChebConv's sum keeps
+full-size arrays instead: each dtheta_k needs x and u_k = T_k(Ls) up
+together, so all K - 1 propagated gradients live until dx is done.  Above
+its cached input a ChebConv backward peaks at (K - 1)|up| plus two
+blocks, where the whole-batch form (one u_k at a time next to a full-size
+dx and term) peaks at 2|x| + |up|: less while (K - 2) F_out < 2 F_in,
+more beyond (see README, Memory).  Each sample's stacked GEMMs and the
+order of the adds are those of the whole-batch form, so dx keeps its
+bits.  GATLayer and Linear keep the plain order: dropping their cache
+first changed no measured peak.  Conv1D hands its cache to
+``kernels.conv1d_backward``.
 
 The activations are (rows, width) arrays with many rows and few channels,
 so the per-channel passes are written for that shape: a bias add, a
@@ -158,17 +177,35 @@ def _channelwise(op, a, v, out=None):
 _SHORT_CONTRACTION = 15
 
 
-def _matmul_transposed(a, bt):
+def _matmul_transposed(a, bt, out=None):
     """``a @ bt`` for a transposed view ``bt``, with the bits of that
-    product.  A stacked (3-D) ``a`` with a contraction of at most
-    ``_SHORT_CONTRACTION`` takes bt as a contiguous copy, which numpy's
-    stacked matmul runs 2-3x faster than the view, with the same bits.  At
-    longer contractions and for a 2-D ``a`` the view is kept: there BLAS
-    reads it through its transpose flag, and a copy can round the last
-    bits differently (seen under OpenBLAS from 16 terms on)."""
+    product, written to ``out`` when given.  A stacked (3-D) ``a`` with a
+    contraction of at most ``_SHORT_CONTRACTION`` takes bt as a contiguous
+    copy, which numpy's stacked matmul runs 2-3x faster than the view, with
+    the same bits.  At longer contractions and for a 2-D ``a`` the view is
+    kept: there BLAS reads it through its transpose flag, and a copy can
+    round the last bits differently (seen under OpenBLAS from 16 terms
+    on)."""
     if a.ndim > 2 and bt.shape[-2] <= _SHORT_CONTRACTION:
         bt = np.ascontiguousarray(bt)
-    return a @ bt
+    return np.matmul(a, bt, out=out)
+
+
+# Bytes of one sample block of an input gradient formed block by block
+# (see ``_sample_blocks``).
+_DX_BLOCK_BYTES = 2 << 20
+
+
+def _sample_blocks(shape):
+    """Slices of the leading axis of a stacked (B, ..., N, F) float64 array
+    of ``shape``, each covering at most ``_DX_BLOCK_BYTES`` (at least one
+    sample); a 2-D (N, F) array, which has no sample axis, is one block.
+    Each sample's stacked product is its own GEMM, so a product taken block
+    by block has the bits of the whole one."""
+    if len(shape) < 3:
+        return [slice(None)]
+    rows = max(1, _DX_BLOCK_BYTES // (8 * math.prod(shape[1:])))
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
 
 def _column_sums(a):
@@ -194,19 +231,14 @@ def relu_backward(up, positive):
     return np.multiply(up, positive, out=up)
 
 
-def leaky_relu(x, slope=0.1):
-    """LeakyReLU, in place on x."""
-    return leaky_relu_backward(x, x > 0.0, slope)
-
-
 def leaky_relu_backward(up, positive, slope=0.1):
-    """Gradient of ``leaky_relu`` from the sign mask ``positive`` = x > 0.0
+    """Gradient of LeakyReLU from the sign mask ``positive`` = x > 0.0
     of its input x, in place on ``up``: one multiply by the factor 1.0
     where the mask is true and ``slope`` where it is false, looked up from
     the mask's bytes.  Times 1.0 leaves every value's bits as they are, so
     this equals the masked multiply by ``slope``.  LeakyReLU is x times its
-    own derivative, so with ``up`` = x this is ``leaky_relu(x)``, which is
-    how a caller that keeps the mask applies the activation without forming
+    own derivative, so with ``up`` = x this is the activation itself, which
+    is how every caller applies it: from the mask it keeps, without forming
     it twice."""
     factor = np.array([slope, 1.0]).take(positive.view(np.uint8))
     return np.multiply(up, factor, out=up)
@@ -295,9 +327,11 @@ class ChebConv(_Layer):
     order.  Dense input (N, F_in) or (B, N, F_in) is projected and then
     propagated at the output width,
     y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), one term at a time.
-    The backward reads u_k = T_k(Ls) up (u_0 = up) and adds each
-    term's dtheta_k = x^T u_k and share u_k theta_k^T of dx as it comes
-    (T_k(Ls) is symmetric).  The cache holds x and the basis.
+    The backward forms every u_k = T_k(Ls) up (u_0 = up; T_k(Ls) is
+    symmetric) and dtheta_k = x^T u_k, drops x, and then forms
+    dx = sum_k u_k theta_k^T block by block, so it keeps the K - 1
+    propagated gradients until dx is done (the module docstring gives the
+    cost).  The cache holds x and the basis.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``): then y = x @ M with
@@ -341,15 +375,19 @@ class ChebConv(_Layer):
             self.weight.accumulate(_diagonal_weight_grad(basis, x, up))
             return None
         w = self.weight.value
+        u = [up] + [basis[k] @ up for k in range(1, self.order)]
         xf = _flat2(x, self.in_features)
         dw = np.empty_like(w)
-        dw[0] = xf.T @ _flat2(up, self.out_features)
-        dx = _matmul_transposed(up, w[0].T)
-        for k in range(1, self.order):
-            u = basis[k] @ up
-            dw[k] = xf.T @ _flat2(u, self.out_features)
-            dx += _matmul_transposed(u, w[k].T)
+        for k, uk in enumerate(u):
+            dw[k] = xf.T @ _flat2(uk, self.out_features)
         self.weight.accumulate(dw)
+        shape = x.shape
+        del x, xf   # the cached input is dead: dx may take its memory
+        dx = np.empty(shape)
+        for rows in _sample_blocks(shape):
+            d = _matmul_transposed(u[0][rows], w[0].T, out=dx[rows])
+            for k in range(1, self.order):
+                d += _matmul_transposed(u[k][rows], w[k].T)
         return dx
 
 
@@ -398,8 +436,14 @@ class GCNConv(_Layer):
                 _diagonal_weight_grad(prop[None], xin, up)[0])
             return None
         self.weight.accumulate(_flat2(xin, self.in_features).T @ upf)
-        # prop is symmetric
-        return prop @ _matmul_transposed(up, self.weight.value.T)
+        shape = xin.shape
+        del xin     # the cached input is dead: dx may take its memory
+        dx = np.empty(shape)
+        for rows in _sample_blocks(shape):
+            # prop is symmetric
+            np.matmul(prop, _matmul_transposed(up[rows], self.weight.value.T),
+                      out=dx[rows])
+        return dx
 
 
 class GATLayer(_Layer):
@@ -498,7 +542,7 @@ class Conv1D(_Layer):
     """Valid 1-D cross-correlation, kernel length 5, stride 1, over
     (batch, channels, length) input.
 
-    The activation is applied separately by the model (leaky_relu 0.1).
+    The activation is applied separately by the model (LeakyReLU, slope 0.1).
     Forward and backward call the numpy kernels in ``chebnet.kernels``.
     """
 

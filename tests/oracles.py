@@ -3,14 +3,16 @@
 The eigendecomposition filter oracle, a node-by-node graph attention
 oracle, the finite-difference gradient checker, an edge-relation dataset
 generator, a reader for the adjacency CSV that ``chebnet export --what
-graph`` writes, and the plain numpy forms of the per-epoch passes that the
-package computes another, faster way.  None of them is on a path the
+graph`` writes, LeakyReLU as a function of its input, and the plain numpy
+forms of the per-epoch passes that the package computes another, faster
+or leaner way.  None of them is on a path the
 ``chebnet`` commands run.
 """
 
 import numpy as np
 
 from chebnet import kernels
+from chebnet.layers import _flat2, _matmul_transposed, leaky_relu_backward
 from chebnet.data import (EDGE_TASK, Dataset, _orthonormal_directions,
                           _read_csv)
 from chebnet.graph import (DEFAULT_THRESHOLD, _as_matrix, _check_symmetric,
@@ -188,6 +190,12 @@ def read_adjacency_csv(path):
 # plain forms of the fast-path passes
 
 
+def leaky_relu(x, slope=0.1):
+    """LeakyReLU, in place on x, as the package applies it: x times its
+    own derivative (``layers.leaky_relu_backward`` with ``up`` = x)."""
+    return leaky_relu_backward(x, x > 0.0, slope)
+
+
 def masked_leaky_relu_backward(up, positive, slope):
     """``layers.leaky_relu_backward`` as a multiply by ``slope`` under the
     mask ~positive (a ``where=`` ufunc pass), on a copy of ``up``."""
@@ -216,3 +224,26 @@ def broadcast_bias_conv1d(x, w, b):
     y = np.ascontiguousarray(y.reshape(n, p, f).transpose(0, 2, 1))
     y += b[None, :, None]
     return y
+
+
+def full_cheb_backward(basis, w, x, up):
+    """(dx, dtheta) of ``ChebConv.backward`` on dense input, each term
+    formed over the whole batch while the input stays alive:
+    dtheta_k = x^T u_k and dx = sum_k u_k theta_k^T with u_k = T_k up."""
+    f_in, f_out = w.shape[1:]
+    xf = _flat2(x, f_in)
+    dw = np.empty_like(w)
+    dw[0] = xf.T @ _flat2(up, f_out)
+    dx = _matmul_transposed(up, w[0].T)
+    for k in range(1, len(w)):
+        u = basis[k] @ up
+        dw[k] = xf.T @ _flat2(u, f_out)
+        dx += _matmul_transposed(u, w[k].T)
+    return dx, dw
+
+
+def full_gcn_backward(prop, w, xin, up):
+    """(dx, dtheta) of ``GCNConv.backward`` on dense input, dx formed over
+    the whole batch: dtheta = (P x)^T up and dx = P (up theta^T)."""
+    dw = _flat2(xin, w.shape[0]).T @ _flat2(up, w.shape[1])
+    return prop @ _matmul_transposed(up, w.T), dw

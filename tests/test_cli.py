@@ -652,6 +652,33 @@ class TestEvalCommand:
                 f"['0.0', '1.0']") in err
         assert "Traceback" not in err
 
+    def test_latin1_transaction_csv_trains_and_evaluates(self, tmp_path):
+        """A transaction CSV saved as latin-1, with an accented word in a
+        text column the model does not use, trains, and its checkpoint
+        evaluates it."""
+        synth = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "node", "--out", synth, *FAST]) == 0
+        with open(os.path.join(synth, "synthetic.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        channels = rows[0][:-1]
+        rows = [r + (["note"] if i == 0 else ["caf\xe9" if i == 1 else "ok"])
+                for i, r in enumerate(rows)]
+        data = str(tmp_path / "latin1.csv")
+        with open(data, "w", newline="", encoding="latin-1") as fh:
+            csv.writer(fh).writerows(rows)
+        task = ["--set", 'task="dataco-risk"',
+                "--set", 'data.target_column="target"',
+                "--set", f"data.feature_columns={json.dumps(channels)}",
+                "--set", f"data.path={json.dumps(data)}"]
+        assert main(["train", *task, *FAST,
+                     "--set", f'output_dir="{tmp_path / "runs"}"']) == 0
+        run_dir = str(tmp_path / "runs" / "cheb")
+        out = str(tmp_path / "eval")
+        assert main(["eval", *task, "--checkpoint",
+                     os.path.join(run_dir, "checkpoint.bin"),
+                     "--out", out]) == 0
+        assert eval_accuracy(out) == last_train_accuracy(run_dir)
+
     def test_missing_checkpoint_exits_one(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "o")]) == 1

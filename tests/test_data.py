@@ -406,6 +406,29 @@ class TestNumpyPathEquivalence:
             assert not isinstance(got, type)
             assert numpy_served(path, target_column="T") is numpy_reads
 
+    @pytest.mark.parametrize("text, columns, numpy_reads", [
+        pytest.param("A,N,T\n1,caf\xe9,0\n2,x,1\n3,y,0\n", ["A"], True,
+                     id="unused-text-column"),
+        pytest.param('A,N,T\n1,"caf\xe9, au lait",0\n2,x,1\n', ["A"], True,
+                     id="quoted-text-column"),
+        pytest.param("A\xe9,T\n1,0\n2,1\n", None, True, id="header"),
+        pytest.param("A,T\ncaf\xe9,0\nx,1\n", None, False,
+                     id="word-column"),
+        pytest.param("A,T\n\xa01.5\xa0,0\n\x852,1\n", None, True,
+                     id="nbsp-and-nel"),
+    ])
+    def test_latin1_file_reads_as_its_utf8_twin(self, tmp_path, text,
+                                                columns, numpy_reads):
+        """A file that is not UTF-8 is read as latin-1, by either path."""
+        latin, utf8 = tmp_path / "latin.csv", tmp_path / "utf8.csv"
+        latin.write_bytes(text.encode("latin-1"))
+        utf8.write_bytes(text.encode("utf-8"))
+        kwargs = {"target_column": "T", "feature_columns": columns}
+        got = load_dataco(latin, **kwargs)
+        assert_same_outcome(got, load_dataco(utf8, **kwargs))
+        assert_same_outcome(got, per_cell_outcome(latin, **kwargs))
+        assert numpy_served(latin, **kwargs) is numpy_reads
+
     def test_header_newline_keeps_every_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text('"A\nB",T\n1,0\n2,1\n3,0\n', encoding="utf-8")
@@ -607,6 +630,38 @@ class TestSynthEdgeGenerate:
         assert f1 >= 0.9
 
 
+def rewrite_csv(path, edit):
+    """Apply ``edit`` to the rows of a CSV file, in place."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def empty_group_cell(directory):
+    """Blank the group cell of products.csv's second product, P01."""
+    rewrite_csv(os.path.join(directory, "products.csv"),
+                lambda rows: rows[2].__setitem__(1, ""))
+    return directory
+
+
+def unknown_product(directory):
+    """List a product P99 in products.csv that no signal file has."""
+    rewrite_csv(os.path.join(directory, "products.csv"),
+                lambda rows: rows.append(["P99", "G0", "PL0"]))
+    return directory
+
+
+def set_signal_cell(directory, cell):
+    """Put ``cell`` in production.csv's fourth date (2023-01-04), second
+    product."""
+    rewrite_csv(os.path.join(directory, "production.csv"),
+                lambda rows: rows[4].__setitem__(2, cell))
+    return directory
+
+
 class TestSupplyGraphLoader:
     def test_synth_roundtrip(self, tmp_path):
         d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=8,
@@ -780,6 +835,66 @@ class TestSupplyGraphLoader:
         assert "products.csv: product 'P00' is listed in more than one " \
                "row" in err
         assert "Traceback" not in err
+
+    def test_empty_group_cell_rejected(self, tmp_path):
+        """An empty group cell is not a class named ''."""
+        d = empty_group_cell(write_supplygraph_dir(
+            str(tmp_path / "sg"), n_products=4, n_dates=25, seed=1))
+        with pytest.raises(SchemaError) as err:
+            load_supplygraph(d)
+        assert "products.csv: product 'P01' has an empty group cell" in \
+               str(err.value)
+
+    def test_product_without_signal_columns_rejected(self, tmp_path):
+        d = unknown_product(write_supplygraph_dir(
+            str(tmp_path / "sg"), n_products=4, n_dates=25, seed=1))
+        with pytest.raises(SchemaError) as err:
+            load_supplygraph(d)
+        assert "products.csv: products ['P99'] have no signal columns" in \
+               str(err.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_signal_cell_rejected(self, tmp_path, cell):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        set_signal_cell(d, cell)
+        with pytest.raises(SchemaError) as err:
+            load_supplygraph(d)
+        assert ("production.csv: non-finite value in row '2023-01-04'"
+                in str(err.value))
+
+    @pytest.mark.parametrize("mutate, message", [
+        (empty_group_cell, "products.csv: product 'P01' has an empty group "
+                           "cell"),
+        (unknown_product, "products.csv: products ['P99'] have no signal "
+                          "columns"),
+        (lambda d: set_signal_cell(d, "nan"),
+         "production.csv: non-finite value in row '2023-01-04'"),
+    ], ids=["empty-group", "unknown-product", "nan-signal"])
+    def test_rejected_directory_exits_one(self, tmp_path, capsys, mutate,
+                                          message):
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        mutate(d)
+        code = main(["train", "--set", 'task="sg-product"',
+                     "--set", f"data.path={json.dumps(d)}",
+                     "--set", f"output_dir={json.dumps(str(tmp_path))}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_undecodable_file_named(self, tmp_path):
+        """A supply-graph file the loader cannot decode is refused with a
+        SchemaError that starts with the file's path."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
+                                  n_dates=25, seed=1)
+        path = os.path.join(d, "products.csv")
+        with open(path, "ab") as fh:
+            fh.write("P09,Caf\xe9,PL0\n".encode("latin-1"))
+        with pytest.raises(SchemaError) as info:
+            load_supplygraph(d)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_missing_temporal_file(self, tmp_path):
         d = tmp_path / "sg"

@@ -1,17 +1,20 @@
-"""The per-epoch passes that take numpy's fast paths give the bits of their
-plain forms (kept in ``oracles``) at the benchmark workloads' shapes and on
-edge-case values: signed zeros, NaN, infinities, subnormals and the largest
-finite values."""
+"""The per-epoch passes that take numpy's fast paths, or form their result
+block by block, give the bits of their plain forms (kept in ``oracles``)
+at the benchmark workloads' shapes and on edge-case values: signed zeros,
+NaN, infinities, subnormals and the largest finite values."""
 
 import numpy as np
 import pytest
 
 from chebnet import kernels
-from chebnet.layers import (_SHORT_CONTRACTION, _matmul_transposed,
+from chebnet.graph import build_graph_context
+from chebnet.layers import (_SHORT_CONTRACTION, ChebConv, GCNConv,
+                            _matmul_transposed, _sample_blocks,
                             leaky_relu_backward)
 from chebnet.model import _node_mean
 
-from oracles import (broadcast_bias_conv1d, masked_leaky_relu_backward,
+from oracles import (broadcast_bias_conv1d, full_cheb_backward,
+                     full_gcn_backward, masked_leaky_relu_backward,
                      mean_readout, transposed_view_product)
 
 # the planted infinities and NaNs make overflow and invalid-value warnings
@@ -149,3 +152,50 @@ class TestConvBias:
         bias = np.resize([-0.0, np.inf, np.nan, 5e-324, 0.5, -2.0], f)
         assert same_bits(kernels.conv1d_forward(x, w, bias),
                          broadcast_bias_conv1d(x, w, bias))
+
+
+def random_graph(rng, n):
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    return build_graph_context((w + w.T) / 2.0)
+
+
+class TestBlockedInputGradient:
+    """ChebConv and GCNConv form dx in sample blocks after dropping their
+    cached input; dx and the weight gradient keep the bits of the
+    whole-batch backward.  Shapes (B, N, F_in -> F_out, K): sg-product's
+    wide and narrow layers, dataco-csv's first dense layer, a batch that is
+    not a multiple of the block, one sample, and an edge task's 2-D (N, F)
+    node features."""
+
+    SHAPES = [((372, 80, 80), 40, 3), ((186, 80, 40), 5, 3),
+              ((20000, 11, 11), 6, 1), ((45, 80, 80), 40, 3),
+              ((1, 80, 80), 40, 3), ((12, 200), 100, 3)]
+
+    @pytest.mark.parametrize("shape, f_out, order", SHAPES)
+    def test_cheb_matches_whole_batch(self, shape, f_out, order):
+        rng = np.random.default_rng(shape[0] + shape[-1] + f_out)
+        graph = random_graph(rng, shape[-2])
+        layer = ChebConv(shape[-1], f_out, order=order, rng=rng)
+        x = rng.standard_normal(shape)
+        up = rng.standard_normal(shape[:-1] + (f_out,))
+        if len(shape) == 2:     # no sample axis: one block
+            assert _sample_blocks(shape) == [slice(None)]
+        layer.forward(graph, x.copy())
+        want_dx, want_dw = full_cheb_backward(graph.cheb_basis(order),
+                                              layer.weight.value, x, up)
+        assert same_bits(layer.backward(up), want_dx)
+        assert same_bits(layer.weight.grad, 0.0 + want_dw)
+
+    @pytest.mark.parametrize("shape, f_out, order", SHAPES)
+    def test_gcn_matches_whole_batch(self, shape, f_out, order):
+        rng = np.random.default_rng(shape[0] + shape[-1] + f_out)
+        graph = random_graph(rng, shape[-2])
+        layer = GCNConv(shape[-1], f_out, rng=rng)
+        x = rng.standard_normal(shape)
+        up = rng.standard_normal(shape[:-1] + (f_out,))
+        layer.forward(graph, x)
+        prop = graph.propagation()
+        want_dx, want_dw = full_gcn_backward(prop, layer.weight.value,
+                                             prop @ x, up)
+        assert same_bits(layer.backward(up), want_dx)
+        assert same_bits(layer.weight.grad, 0.0 + want_dw)

@@ -17,16 +17,17 @@ from chebnet.layers import (
     GCNConv,
     InvalidStateError,
     Linear,
+    _DX_BLOCK_BYTES,
     _channelwise,
     dropout,
-    leaky_relu,
     leaky_relu_backward,
     log_softmax,
     relu,
     relu_backward,
 )
 
-from oracles import gat_attention_oracle, spectral_filter_oracle
+from oracles import (gat_attention_oracle, leaky_relu,
+                     spectral_filter_oracle)
 
 
 def make_graph(rng, n, density=0.7):
@@ -253,6 +254,15 @@ class TestGCNConv:
         # propagation matrix is exactly [1]
         expected = x @ layer.weight.value + layer.bias.value
         np.testing.assert_allclose(layer.forward(graph, x), expected)
+
+    def test_backward_frees_its_dead_input(self):
+        """dx = P (up theta^T) is formed in the memory of the input only the
+        layer holds, block by block: above what was live before the call
+        the backward allocates at most two sample blocks."""
+        rng = np.random.default_rng(48)
+        layer = GCNConv(80, 40, rng=rng)
+        peak, _ = backward_peak(layer, make_graph(rng, 80), rng)
+        assert peak <= 2 * _DX_BLOCK_BYTES
 
     def test_propagation_symmetric(self):
         rng = np.random.default_rng(10)
@@ -670,6 +680,38 @@ class TestChebBackward:
             tracemalloc.stop()
         assert dx.shape == x.shape
         assert peak <= 2 * x.nbytes + up.nbytes + 2**20
+
+    def test_backward_frees_its_dead_input(self):
+        """When only the layer holds its input, as a hidden layer holds the
+        previous BatchNorm's output, the backward frees it before forming
+        dx, which then takes its memory: above what was live before the
+        call it allocates only the K - 1 propagated gradients and at most
+        two sample blocks."""
+        rng = np.random.default_rng(47)
+        order = 3
+        layer = ChebConv(80, 40, order=order, rng=rng)
+        peak, up = backward_peak(layer, make_graph(rng, 80), rng)
+        assert peak <= (order - 1) * up.nbytes + 2 * _DX_BLOCK_BYTES
+
+
+def backward_peak(layer, graph, rng, batch=372):
+    """tracemalloc peak of one backward of a graph layer above the memory
+    live before the call, on a (batch, N, F_in) input only the layer holds;
+    returns (peak, up)."""
+    n = graph.n_nodes
+    tracemalloc.start()
+    try:
+        layer.forward(graph, rng.standard_normal((batch, n,
+                                                  layer.in_features)))
+        up = rng.standard_normal((batch, n, layer.out_features))
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        dx = layer.backward(up)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == (batch, n, layer.in_features)
+    return peak, up
 
 
 # Row counts for the full-width passes: every count below 70 (so every
