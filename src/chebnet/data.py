@@ -225,8 +225,9 @@ def _is_missing(value):
     return value is None or value.strip() == ""
 
 
-def _read_csv(path, header_only=False, encoding="utf-8-sig"):
-    """Read a CSV file in ``encoding``: (header, rows, header_lines).
+def _read_csv(path, header_only=False, encoding=None):
+    """Read a CSV file in ``encoding``, by default the one ``_text_encoding``
+    picks from its bytes: (header, rows, header_lines).
 
     ``rows`` holds every record after the header that has a non-missing
     cell (none when ``header_only``); ``header_lines`` is the number of
@@ -234,6 +235,9 @@ def _read_csv(path, header_only=False, encoding="utf-8-sig"):
     read (one with a field longer than ``csv.field_size_limit()``, say) or
     bytes the encoding cannot decode raise SchemaError naming the file.
     """
+    if encoding is None:
+        with open(path, "rb") as fh:
+            encoding = _text_encoding(fh.read())
     try:
         with open(path, newline="", encoding=encoding) as fh:
             reader = csv.reader(fh)
@@ -295,9 +299,9 @@ def _scan_csv(path):
 
 
 def _text_encoding(raw):
-    """The encoding of a transaction CSV's bytes ``raw``: UTF-8 (a leading
-    BOM dropped) when the whole file decodes as UTF-8, else latin-1, which
-    decodes every byte."""
+    """The encoding of a CSV file's bytes ``raw``: UTF-8 (a leading BOM
+    dropped) when the whole file decodes as UTF-8, else latin-1, which
+    decodes every byte.  Every CSV the package reads follows it."""
     if not raw.isascii():
         try:
             raw.decode("utf-8")

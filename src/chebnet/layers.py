@@ -6,7 +6,11 @@ forward caches what the backward reads, an eval-mode forward caches nothing
 and clears the cache, and the backward takes the cache once, so each
 backward needs a train-mode forward of its own.  The backward accumulates
 parameter gradients into ``Parameter.grad`` and returns the gradient with
-respect to the layer's input.  Only Conv1D's backward takes
+respect to the layer's input.  The graph branch's two heads in
+``chebnet.model``, ``NodeReadout`` and ``EdgeHead``, are layers under this
+rule too: ``forward(h, edges)`` returns log-probabilities and
+``backward(dout)`` the gradient with respect to h; EdgeHead's cache and
+its two Linears' caches are each taken once.  Only Conv1D's backward takes
 ``input_grad=False``, which skips that gradient and returns None.  Graph
 layers accept a single graph signal (N, F) or a batch (B, N, F), or with
 ``diagonal=True`` (B, N) rows that stand for diagonal node-signal matrices,

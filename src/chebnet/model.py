@@ -1,12 +1,13 @@
 """Two-branch ensemble model: graph convolution branch + 1-D conv branch.
 
 The graph branch stacks (ChebConv | GCNConv | GATLayer) -> ReLU -> BatchNorm
-blocks, applies one dropout after the last block, and ends in log-softmax:
-for node tasks after a mean readout over nodes, for edge tasks after a
-two-linear edge head over concatenated endpoint embeddings.  The conv branch
-is two Conv1D + LeakyReLU(0.1) layers whose final kernel count equals the
-class count, averaged over the remaining length.  Inference uses the graph
-branch; the conv branch regularizes training through the ensemble loss.
+blocks, applies one dropout after the last block, and ends in a head that
+returns log-probabilities: ``NodeReadout`` for node tasks, ``EdgeHead`` for
+edge tasks.  The model asks the head one thing, ``samples_are_rows``:
+whether each sample is a row of the input.  The conv branch is two Conv1D
++ LeakyReLU(0.1) layers whose final kernel count equals the class count,
+averaged over the remaining length.  Inference uses the graph branch; the
+conv branch regularizes training through the ensemble loss.
 
 For node tasks a C-channel sample x_b stands for the diagonal node-signal
 matrix diag(x_b) (node i carries channel i's value as its feature i), which
@@ -22,10 +23,11 @@ graph layer takes the dense (N, F) node features and returns one, which
 nothing reads.  The first Conv1D is called with ``input_grad=False`` (only
 Conv1D takes it) and computes none.
 
-Both branches keep the cache rule of ``chebnet.layers`` (``take_once``).
-Of every ReLU and LeakyReLU pre-activation the model keeps only the bool
-sign mask z > 0, which is what their backward takes.  An eval-mode forward
-(prediction, ``layer_activations``) keeps nothing.
+Both branches keep the cache rule of ``chebnet.layers`` (``take_once``),
+and the heads are layers under it.  Of every ReLU and LeakyReLU
+pre-activation the model keeps only the bool sign mask z > 0, which is
+what their backward takes.  An eval-mode forward (prediction,
+``layer_activations``) keeps nothing.
 
 The activations and BatchNorm overwrite the array they are given (see
 ``chebnet.layers``), and the model passes them only arrays it owns: a
@@ -36,18 +38,16 @@ BatchNorm forms dx in its upstream gradient, which the ReLU backward then
 masks in place.  Sign masks are taken before the activation runs.
 
 The per-epoch passes follow the fast-path rules of ``chebnet.layers``:
-the node-task readout sums the node axis as an einsum reduction
-(``_node_mean``, the bits of ``mean(axis=-2)``); the conv branch's
-LeakyReLUs take the unmasked ``leaky_relu_backward``; and the graph branch
-keeps its stacked (B, N, F) products rather than flattening them into tall
-GEMMs.  The conv branch's mean over its last few positions stays
-``mean(axis=-1)``: an einsum there sums in another order.
+the conv branch's LeakyReLUs take the unmasked ``leaky_relu_backward``,
+and the graph branch keeps its stacked (B, N, F) products rather than
+flattening them into tall GEMMs.  The conv branch's mean over its last few
+positions stays ``mean(axis=-1)``: an einsum there sums in another order.
 
-An eval-mode node-task graph forward runs the rows in blocks of
-``_eval_block_rows`` and concatenates their log-probabilities: each sample
-is independent there, and a block's activations stay small enough to be
-reused from the heap instead of mapped afresh.  An edge task's graph
-couples every node, so it runs as one block, as does
+When the samples are the rows, an eval-mode graph forward runs them in
+blocks of ``_eval_block_rows`` and concatenates their log-probabilities:
+each sample is independent there, and a block's activations stay small
+enough to be reused from the heap instead of mapped afresh.  An edge
+task's graph couples every node, so it runs as one block, as does
 ``layer_activations``, whose batch means span all rows.
 """
 
@@ -64,6 +64,7 @@ from chebnet.layers import (
     GCNConv,
     Linear,
     Parameter,
+    _Layer,
     dropout,
     dropout_backward,
     leaky_relu_backward,
@@ -102,6 +103,70 @@ def _node_mean(h):
     return np.einsum("...nf->...f", h) / h.shape[-2]
 
 
+class NodeReadout(_Layer):
+    """The node task's head: the mean over the node axis of the (B, N, F)
+    activations (``_node_mean``, the fast-path rules of ``chebnet.layers``),
+    then log-softmax.  The cache is the node count and the output, never
+    h: an extra live activation would move the peak RSS."""
+
+    samples_are_rows = True
+
+    def parameters(self):
+        return []
+
+    def forward(self, h, edges):
+        out = log_softmax(_node_mean(h))
+        self._keep((h.shape[-2], out))
+        return out
+
+    def backward(self, dout):
+        n_nodes, out = self._take()
+        dpooled = log_softmax_backward(dout, out) / n_nodes
+        return np.repeat(dpooled[..., None, :], n_nodes, axis=-2)
+
+
+class EdgeHead(_Layer):
+    """The edge task's head over (N, F) node embeddings: each scored edge
+    concatenates its endpoints' embeddings (``edge_embed``), then Linear,
+    ReLU, Linear and log-softmax.  The backward scatters each edge's
+    gradient onto its two endpoints' rows with ``np.add.at``, so a node
+    that ends several edges sums their shares: all sources first, then
+    all targets, the order its bits depend on.  The head owns both
+    Linears, sets their ``training`` flag from its own, and names their
+    parameters ``0.weight`` ... ``1.bias``."""
+
+    samples_are_rows = False
+
+    def __init__(self, in_features, hidden, n_classes, *, rng):
+        self.linears = [Linear(in_features, hidden, rng=rng),
+                        Linear(hidden, n_classes, rng=rng)]
+
+    def parameters(self):
+        return [(f"{j}.{name}", p) for j, lin in enumerate(self.linears)
+                for name, p in lin.parameters()]
+
+    def forward(self, h, edges):
+        if edges is None:
+            raise ValueError("edge task needs an edge list")
+        first, second = self.linears
+        first.training = second.training = self.training
+        l1 = first.forward(edge_embed(h, edges))
+        positive = l1 > 0.0 if self.training else None
+        out = log_softmax(second.forward(relu(l1)))
+        self._keep((np.asarray(edges, np.int64), h.shape, positive, out))
+        return out
+
+    def backward(self, dout):
+        edges, shape, positive, out = self._take()
+        first, second = self.linears
+        da1 = second.backward(log_softmax_backward(dout, out))
+        dee = first.backward(relu_backward(da1, positive))
+        dh = np.zeros(shape)
+        for ends, grad in zip(edges.T, np.split(dee, 2, axis=1)):
+            np.add.at(dh, ends, grad)
+        return dh
+
+
 def _make_graph_layer(variant, f_in, f_out, order, rng):
     if variant == "cheb":
         return ChebConv(f_in, f_out, order=order, rng=rng)
@@ -113,12 +178,10 @@ def _make_graph_layer(variant, f_in, f_out, order, rng):
 
 
 class EnsembleModel:
-    def __init__(self, task, blocks, conv_layers, edge_head, dropout_p,
-                 n_classes):
-        self.task = task
+    def __init__(self, blocks, head, conv_layers, dropout_p, n_classes):
         self.blocks = blocks                # [(graph layer, batch norm), ...]
+        self.head = head                    # NodeReadout or EdgeHead
         self.conv_layers = conv_layers      # [Conv1D, Conv1D]
-        self.edge_head = edge_head          # [Linear, Linear] or None
         self.dropout_p = dropout_p
         self.n_classes = n_classes
         self._gcache = None
@@ -135,9 +198,8 @@ class EnsembleModel:
                 yield "graph", f"graph.{i}.layer.{name}", p
             for name, item in bn.parameters() + bn.state():
                 yield "graph", f"graph.{i}.bn.{name}", item
-        for j, lin in enumerate(self.edge_head or ()):
-            for name, p in lin.parameters():
-                yield "graph", f"head.{j}.{name}", p
+        for name, p in self.head.parameters():
+            yield "graph", f"head.{name}", p
         for j, conv in enumerate(self.conv_layers):
             for name, p in conv.parameters():
                 yield "conv", f"conv.{j}.{name}", p
@@ -167,16 +229,15 @@ class EnsembleModel:
         """Yield the graph-branch input, then each block's output, each
         paired with the sign mask of the pre-activation that produced it
         (None for the input and in eval mode).  Sets every graph-branch
-        layer to ``training`` mode first.  Node tasks pass (B, C) rows to
-        the first layer with ``diagonal=True``; edge tasks pass the (N, F)
-        node feature matrix."""
+        layer and the head to ``training`` mode first.  The first layer
+        takes (B, C) rows with ``diagonal=True`` when the samples are the
+        rows (node tasks), else the (N, F) node feature matrix."""
         for layer, bn in self.blocks:
             layer.training = bn.training = training
-        for lin in self.edge_head or ():
-            lin.training = training
+        self.head.training = training
         h = np.asarray(features, dtype=np.float64)
         yield None, h
-        diagonal = self.task != EDGE_TASK
+        diagonal = self.head.samples_are_rows
         for layer, bn in self.blocks:
             z = layer.forward(graph, h, diagonal=diagonal)
             positive = z > 0.0 if training else None
@@ -185,7 +246,7 @@ class EnsembleModel:
             yield positive, h
 
     def _eval_block_rows(self, n_nodes):
-        """Rows per block of an eval-mode node-task graph forward: as many
+        """Rows per block of an eval-mode row-sample graph forward: as many
         as keep the widest activation, (rows, N, width) float64 with width
         the widest of N and the layers' outputs, within
         ``EVAL_BLOCK_BYTES``; at least one."""
@@ -198,45 +259,30 @@ class EnsembleModel:
         """Log-probabilities of the graph branch.
 
         Node tasks take (B, C) feature rows; edge tasks take the (N, F) node
-        feature matrix plus the edge index array to score.  An eval-mode
-        node-task forward runs the rows in blocks of ``_eval_block_rows``.
+        feature matrix plus the edge index array to score.  When the
+        samples are the rows, an eval-mode forward runs them in blocks of
+        ``_eval_block_rows``.
         """
-        if self.task == EDGE_TASK:
-            if edges is None:
-                raise ValueError("edge task needs an edge list")
-        elif not training:
-            # near-equal blocks, so none is a stray row: a one-row product
-            # does not keep the bits of the same row in a larger block
-            x = np.asarray(features, dtype=np.float64)
-            n_blocks = -(-len(x) // self._eval_block_rows(graph.n_nodes))
-            return np.concatenate([
-                self._graph_block(graph, rows, None, False, None)
-                for rows in np.array_split(x, max(n_blocks, 1))])
-        return self._graph_block(graph, features, edges, training, rng)
+        if training or not self.head.samples_are_rows:
+            return self._graph_block(graph, features, edges, training, rng)
+        # near-equal blocks, so none is a stray row: a one-row product does
+        # not keep the bits of the same row in a larger block
+        x = np.asarray(features, dtype=np.float64)
+        n_blocks = -(-len(x) // self._eval_block_rows(graph.n_nodes))
+        return np.concatenate([
+            self._graph_block(graph, rows, None, False, None)
+            for rows in np.array_split(x, max(n_blocks, 1))])
 
     def _graph_block(self, graph, features, edges, training, rng):
         """``graph_forward`` of one block of rows (an edge task's whole
-        graph); a training-mode call keeps the backward's cache."""
+        graph); a training-mode call keeps the backward's cache: the sign
+        masks and the dropout mask, the head keeping its own."""
         signs = []
         for positive, h in self._blocks(graph, features, training):
             signs.append(positive)
         h, mask = dropout(h, self.dropout_p, rng=rng, training=training)
-        if self.task == EDGE_TASK:
-            ee = edge_embed(h, edges)
-            l1 = self.edge_head[0].forward(ee)
-            l1_positive = l1 > 0.0 if training else None
-            l2 = self.edge_head[1].forward(relu(l1))
-            out = log_softmax(l2)
-        else:
-            out = log_softmax(_node_mean(h))
-        self._gcache = None
-        if training:
-            cache = {"signs": signs[1:], "mask": mask, "n_nodes": h.shape[-2],
-                     "out": out}
-            if self.task == EDGE_TASK:
-                cache.update(edges=np.asarray(edges, dtype=np.int64),
-                             emb_shape=h.shape, l1_positive=l1_positive)
-            self._gcache = cache
+        out = self.head.forward(h, edges)
+        self._gcache = {"signs": signs[1:], "mask": mask} if training else None
         return out
 
     def graph_backward(self, dout):
@@ -245,21 +291,7 @@ class EnsembleModel:
         gradient of the input."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
-        dlogits = log_softmax_backward(dout, c["out"])
-        if self.task == EDGE_TASK:
-            da1 = self.edge_head[1].backward(dlogits)
-            dl1 = relu_backward(da1, c["l1_positive"])
-            dee = self.edge_head[0].backward(dl1)
-            d = dee.shape[1] // 2
-            dh = np.zeros(c["emb_shape"])
-            np.add.at(dh, c["edges"][:, 0], dee[:, :d])
-            np.add.at(dh, c["edges"][:, 1], dee[:, d:])
-        else:
-            dpooled = dlogits / c["n_nodes"]
-            dh = np.broadcast_to(
-                dpooled[..., None, :],
-                dpooled.shape[:-1] + (c["n_nodes"], dpooled.shape[-1])).copy()
-        dh = dropout_backward(dh, c["mask"])
+        dh = dropout_backward(self.head.backward(dout), c["mask"])
         # the first block's result, the input gradient, has no reader
         for (layer, bn), positive in zip(reversed(self.blocks),
                                          reversed(c["signs"])):
@@ -306,7 +338,7 @@ class EnsembleModel:
         matrices, diag(mean of the rows).
         """
         acts = [h for _, h in self._blocks(graph, features, False)]
-        if self.task == EDGE_TASK:
+        if not self.head.samples_are_rows:
             return acts
         return [np.diag(acts[0].mean(axis=0))] + [h.mean(axis=0)
                                                   for h in acts[1:]]
@@ -373,19 +405,9 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
     conv_layers = [Conv1D(ch, conv_kernels, rng=rng),
                    Conv1D(conv_kernels, n_classes, rng=rng)]
 
-    edge_head = None
-    if task == EDGE_TASK:
-        edge_head = [Linear(2 * graph_dims[-1], EDGE_HEAD_HIDDEN, rng=rng),
-                     Linear(EDGE_HEAD_HIDDEN, n_classes, rng=rng)]
-
-    model = EnsembleModel(
-        task=task,
-        blocks=blocks,
-        conv_layers=conv_layers,
-        edge_head=edge_head,
-        dropout_p=dropout_p,
-        n_classes=n_classes,
-    )
+    head = (EdgeHead(2 * graph_dims[-1], EDGE_HEAD_HIDDEN, n_classes, rng=rng)
+            if task == EDGE_TASK else NodeReadout())
+    model = EnsembleModel(blocks, head, conv_layers, dropout_p, n_classes)
     # Every resolved argument but ``rng``, as JSON values: a checkpoint
     # stores this record, and build_model(**record, rng=...) rebuilds the
     # same architecture from it.

@@ -190,8 +190,8 @@ def test_criterion_4_parameter_counts():
         emb = rng.standard_normal((9, 50))
         edges = rng.integers(0, 9, size=(e, 2))
         from chebnet.model import edge_embed
-        h1 = em.edge_head[0].forward(edge_embed(emb, edges))
-        h2 = em.edge_head[1].forward(h1)
+        h1 = em.head.linears[0].forward(edge_embed(emb, edges))
+        h2 = em.head.linears[1].forward(h1)
         heads_ok &= h1.shape == (e, 100) and h2.shape == (e, classes)
 
     report("criterion 4: parameter-count conformance",

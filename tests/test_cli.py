@@ -679,6 +679,34 @@ class TestEvalCommand:
                      "--out", out]) == 0
         assert eval_accuracy(out) == last_train_accuracy(run_dir)
 
+    def test_latin1_products_file_trains_and_evaluates(self, tmp_path):
+        """A supply-graph directory whose products.csv is saved as latin-1,
+        with a group named Caf\xe9, trains sg-product, the group is named
+        in metrics.txt, and its checkpoint evaluates the directory."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=6,
+                                  n_dates=30, seed=4)
+        path = os.path.join(d, "products.csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [[c.replace("G0", "Caf\xe9") for c in r]
+                    for r in csv.reader(fh)]
+        with open(path, "w", newline="", encoding="latin-1") as fh:
+            csv.writer(fh).writerows(rows)
+        task = ["--set", 'task="sg-product"',
+                "--set", f"data.path={json.dumps(d)}"]
+        assert main(["train", *task, "--set", "training.epochs=3",
+                     "--set", "training.folds=2",
+                     "--set", "training.window=10",
+                     "--set", f'output_dir="{tmp_path / "runs"}"']) == 0
+        run_dir = str(tmp_path / "runs" / "cheb")
+        with open(os.path.join(run_dir, "metrics.txt"),
+                  encoding="utf-8") as fh:
+            assert "Caf\xe9" in fh.read()
+        out = str(tmp_path / "eval")
+        assert main(["eval", *task, "--set", "training.window=10",
+                     "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
+                     "--out", out]) == 0
+        assert eval_accuracy(out) == last_train_accuracy(run_dir)
+
     def test_missing_checkpoint_exits_one(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),
                      "--out", str(tmp_path / "o")]) == 1

@@ -885,16 +885,49 @@ class TestSupplyGraphLoader:
         assert "Traceback" not in err
 
     def test_undecodable_file_named(self, tmp_path):
-        """A supply-graph file the loader cannot decode is refused with a
-        SchemaError that starts with the file's path."""
+        """A file read in an encoding that cannot decode its bytes is
+        refused with a SchemaError that starts with the file's path.  The
+        loaders pick latin-1 for such bytes (``test_latin1_files_load``),
+        so only an explicit encoding reaches this."""
         d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=4,
                                   n_dates=25, seed=1)
         path = os.path.join(d, "products.csv")
         with open(path, "ab") as fh:
-            fh.write("P09,Caf\xe9,PL0\n".encode("latin-1"))
+            fh.write("P03,Caf\xe9,PL0\n".encode("latin-1"))
         with pytest.raises(SchemaError) as info:
-            load_supplygraph(d)
+            datamod._read_csv(path, encoding="utf-8")
         assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "utf-8"])
+    def test_latin1_files_load(self, tmp_path, encoding):
+        """A directory whose signal, edge and products files hold
+        non-ASCII text (a product name, a group, an extra edge column)
+        loads the same whether its files are saved as latin-1 or UTF-8."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=6,
+                                  n_dates=30, seed=2)
+        for entry in os.listdir(d):
+            path = os.path.join(d, entry)
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            if entry.startswith("edges_"):
+                rows = [r + (["note"] if i == 0 else ["\xe9t\xe9"])
+                        for i, r in enumerate(rows)]
+            rows = [[c.replace("P00", "P\xe900").replace("G0", "Caf\xe9")
+                     for c in r] for r in rows]
+            with open(path, "w", newline="", encoding=encoding) as fh:
+                csv.writer(fh).writerows(rows)
+        sg = load_supplygraph(d)
+        assert sg.products[0] == "P\xe900"
+        assert "Caf\xe9" in sg.group_names
+        twin = load_supplygraph(write_supplygraph_dir(
+            str(tmp_path / "twin"), n_products=6, n_dates=30, seed=2))
+        assert sg.products[1:] == twin.products[1:]
+        for name, matrix in twin.series.items():
+            assert sg.series[name].tobytes() == matrix.tobytes()
+        for kind, (edges, labels, names) in twin.edges.items():
+            assert sg.edges[kind][0].tobytes() == edges.tobytes()
+            assert sg.edges[kind][1].tobytes() == labels.tobytes()
+        assert sg.groups.tobytes() == twin.groups.tobytes()
 
     def test_missing_temporal_file(self, tmp_path):
         d = tmp_path / "sg"

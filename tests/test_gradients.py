@@ -22,6 +22,7 @@ from chebnet.layers import (
     relu,
     relu_backward,
 )
+from chebnet.model import EdgeHead, NodeReadout
 
 from oracles import grad_check, leaky_relu
 
@@ -65,6 +66,22 @@ def check_plain_layer(layer, x, proj):
     return grad_check(f, arrays)
 
 
+def check_head(head, h, edges, proj):
+    """Scalar-projected forward/backward closure for a graph-branch head:
+    its parameters' gradients and the gradient with respect to h."""
+    arrays = [p.value for _, p in head.parameters()] + [h]
+
+    def f():
+        for _, p in head.parameters():
+            p.zero_grad()
+        y = head.forward(h, edges)
+        loss = float((y * proj).sum())
+        dh = head.backward(proj)
+        return loss, [p.grad.copy() for _, p in head.parameters()] + [dh]
+
+    return grad_check(f, arrays)
+
+
 @pytest.mark.parametrize("seed", range(5))
 class TestLayerGradients:
     def test_linear(self, seed):
@@ -73,6 +90,25 @@ class TestLayerGradients:
         x = rng.standard_normal((6, 4))
         proj = rng.standard_normal((6, 3))
         assert check_plain_layer(layer, x, proj) < 1e-6
+
+    def test_node_readout(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        h = rng.standard_normal((3, 5, 4))
+        proj = rng.standard_normal((3, 4))
+        assert check_head(NodeReadout(), h, None, proj) < 1e-6
+
+    def test_edge_head(self, seed):
+        """Both Linears' parameters and the input gradient; nodes 0 and 1
+        end several edges, one of them a self-loop, so the scatter adds
+        more than one edge's gradient into a row."""
+        rng = np.random.default_rng(900 + seed)
+        head = EdgeHead(6, 5, 3, rng=rng)
+        h = rng.standard_normal((4, 3))
+        edges = np.array([[0, 1], [1, 2], [0, 0], [3, 1], [2, 0]])
+        proj = rng.standard_normal((5, 3))
+        assert [name for name, _ in head.parameters()] == \
+            ["0.weight", "0.bias", "1.weight", "1.bias"]
+        assert check_head(head, h, edges, proj) < TOL
 
     def test_cheb_conv(self, seed):
         rng = np.random.default_rng(100 + seed)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from chebnet import model as model_module
-from chebnet.data import (EDGE_TASK, conv_inputs_edge, conv_inputs_node,
-                          synth_generate, zscore_normalize, Dataset)
+from chebnet.data import (conv_inputs_edge, conv_inputs_node, synth_generate,
+                          zscore_normalize, Dataset)
 from chebnet.graph import build_graph_context, graph_from_features
 from chebnet.layers import ChebConv, GATLayer, GCNConv
 from chebnet.model import build_model, default_graph_dims
@@ -96,7 +96,7 @@ class TestParameterLayout:
             model = build_model("edge-class", "cheb", width=12,
                                 n_classes=classes, conv_shape=(1, 12),
                                 rng=rng, cheb_orders=(1, 1, 1))
-            h1, h2 = model.edge_head
+            h1, h2 = model.head.linears
             assert h1.weight.shape == (100, 100)  # 2 * embedding_dim -> 100
             assert h2.weight.shape == (100, classes)
 
@@ -115,13 +115,26 @@ class TestParameterLayout:
         assert default_graph_dims("edge-class", "cheb", 30, 4, 50)[-1] == 50
 
     def test_named_arrays_unique_and_stable(self):
-        rng = np.random.default_rng(3)
-        model = build_model("node-class", "cheb", 10, 2, (1, 10), rng=rng)
-        names = [n for n, _ in model.named_arrays()]
-        assert len(names) == len(set(names))
-        rng2 = np.random.default_rng(4)
-        model2 = build_model("node-class", "cheb", 10, 2, (1, 10), rng=rng2)
-        assert names == [n for n, _ in model2.named_arrays()]
+        """The checkpoint manifest of a node and an edge model, name for
+        name in its order: checkpoints written by earlier versions load
+        only while it stays as it is."""
+        def block_names(n_blocks):
+            return [f"graph.{i}.{name}" for i in range(n_blocks)
+                    for name in ("layer.weight", "layer.bias", "bn.gamma",
+                                 "bn.beta", "bn.running_mean",
+                                 "bn.running_var")]
+        conv = ["conv.0.kernels", "conv.0.bias", "conv.1.kernels",
+                "conv.1.bias"]
+        head = ["head.0.weight", "head.0.bias", "head.1.weight",
+                "head.1.bias"]
+        for task, expected in (("node-class", block_names(4) + conv),
+                               ("edge-class", block_names(3) + head + conv)):
+            for seed in (3, 4):
+                model = build_model(task, "cheb", 10, 2, (1, 10),
+                                    rng=np.random.default_rng(seed))
+                names = [n for n, _ in model.named_arrays()]
+                assert names == expected
+                assert len(names) == len(set(names))
 
     def test_architecture_record_rebuilds_model(self):
         rng = np.random.default_rng(6)
@@ -210,7 +223,8 @@ class TestBranches:
 def held_caches(model):
     """Every backward cache the model and its layers hold, by owner."""
     layers = [layer for block in model.blocks for layer in block]
-    layers += list(model.edge_head or ()) + model.conv_layers
+    layers += [model.head] + getattr(model.head, "linears", [])
+    layers += model.conv_layers
     held = {f"{type(layer).__name__}#{i}": layer._cache
             for i, layer in enumerate(layers)}
     held.update(gcache=model._gcache, ccache=model._ccache)
@@ -239,7 +253,10 @@ class TestCacheLifecycle:
         rng = np.random.default_rng(13)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             model.graph_forward(graph, feats, edges, training=True, rng=rng)
-            assert held_caches(model)
+            # each block's two layers, the head, its Linears, the masks
+            linears = getattr(model.head, "linears", [])
+            assert len(held_caches(model)) == \
+                2 * len(model.blocks) + 2 + len(linears)
             model.graph_forward(graph, feats, edges, training=False)
             assert held_caches(model) == {}
             model.layer_activations(graph, feats)
@@ -280,7 +297,7 @@ class TestInputGradient:
                                       rng=rng)
             model.graph_backward(np.ones_like(glp))
             *upper, first = returned    # backward runs last block first
-            if model.task == EDGE_TASK:
+            if not model.head.samples_are_rows:
                 assert isinstance(first, np.ndarray)
                 assert first.shape == feats.shape
             else:

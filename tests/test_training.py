@@ -227,7 +227,8 @@ class TestTrainModel:
             dataset, quick_config(epochs=3, dropout=0.5))
         assert len(history) == 3
         layers = [layer for block in model.blocks for layer in block]
-        layers += list(model.edge_head or ()) + model.conv_layers
+        layers += [model.head] + getattr(model.head, "linears", [])
+        layers += model.conv_layers
         assert all(layer._cache is None for layer in layers)
         assert model._gcache is None and model._ccache is None
 
