@@ -1,9 +1,11 @@
 """Run configuration: documented defaults, JSON file, flag overrides.
 
-Precedence is flags > file > defaults.  Unknown keys anywhere in the nested
-document are rejected, every value must have the JSON type of its default,
-and the fully resolved config is echoed into the run directory so a run can
-be reproduced from its own output.
+Precedence is flags > file > defaults.  ``KEYS`` declares every key of the
+nested document once: its default and the rule its value must pass.
+Unknown keys are rejected, a value that breaks its key's rule is rejected
+with a message naming the key and the rule, and the fully resolved config
+is echoed into the run directory so a run can be reproduced from its own
+output.
 """
 
 import copy
@@ -12,6 +14,9 @@ import json
 import math
 import sys
 
+from chebnet.data import DATACO_TARGET
+from chebnet.model import VARIANTS
+from chebnet.optim import OPTIMIZERS
 from chebnet.training import TrainingConfig
 
 TASKS = ("dataco-risk", "sg-product", "sg-product-edges", "sg-plant-edges",
@@ -27,49 +32,100 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration key/value."""
 
 
-# Every key has a default; see README for the full reference.
-DEFAULTS = {
-    "task": "synthetic",
-    "variant": "cheb",
-    "seed": 0,
-    "output_dir": "runs",
-    "data": {
-        "path": None,                 # transaction CSV or supply-graph dir
-        "target_column": "Late_delivery_risk",
-        "feature_columns": None,      # null -> schema default
-    },
-    "synth": {
-        "n_samples": 400,
-        "n_channels": 10,
-        "n_classes": 2,
-        "separation": 3.0,
-    },
-    "graph": {
-        "threshold": 0.7,
-    },
-    "model": {
-        "cheb_orders": [1, 1, 1, 1],
-        "graph_dims": None,           # null -> task default
-        "conv_kernels": 10,
-        "dropout": 0.5,
-        "embedding_dim": 50,
-    },
-    "training": {
-        "epochs": 500,
-        "folds": 10,
-        "alpha": 0.9,
-        "optimizer_graph": "adam",
-        "optimizer_conv": "adam",
-        "lr_graph": 0.001,
-        "lr_conv": 0.0001,
-        "weight_decay": 0.0004,
-        "window": 20,
-        "stride": 1,
-        "early_stop": True,
-        "early_stop_accuracy": 0.999,
-        "early_stop_patience": 20,
-    },
+# A rule is (what a value must be, test of a value).
+_BOOLEAN = ("a boolean", lambda value: type(value) is bool)
+_STRING = ("a string", lambda value: isinstance(value, str))
+
+
+def _integer(low):
+    return (f"an integer >= {low}",
+            lambda value: type(value) is int and value >= low)
+
+
+def _number(bounds, within):
+    # finite, and (for an int) within float range, so float() cannot fail
+    return (f"a finite number {bounds}",
+            lambda value: (type(value) in (int, float)
+                           and abs(value) <= sys.float_info.max
+                           and within(value)))
+
+
+def _one_of(names):
+    return (f"one of {', '.join(names)}",
+            lambda value: isinstance(value, str) and value in names)
+
+
+def _list_of(plural, rule):
+    _, ok = rule
+    return (f"a list of {plural}",
+            lambda value: isinstance(value, list) and all(map(ok, value)))
+
+
+def _or_null(rule):
+    what, ok = rule
+    return (f"null or {what}", lambda value: value is None or ok(value))
+
+
+# The default of the TrainingConfig field named by the key's last part,
+# which is the field training_config() fills from that key.
+_FIELD = object()
+
+# dotted key -> (default, rule)
+KEYS = {
+    "task": ("synthetic", _one_of(TASKS)),
+    "variant": (_FIELD, _one_of(VARIANTS)),
+    "seed": (_FIELD, _integer(0)),
+    "output_dir": ("runs", _STRING),
+    # transaction CSV or supply-graph dir
+    "data.path": (None, _or_null(_STRING)),
+    "data.target_column": (DATACO_TARGET, _STRING),
+    # null -> schema default
+    "data.feature_columns": (None, _or_null(_list_of("strings", _STRING))),
+    "synth.n_samples": (400, _integer(1)),
+    "synth.n_channels": (10, _integer(1)),
+    "synth.n_classes": (2, _integer(1)),
+    "synth.separation": (3.0, _number(">= 0", lambda v: v >= 0)),
+    "graph.threshold": (_FIELD, _number(
+        f"in [0, sigmoid(1) = {MAX_THRESHOLD:.4f}] (edge weights are "
+        f"sigmoid(|corr|), so a higher threshold removes every edge and "
+        f"self-loop)", lambda v: 0 <= v <= MAX_THRESHOLD)),
+    "model.cheb_orders": (_FIELD, _list_of("integers >= 1", _integer(1))),
+    # null -> task default
+    "model.graph_dims": (_FIELD,
+                         _or_null(_list_of("integers >= 1", _integer(1)))),
+    "model.conv_kernels": (_FIELD, _integer(1)),
+    "model.dropout": (_FIELD, _number("in [0, 1)", lambda v: 0 <= v < 1)),
+    "model.embedding_dim": (_FIELD, _integer(1)),
+    "training.epochs": (_FIELD, _integer(0)),
+    "training.folds": (_FIELD, _integer(2)),
+    "training.alpha": (_FIELD, _number("in [0, 1]", lambda v: 0 <= v <= 1)),
+    "training.optimizer_graph": (_FIELD, _one_of(OPTIMIZERS)),
+    "training.optimizer_conv": (_FIELD, _one_of(OPTIMIZERS)),
+    "training.lr_graph": (_FIELD, _number("> 0", lambda v: v > 0)),
+    "training.lr_conv": (_FIELD, _number("> 0", lambda v: v > 0)),
+    "training.weight_decay": (_FIELD, _number(">= 0", lambda v: v >= 0)),
+    "training.window": (20, _integer(1)),
+    "training.stride": (1, _integer(1)),
+    "training.early_stop": (_FIELD, _BOOLEAN),
+    "training.early_stop_accuracy": (_FIELD, _number("in [0, 1]",
+                                                    lambda v: 0 <= v <= 1)),
+    "training.early_stop_patience": (_FIELD, _integer(1)),
 }
+
+
+def _defaults():
+    fields = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
+    doc = {}
+    for key, (default, _) in KEYS.items():
+        section, _, name = key.rpartition(".")
+        if default is _FIELD:
+            default = fields[name]
+        node = doc.setdefault(section, {}) if section else doc
+        node[name] = list(default) if isinstance(default, tuple) else default
+    return doc
+
+
+DEFAULTS = _defaults()
 
 
 def _merge(base, override, prefix=""):
@@ -87,112 +143,23 @@ def _merge(base, override, prefix=""):
     return out
 
 
-def _is_int(value):
-    return type(value) is int
-
-
-def _is_number(value):
-    # finite, and (for an int) within float range, so float() cannot fail
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _is_list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-# What a leaf must hold, by the type of its default value.
-_LEAF_TYPES = {
-    bool: ("a boolean", lambda value: type(value) is bool),
-    int: ("an integer", _is_int),
-    float: ("a finite number", _is_number),
-    str: ("a string", lambda value: isinstance(value, str)),
-    list: ("a list of integers", _is_list_of(_is_int)),
-}
-
-# What a leaf whose default is null must hold when it is not null.
-_NULLABLE_TYPES = {
-    "data.path": _LEAF_TYPES[str],
-    "data.feature_columns": ("a list of strings",
-                             _is_list_of(lambda value: isinstance(value, str))),
-    "model.graph_dims": _LEAF_TYPES[list],
-}
-
-
-def _check_types(cfg, defaults=DEFAULTS, prefix=""):
-    """Raise ConfigError naming the first leaf whose value has the wrong type.
+def _validate(cfg):
+    """Raise ConfigError naming the first key whose value breaks its rule.
 
     The merge has already checked the nesting, so every key is present and
-    every mapping is a dict.
+    every section is a dict.
     """
-    for key, default in defaults.items():
-        path, value = prefix + key, cfg[key]
-        if isinstance(default, dict):
-            _check_types(value, default, f"{path}.")
-            continue
-        if default is None and value is None:
-            continue
-        what, ok = (_NULLABLE_TYPES[path] if default is None
-                    else _LEAF_TYPES[type(default)])
+    for key, (_, (what, ok)) in KEYS.items():
+        section, _, name = key.rpartition(".")
+        value = (cfg[section] if section else cfg)[name]
         if not ok(value):
-            raise ConfigError(f"invalid config value for {path!r}: must be "
+            raise ConfigError(f"invalid config value for {key!r}: must be "
                               f"{what}, got {value!r}")
-
-
-def _validate(cfg):
-    def bad(key, why):
-        raise ConfigError(f"invalid config value for {key!r}: {why}")
-
-    _check_types(cfg)
-    if cfg["task"] not in TASKS:
-        bad("task", f"must be one of {TASKS}")
-    if cfg["variant"] not in ("cheb", "gcn", "gat"):
-        bad("variant", "must be cheb, gcn or gat")
-    if cfg["seed"] < 0:
-        bad("seed", "must be >= 0")
-    g = cfg["graph"]
-    if not (0.0 <= g["threshold"] <= MAX_THRESHOLD):
-        bad("graph.threshold",
-            f"must lie in [0, sigmoid(1) = {MAX_THRESHOLD:.4f}], got "
-            f"{g['threshold']}; edge weights are sigmoid(|corr|), so a "
-            f"higher threshold removes every edge and self-loop")
-    m = cfg["model"]
-    if not (0.0 <= m["dropout"] < 1.0):
-        bad("model.dropout", "must lie in [0, 1)")
-    if any(k < 1 for k in m["cheb_orders"]):
-        bad("model.cheb_orders", "orders must be >= 1")
-    if m["graph_dims"] is not None and any(d < 1 for d in m["graph_dims"]):
-        bad("model.graph_dims", "widths must be >= 1")
-    for key in ("conv_kernels", "embedding_dim"):
-        if m[key] < 1:
-            bad(f"model.{key}", "must be >= 1")
-    t = cfg["training"]
-    if not (0.0 <= t["alpha"] <= 1.0):
-        bad("training.alpha", "must lie in [0, 1]")
-    if t["folds"] < 2:
-        bad("training.folds", "must be >= 2")
-    if t["epochs"] < 0:
-        bad("training.epochs", "must be >= 0")
-    if t["early_stop_patience"] < 1:
-        bad("training.early_stop_patience", "must be >= 1")
-    for key in ("lr_graph", "lr_conv"):
-        if t[key] <= 0:
-            bad(f"training.{key}", "must be > 0")
-    if t["weight_decay"] < 0:
-        bad("training.weight_decay", "must be >= 0")
-    for key in ("window", "stride"):
-        if t[key] < 1:
-            bad(f"training.{key}", "must be >= 1")
-    for key in ("optimizer_graph", "optimizer_conv"):
-        if t[key] not in ("adam", "sgd"):
-            bad(f"training.{key}", "must be adam or sgd")
     s = cfg["synth"]
-    for key in ("n_samples", "n_channels", "n_classes"):
-        if s[key] < 1:
-            bad(f"synth.{key}", "must be >= 1")
     if s["n_channels"] < s["n_classes"]:
-        bad("synth.n_channels", "must be >= synth.n_classes")
-    if s["separation"] < 0:
-        bad("synth.separation", "must be >= 0")
+        raise ConfigError(f"invalid config value for 'synth.n_channels': "
+                          f"must be >= synth.n_classes = {s['n_classes']}, "
+                          f"got {s['n_channels']!r}")
     return cfg
 
 
@@ -215,11 +182,13 @@ def resolve_config(path=None, overrides=()):
     """defaults <- config file <- overrides; returns the validated dict."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be an object")
         cfg = _merge(cfg, loaded)

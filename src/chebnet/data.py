@@ -419,8 +419,18 @@ def load_dataco(path, target_column=DATACO_TARGET, feature_columns=None):
         raise SchemaError(f"{path}: missing feature columns {missing}")
     if not feature_columns:
         raise SchemaError(f"{path}: no feature columns")
+    used = [*feature_columns, target_column]
+    for i, c in enumerate(used):
+        if header.count(c) > 1:
+            raise SchemaError(f"{path}: column {c!r} is named more than once "
+                              f"in the header")
+        if c in used[:i]:
+            raise SchemaError(
+                f"{path}: target column {c!r} is also a feature column"
+                if c == target_column else
+                f"{path}: feature column {c!r} is listed more than once")
 
-    usecols = [header.index(c) for c in [*feature_columns, target_column]]
+    usecols = [header.index(c) for c in used]
     table = (_parse_numeric(path, header_lines, usecols, encoding)
              if numpy_may_read else None)
     if table is None:

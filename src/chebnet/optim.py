@@ -81,10 +81,11 @@ class Adam(_Optimizer):
             p.value -= self.lr * update
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
 def make_optimizer(kind, params, lr, weight_decay=0.0):
     kind = kind.lower()
-    if kind == "adam":
-        return Adam(params, lr, weight_decay)
-    if kind == "sgd":
-        return SGD(params, lr, weight_decay)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {kind!r}")
+    return OPTIMIZERS[kind](params, lr, weight_decay)

@@ -61,16 +61,6 @@ class TrainingConfig:
     early_stop_accuracy: float = 0.999
     early_stop_patience: int = 20
 
-    def __post_init__(self):
-        if self.lr_graph <= 0 or self.lr_conv <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
-
 
 def nll_loss(log_probs, targets):
     """Mean negative log-likelihood of the target classes."""
@@ -160,6 +150,9 @@ def train_model(dataset, graph, config, instance=0):
     """
     if dataset.n_samples == 0:
         raise ValueError("dataset is empty")
+    if config.early_stop_patience < 1:
+        # a patience below 1 would stop every fit after its first epoch
+        raise ValueError("early_stop_patience must be >= 1")
     init_rng = np.random.default_rng(subseed(config.seed, SEED_INIT, instance))
     drop_rng = np.random.default_rng(
         subseed(config.seed, SEED_DROPOUT, instance))

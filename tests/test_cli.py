@@ -136,6 +136,7 @@ class TestConfig:
         "synth.n_samples=0", "synth.n_samples=-5", "synth.n_channels=0",
         "synth.n_channels=1", "synth.n_classes=0", "synth.n_classes=11",
         "training.lr_conv=0", "training.stride=0",
+        "training.early_stop_accuracy=-1", "training.early_stop_accuracy=7",
     ])
     def test_bad_value_names_key(self, override):
         key = override.split("=", 1)[0]
@@ -159,9 +160,44 @@ class TestConfig:
         training_config(cfg)  # whatever validates also converts
 
     def test_default_document_bridges_to_default_training_config(self):
-        # training_config fills TrainingConfig by field name, so the two
-        # sets of defaults must agree
+        # the document takes these defaults from TrainingConfig's fields,
+        # and training_config must hand them back unchanged
         assert training_config(resolve_config()) == TrainingConfig()
+
+    def test_config_file_not_utf8_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes('{"output_dir": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            resolve_config(str(path))
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_readme_table_documents_every_key_and_default(self):
+        # rows such as `training.lr_graph/lr_conv` | `0.001/0.0001` stand
+        # for one key per name; a single default is shared by every name
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        text = open(readme, encoding="utf-8").read()
+        table = text.split("## Configuration reference", 1)[1]
+        rows = [line for line in table.split("\n## ", 1)[0].splitlines()
+                if line.startswith("| `")]
+        documented = {}
+        for row in rows:
+            key_cell, default_cell = (cell.strip().strip("`")
+                                      for cell in row.split("|")[1:3])
+            first, *rest = key_cell.split("/")
+            section = first.rpartition(".")[0]
+            keys = [first] + [f"{section}.{name}" for name in rest]
+            defaults = default_cell.split("/") if rest else [default_cell]
+            if len(defaults) == 1:
+                defaults *= len(keys)
+            assert len(defaults) == len(keys), row
+            for key, default in zip(keys, defaults):
+                try:
+                    documented[key] = json.loads(default)
+                except json.JSONDecodeError:
+                    documented[key] = default
+        assert sorted(documented) == LEAVES
+        for key, default in documented.items():
+            assert json.dumps(default) == json.dumps(default_of(key)), key
 
     def test_parse_override_json_values(self):
         assert parse_override("model.cheb_orders=[2,2,1,1]") == {
@@ -243,6 +279,19 @@ class TestTrainCommand:
                      *FAST])
         assert code == 1
         assert "training.early_stop_patience" in capsys.readouterr().err
+
+    def test_target_among_feature_columns_exits_one(self, tmp_path, capsys):
+        assert main(["synth", *FAST, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "synthetic.csv"
+        code = main(["train", "--set", f'output_dir="{tmp_path}"', *FAST,
+                     "--set", 'task="dataco-risk"',
+                     "--set", f"data.path={json.dumps(str(path))}",
+                     "--set", 'data.target_column="target"',
+                     "--set", 'data.feature_columns=["ch0","target"]'])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: target column 'target' is also a feature "
+            f"column\n")
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         code = main(["train", "--set", "nonsense=1"])

@@ -106,6 +106,33 @@ class TestLoadDataco:
         assert ds.channel_names == ("C", "A")
         np.testing.assert_array_equal(ds.features, [[3.0, 1.0], [6.0, 4.0]])
 
+    @pytest.mark.parametrize("header, features, message", [
+        # a header naming a used column twice would read its first copy
+        # twice; listing the target as a feature trains on the label
+        ("A,A,T", None, "column 'A' is named more than once in the header"),
+        ("A,B,T,T", None, "column 'T' is named more than once in the header"),
+        ("A,B,B,T", ["B", "A"],
+         "column 'B' is named more than once in the header"),
+        ("A,B,T", ["A", "B", "A"],
+         "feature column 'A' is listed more than once"),
+        ("A,B,T", ["A", "T"], "target column 'T' is also a feature column"),
+    ])
+    def test_ambiguous_columns_rejected(self, tmp_path, header, features,
+                                        message):
+        path = tmp_path / "t.csv"
+        width = header.count(",") + 1
+        write_csv(path, [header, ",".join(["1"] * width),
+                         ",".join(["0"] * width)])
+        with pytest.raises(SchemaError) as err:
+            load_dataco(path, target_column="T", feature_columns=features)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_repeated_unused_column_ignored(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["A,B,B,T", "1,2,3,0", "4,5,6,1"])
+        ds = load_dataco(path, target_column="T", feature_columns=["A"])
+        np.testing.assert_array_equal(ds.features, [[1.0], [4.0]])
+
     def test_word_target(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, [

@@ -201,8 +201,11 @@ class TestTrainModel:
     @pytest.mark.parametrize("patience", [0, -3])
     def test_patience_below_one_rejected(self, patience):
         # patience <= 0 would stop every fit after its first epoch
+        dataset = tiny_dataset()
+        graph = graph_from_features(dataset.features, 0.6)
+        cfg = quick_config(early_stop=True, early_stop_patience=patience)
         with pytest.raises(ValueError, match="early_stop_patience"):
-            quick_config(early_stop=True, early_stop_patience=patience)
+            train_model(dataset, graph, cfg)
 
     def test_empty_dataset_rejected(self):
         dataset = tiny_dataset()
