@@ -6,7 +6,8 @@ forward caches what the backward reads, an eval-mode forward caches nothing
 and clears the cache, and the backward takes the cache once, so each
 backward needs a train-mode forward of its own.  The backward accumulates
 parameter gradients into ``Parameter.grad`` and returns the gradient with
-respect to the layer's input.  The graph branch's two heads in
+respect to the layer's input; a graph layer's backward takes the keyword
+``x`` as well (see Inputs handed back).  The graph branch's two heads in
 ``chebnet.model``, ``NodeReadout`` and ``EdgeHead``, are layers under this
 rule too: ``forward(h, edges)`` returns log-probabilities and
 ``backward(dout)`` the gradient with respect to h; EdgeHead's cache and
@@ -24,30 +25,38 @@ and validated against finite differences in the tests.
 Ownership: ``relu``, ``relu_backward``, ``leaky_relu_backward``,
 ``BatchNorm.forward`` and ``BatchNorm.backward`` overwrite the array they
 are given and return it (BatchNorm's train-mode y is the one new array
-among them, because its xc stays cached).  A caller passes them only an
-array it owns and no longer reads, such as a layer's fresh output or a
-fresh upstream gradient, and takes any sign mask it keeps before the
-activation overwrites its input.  Every other layer leaves its arguments
-as they are.  An in-place ufunc gives the bits of its out-of-place form,
-so this changes no result.
+among them, because its xc stays cached), and so does the backward of
+ChebConv and GATLayer with the dense input ``x`` it is handed, which it
+returns as dx.  A caller passes them only an array it owns and no longer
+reads, such as a layer's fresh output or a fresh upstream gradient, and
+takes any sign mask it keeps before the activation overwrites its input.
+Every other layer leaves its arguments as they are.  An in-place ufunc
+gives the bits of its out-of-place form, so this changes no result.
 
-Backward order: ChebConv and GCNConv on dense input compute their weight
-gradients first, then drop their reference to the cached input, and only
-then allocate dx.  A hidden graph layer's cached input is the previous
-BatchNorm's output, which nothing else holds, so dx takes the heap block
-that input frees; an input the caller still holds (an edge task's node
-features) is only unreferenced, never written.  dx is formed in sample
-blocks of at most ``_DX_BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's
-chain P (up theta^T) makes no full-size temporary.  ChebConv's sum keeps
-full-size arrays instead: each dtheta_k needs x and u_k = T_k(Ls) up
-together, so all K - 1 propagated gradients live until dx is done.  Above
-its cached input a ChebConv backward peaks at (K - 1)|up| plus two
-blocks, where the whole-batch form (one u_k at a time next to a full-size
-dx and term) peaks at 2|x| + |up|: less while (K - 2) F_out < 2 F_in,
-more beyond (see README, Memory).  Each sample's stacked GEMMs and the
-order of the adds are those of the whole-batch form, so dx keeps its
-bits.  GATLayer and Linear keep the plain order: dropping their cache
-first changed no measured peak.  Conv1D hands its cache to
+Inputs handed back: no graph layer keeps its input from forward to
+backward.  ChebConv and GATLayer (``takes_input``) get it back as the
+backward's keyword ``x``; the model forms a hidden layer's input again
+from the previous BatchNorm's cache (``BatchNorm.output``), so between
+forward and backward each activation is held once, as that BatchNorm's
+centred xc.  On dense input they compute their weight gradients first and
+then overwrite x with dx, so the one input-sized array a hidden backward
+allocates is that re-formed input.  GCNConv keeps P x, which its weight
+gradient needs and which is not its input, so it takes no x, and dx takes
+the heap block P x frees.  ChebConv and GCNConv form dx in sample blocks
+of at most ``_DX_BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's chain
+P (up theta^T) makes no full-size temporary.  ChebConv forms the
+propagated gradients u_k = T_k(Ls) up one at a time in one buffer for
+dtheta_k = x^T u_k; the buffer keeps the last one for the dx blocks, and
+each block forms its rows T_k(Ls) up[rows] of the others again.  Its
+forward adds the terms T_k(Ls) (x theta_k) block by block.  So above what
+was live before the call a ChebConv forward allocates its output and two
+blocks, and a backward one upstream-sized array and two blocks, at any
+K: the whole-batch backward took 2|x| + |up|, and keeping every u_k for
+the dx blocks (K - 1)|up| (see README, Memory).  The price is K - 2 more
+N x N products per sample in the backward (none at K <= 2).  Each sample's
+stacked GEMMs and the order of the adds are those of the whole-batch
+form, so y, dx and the weight gradients keep their bits.  Linear keeps
+its cached input, and Conv1D hands its cache to
 ``kernels.conv1d_backward``.
 
 The activations are (rows, width) arrays with many rows and few channels,
@@ -305,6 +314,19 @@ def _graph_input(layer, graph, x, diagonal):
     return x
 
 
+def _backward_input(x, shape, diagonal):
+    """The input a graph layer's backward is handed back, checked against
+    the ``shape`` its forward saw.  Diagonal rows are only read; dense
+    input is overwritten with dx, so it is taken as a float64, C-contiguous,
+    writeable array (a copy when it is not one)."""
+    x = (np.asarray(x, dtype=np.float64) if diagonal
+         else np.require(x, np.float64, ["C", "W"]))
+    if x.shape != shape:
+        raise ValueError(f"backward input has shape {x.shape}, the forward's "
+                         f"had {shape}")
+    return x
+
+
 def _diagonal_apply(x, basis, w):
     """y[b, n, f] = sum_k sum_i basis[k, n, i] x[b, i] w[k, i, f], the
     filter sum_k basis[k] diag(x_b) w[k] on (B, N) rows, as one GEMM
@@ -330,18 +352,21 @@ class ChebConv(_Layer):
     N x N, which ``GraphContext.cheb_basis`` builds once per graph and
     order.  Dense input (N, F_in) or (B, N, F_in) is projected and then
     propagated at the output width,
-    y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), one term at a time.
-    The backward forms every u_k = T_k(Ls) up (u_0 = up; T_k(Ls) is
-    symmetric) and dtheta_k = x^T u_k, drops x, and then forms
-    dx = sum_k u_k theta_k^T block by block, so it keeps the K - 1
-    propagated gradients until dx is done (the module docstring gives the
-    cost).  The cache holds x and the basis.
+    y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), in sample blocks.
+    The backward, handed x back, forms u_k = T_k(Ls) up (u_0 = up; T_k(Ls)
+    is symmetric) one at a time for dtheta_k = x^T u_k, and then
+    dx = sum_k u_k theta_k^T block by block in x's memory, from the last
+    u_k it kept and each block's rows of the others formed again (the
+    module docstring gives the cost).  The cache holds the basis and x's
+    shape, not x.
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``): then y = x @ M with
     M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], and no (B, N, N) array
     is formed.  Its backward returns no input gradient.
     """
+
+    takes_input = True
 
     def __init__(self, in_features, out_features, order=1, *, rng):
         if order < 1:
@@ -364,35 +389,41 @@ class ChebConv(_Layer):
         if diagonal:
             y = _diagonal_apply(x, basis, w)
         else:
-            y = x @ w[0]
-            for k in range(1, self.order):
-                y += basis[k] @ (x @ w[k])
+            y = np.empty(x.shape[:-1] + (self.out_features,))
+            for rows in _sample_blocks(y.shape):
+                d = np.matmul(x[rows], w[0], out=y[rows])
+                for k in range(1, self.order):
+                    d += basis[k] @ (x[rows] @ w[k])
         _channelwise(np.add, y, self.bias.value, out=y)
-        self._keep((x, basis, diagonal))
+        self._keep((basis, diagonal, x.shape))
         return y
 
-    def backward(self, up):
-        x, basis, diagonal = self._take()
+    def backward(self, up, *, x):
+        basis, diagonal, shape = self._take()
+        x = _backward_input(x, shape, diagonal)
         up = np.asarray(up, dtype=np.float64)
         self.bias.accumulate(_column_sums(_flat2(up, self.out_features)))
         if diagonal:
             self.weight.accumulate(_diagonal_weight_grad(basis, x, up))
             return None
         w = self.weight.value
-        u = [up] + [basis[k] @ up for k in range(1, self.order)]
         xf = _flat2(x, self.in_features)
         dw = np.empty_like(w)
-        for k, uk in enumerate(u):
-            dw[k] = xf.T @ _flat2(uk, self.out_features)
+        dw[0] = xf.T @ _flat2(up, self.out_features)
+        u = np.empty_like(up) if self.order > 1 else None
+        for k in range(1, self.order):
+            np.matmul(basis[k], up, out=u)
+            dw[k] = xf.T @ _flat2(u, self.out_features)
         self.weight.accumulate(dw)
-        shape = x.shape
-        del x, xf   # the cached input is dead: dx may take its memory
-        dx = np.empty(shape)
-        for rows in _sample_blocks(shape):
-            d = _matmul_transposed(u[0][rows], w[0].T, out=dx[rows])
+        # x is dead: dx takes its memory, block by block; u still holds the
+        # last order's u_k, and each block forms its rows of the others again
+        widest = max(self.in_features, self.out_features)
+        for rows in _sample_blocks(shape[:-1] + (widest,)):
+            d = _matmul_transposed(up[rows], w[0].T, out=x[rows])
             for k in range(1, self.order):
-                d += _matmul_transposed(u[k][rows], w[k].T)
-        return dx
+                uk = u[rows] if k == self.order - 1 else basis[k] @ up[rows]
+                d += _matmul_transposed(uk, w[k].T)
+        return x
 
 
 class GCNConv(_Layer):
@@ -403,8 +434,11 @@ class GCNConv(_Layer):
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``) and computes y = x @ M with
     M[i, n, f] = P[n, i] theta[i, f]; its backward returns no input
-    gradient.
+    gradient.  The cache holds P x (the rows for diagonal input), so the
+    backward takes no x back and ignores one.
     """
+
+    takes_input = False
 
     def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
@@ -430,7 +464,7 @@ class GCNConv(_Layer):
         self._keep((prop, xin, diagonal))
         return y
 
-    def backward(self, up):
+    def backward(self, up, *, x=None):
         prop, xin, diagonal = self._take()
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
@@ -441,7 +475,7 @@ class GCNConv(_Layer):
             return None
         self.weight.accumulate(_flat2(xin, self.in_features).T @ upf)
         shape = xin.shape
-        del xin     # the cached input is dead: dx may take its memory
+        del xin     # the cached product is dead: dx may take its memory
         dx = np.empty(shape)
         for rows in _sample_blocks(shape):
             # prop is symmetric
@@ -463,11 +497,13 @@ class GATLayer(_Layer):
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``), whose transform is h = x[..., None] * psi; its
     backward returns no input gradient.  The cache keeps the leaky
-    activations' sign masks, not their inputs.
+    activations' sign masks, not their inputs, and not x, which the
+    backward is handed back and overwrites with dx.
     """
 
     LOGIT_SLOPE = 0.2
     ACTIVATION_SLOPE = 0.2
+    takes_input = True
 
     def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
@@ -500,13 +536,14 @@ class GATLayer(_Layer):
         alpha = expd / expd.sum(axis=-1, keepdims=True)
         agg = alpha @ h
         agg_positive = agg > 0.0
-        self._keep({"x": x, "diagonal": diagonal, "h": h,
+        self._keep({"shape": x.shape, "diagonal": diagonal, "h": h,
                     "logits_positive": logits_positive, "alpha": alpha,
                     "agg_positive": agg_positive})
         return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
-    def backward(self, up):
+    def backward(self, up, *, x):
         c = self._take()
+        x = _backward_input(x, c["shape"], c["diagonal"])
         # the activation backward works in place, and ``up`` is the caller's
         dagg = leaky_relu_backward(np.array(up, dtype=np.float64),
                                    c["agg_positive"], self.ACTIVATION_SLOPE)
@@ -531,11 +568,11 @@ class GATLayer(_Layer):
         ])
         self.attention.accumulate(da)
         if c["diagonal"]:
-            self.transform.accumulate(np.einsum("bi,bif->if", c["x"], dh))
+            self.transform.accumulate(np.einsum("bi,bif->if", x, dh))
             return None
         self.transform.accumulate(
-            _flat2(c["x"], self.in_features).T @ _flat2(dh, self.out_features))
-        return _matmul_transposed(dh, self.transform.value.T)
+            _flat2(x, self.in_features).T @ _flat2(dh, self.out_features))
+        return _matmul_transposed(dh, self.transform.value.T, out=x)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +665,10 @@ class BatchNorm(_Layer):
     with one per-channel scale, y = xc * (gamma * inv_std) + beta.  Only a
     train-mode forward caches for backward, and its cache is xc (not the
     normalized xhat = xc * inv_std), from which the backward works with the
-    same scale.  Every per-channel statistic is one einsum reduction over
-    the rows, which builds no (rows, width) temporary.
+    same scale.  ``output`` forms the train-mode y again from that cache,
+    for the next graph layer's backward.  Every per-channel statistic is
+    one einsum reduction over the rows, which builds no (rows, width)
+    temporary.
 
     Both passes overwrite the array they are given (see the module
     docstring): a train-mode forward centres x in place and caches it as
@@ -674,13 +713,25 @@ class BatchNorm(_Layer):
             xc = _channelwise(np.subtract, flat, self.running_mean, out=flat)
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        scale = self.gamma.value * inv_std
         self._keep((xc, inv_std, x.shape))
         # eval mode keeps no xc, so y takes its memory, the input's
-        y = _channelwise(np.multiply, xc, scale,
-                         out=None if self.training else xc)
+        return self._normalized(xc, inv_std, x.shape,
+                                out=None if self.training else xc)
+
+    def output(self):
+        """The output of the last train-mode forward, formed again from the
+        cache, which stays for the backward.  The same calls on the same
+        values give the forward's bits, and no running statistic moves."""
+        if self._cache is None:
+            raise InvalidStateError("BatchNorm.output without a train-mode "
+                                    "forward")
+        return self._normalized(*self._cache)
+
+    def _normalized(self, xc, inv_std, shape, out=None):
+        """y = xc * (gamma * inv_std) + beta, in ``out`` when given."""
+        y = _channelwise(np.multiply, xc, self.gamma.value * inv_std, out=out)
         _channelwise(np.add, y, self.beta.value, out=y)
-        return y.reshape(x.shape)
+        return y.reshape(shape)
 
     def backward(self, up):
         xc, inv_std, shape = self._take()

@@ -19,15 +19,18 @@ propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
 The later ChebConv layers apply the same N x N matrices T_k(Ls) to their
 dense (B, N, F) input.
 The diagonal first layer forms no input gradient.  An edge task's first
-graph layer takes the dense (N, F) node features and returns one, which
-nothing reads.  The first Conv1D is called with ``input_grad=False`` (only
-Conv1D takes it) and computes none.
+graph layer takes the dense (N, F) node features and returns one, formed
+in a copy of them, which nothing reads.  The first Conv1D is called with
+``input_grad=False`` (only Conv1D takes it) and computes none.
 
 Both branches keep the cache rule of ``chebnet.layers`` (``take_once``),
 and the heads are layers under it.  Of every ReLU and LeakyReLU
 pre-activation the model keeps only the bool sign mask z > 0, which is
-what their backward takes.  An eval-mode forward (prediction,
-``layer_activations``) keeps nothing.
+what their backward takes.  No graph layer keeps its input:
+``graph_backward`` hands it back to the layers that take it
+(``_layer_input``), a hidden layer's formed again by the BatchNorm before
+it.  An eval-mode forward (prediction, ``layer_activations``) keeps
+nothing.
 
 The activations and BatchNorm overwrite the array they are given (see
 ``chebnet.layers``), and the model passes them only arrays it owns: a
@@ -275,27 +278,45 @@ class EnsembleModel:
 
     def _graph_block(self, graph, features, edges, training, rng):
         """``graph_forward`` of one block of rows (an edge task's whole
-        graph); a training-mode call keeps the backward's cache: the sign
-        masks and the dropout mask, the head keeping its own."""
+        graph); a training-mode call keeps the backward's cache: the
+        caller's features, the sign masks and the dropout mask, the head
+        keeping its own."""
         signs = []
         for positive, h in self._blocks(graph, features, training):
             signs.append(positive)
         h, mask = dropout(h, self.dropout_p, rng=rng, training=training)
         out = self.head.forward(h, edges)
-        self._gcache = {"signs": signs[1:], "mask": mask} if training else None
+        self._gcache = ({"features": features, "signs": signs[1:],
+                         "mask": mask} if training else None)
         return out
 
     def graph_backward(self, dout):
         """Accumulate the graph branch's parameter gradients and release
         the forward's cache; returns nothing, since no caller reads the
-        gradient of the input."""
+        gradient of the input.  A graph layer that ``takes_input`` is
+        handed back its input (``_layer_input``)."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
         dh = dropout_backward(self.head.backward(dout), c["mask"])
-        # the first block's result, the input gradient, has no reader
-        for (layer, bn), positive in zip(reversed(self.blocks),
-                                         reversed(c["signs"])):
-            dh = layer.backward(relu_backward(bn.backward(dh), positive))
+        for i in reversed(range(len(self.blocks))):
+            layer, bn = self.blocks[i]
+            dz = relu_backward(bn.backward(dh), c["signs"][i])
+            x = (self._layer_input(i, c["features"]) if layer.takes_input
+                 else None)
+            dh = layer.backward(dz, x=x)
+
+    def _layer_input(self, i, features):
+        """The input of block i's graph layer, handed back to its backward,
+        which overwrites a dense one with its input gradient.  A hidden
+        layer's is the previous BatchNorm's output, formed again from that
+        BatchNorm's cache, so it becomes the layer's one new input-sized
+        array.  The first layer's is the caller's features: diagonal rows
+        are only read, and dense ones (edge tasks) go in as a copy."""
+        if i:
+            return self.blocks[i - 1][1].output()
+        if self.head.samples_are_rows:
+            return features
+        return np.array(features, dtype=np.float64)
 
     # -- conv branch ----------------------------------------------------------
 

@@ -226,6 +226,15 @@ def broadcast_bias_conv1d(x, w, b):
     return y
 
 
+def full_cheb_forward(basis, w, b, x):
+    """``ChebConv.forward`` on dense input with each term formed over the
+    whole batch: y = x theta_0 + sum_{k>=1} T_k (x theta_k) + bias."""
+    y = x @ w[0]
+    for k in range(1, len(w)):
+        y += basis[k] @ (x @ w[k])
+    return y + b
+
+
 def full_cheb_backward(basis, w, x, up):
     """(dx, dtheta) of ``ChebConv.backward`` on dense input, each term
     formed over the whole batch while the input stays alive:

@@ -150,7 +150,8 @@ def test_criterion_3_gradient_suite():
 def _run_graph(layer, graph, x, proj):
     y = layer.forward(graph, x)
     loss = float((y * proj).sum())
-    dx = layer.backward(proj)
+    # the backward forms dx in the input it is handed: pass a copy
+    dx = layer.backward(proj, x=x.copy())
     return loss, [p.grad.copy() for _, p in layer.parameters()] + [dx]
 
 

@@ -14,7 +14,7 @@ from chebnet.layers import (_SHORT_CONTRACTION, ChebConv, GCNConv,
 from chebnet.model import _node_mean
 
 from oracles import (broadcast_bias_conv1d, full_cheb_backward,
-                     full_gcn_backward, masked_leaky_relu_backward,
+                     full_cheb_forward, full_gcn_backward, masked_leaky_relu_backward,
                      mean_readout, transposed_view_product)
 
 # the planted infinities and NaNs make overflow and invalid-value warnings
@@ -159,6 +159,31 @@ def random_graph(rng, n):
     return build_graph_context((w + w.T) / 2.0)
 
 
+class TestBlockedForward:
+    """ChebConv's dense forward adds its terms T_k(Ls) (x theta_k) in
+    sample blocks; y keeps the bits of the whole-batch form.  Shapes
+    (B, N, F_in -> F_out, K): sg-product's wide layer, a batch whose last
+    block is partial, one sample, and an edge task's 2-D (N, F) node
+    features."""
+
+    SHAPES = [((372, 80, 80), 40, 3), ((100, 80, 80), 40, 3),
+              ((1, 80, 80), 40, 3), ((12, 200), 100, 3)]
+
+    @pytest.mark.parametrize("shape, f_out, order", SHAPES)
+    def test_cheb_matches_whole_batch(self, shape, f_out, order):
+        rng = np.random.default_rng(shape[0] + f_out)
+        graph = random_graph(rng, shape[-2])
+        layer = ChebConv(shape[-1], f_out, order=order, rng=rng)
+        layer.bias.value[...] = rng.standard_normal(f_out)
+        x = rng.standard_normal(shape)
+        blocks = _sample_blocks(shape[:-1] + (f_out,))
+        if len(shape) == 3 and shape[0] > 1:
+            assert len(blocks) > 1
+        want = full_cheb_forward(graph.cheb_basis(order), layer.weight.value,
+                                 layer.bias.value, x)
+        assert same_bits(layer.forward(graph, x), want)
+
+
 class TestBlockedInputGradient:
     """ChebConv and GCNConv form dx in sample blocks after dropping their
     cached input; dx and the weight gradient keep the bits of the
@@ -183,7 +208,7 @@ class TestBlockedInputGradient:
         layer.forward(graph, x.copy())
         want_dx, want_dw = full_cheb_backward(graph.cheb_basis(order),
                                               layer.weight.value, x, up)
-        assert same_bits(layer.backward(up), want_dx)
+        assert same_bits(layer.backward(up, x=x), want_dx)
         assert same_bits(layer.weight.grad, 0.0 + want_dw)
 
     @pytest.mark.parametrize("shape, f_out, order", SHAPES)
@@ -197,5 +222,5 @@ class TestBlockedInputGradient:
         prop = graph.propagation()
         want_dx, want_dw = full_gcn_backward(prop, layer.weight.value,
                                              prop @ x, up)
-        assert same_bits(layer.backward(up), want_dx)
+        assert same_bits(layer.backward(up, x=x), want_dx)
         assert same_bits(layer.weight.grad, 0.0 + want_dw)

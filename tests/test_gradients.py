@@ -44,7 +44,8 @@ def check_graph_layer(layer, graph, x, proj):
             p.zero_grad()
         y = layer.forward(graph, x)
         loss = float((y * proj).sum())
-        dx = layer.backward(proj)
+        # the backward forms dx in the input it is handed: pass a copy
+        dx = layer.backward(proj, x=x.copy())
         grads = [p.grad.copy() for _, p in layer.parameters()] + [dx]
         return loss, grads
 
@@ -155,7 +156,7 @@ class TestLayerGradients:
                 for _, p in layer.parameters():
                     p.zero_grad()
                 y = layer.forward(graph, x, diagonal=True)
-                assert layer.backward(proj) is None
+                assert layer.backward(proj, x=x) is None
                 return (float((y * proj).sum()),
                         [p.grad.copy() for _, p in layer.parameters()])
 
