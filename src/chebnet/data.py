@@ -692,7 +692,10 @@ def synth_generate(n_samples, n_channels, n_classes, separation, seed,
     magnitude ``separation`` live on the trailing unpaired channels, so the
     class signal does not disturb the pair correlations.  The second return
     value is the adjacency built from the analytic correlation of the
-    generating mixture, the ground truth for graph-recovery tests.
+    generating mixture, the ground truth for graph-recovery tests.  Class
+    c is named ``str(float(c))`` ("0.0", "1.0", ...), the name
+    ``load_dataco`` gives the targets ``write_dataco_csv`` writes, so a
+    checkpoint trained on this data evaluates that CSV of it.
     """
     if separation < 0:
         raise ValueError("separation must be nonnegative")
@@ -741,6 +744,7 @@ def synth_generate(n_samples, n_channels, n_classes, separation, seed,
         targets=targets[order],
         task=NODE_TASK,
         n_classes=n_classes,
+        class_names=tuple(str(float(c)) for c in range(n_classes)),
     )
     return dataset, truth_adjacency
 

@@ -932,6 +932,26 @@ class TestSynthCommand:
         assert code == 0
         assert os.path.exists(tmp_path / "runs2" / "cheb" / "metrics.txt")
 
+    def test_synthetic_checkpoint_evaluates_its_node_export(self, tmp_path):
+        """A ``synthetic`` checkpoint evaluates the CSV that ``synth --kind
+        node`` writes of the same data: both name class c
+        ``str(float(c))``, so eval matches every class and scores the final
+        fit's own training rows."""
+        out = str(tmp_path / "synth")
+        assert main(["synth", "--kind", "node", "--out", out]) == 0
+        runs = tmp_path / "runs"
+        assert main(["train", "--set", f'output_dir="{runs}"',
+                     "--set", "training.folds=2",
+                     "--set", "training.epochs=3"]) == 0
+        ev = str(tmp_path / "eval")
+        assert main(["eval", "--checkpoint", str(runs / "cheb" /
+                                                 "checkpoint.bin"),
+                     "--out", ev, "--set", 'task="dataco-risk"',
+                     "--set", 'data.target_column="target"',
+                     "--set",
+                     f'data.path="{os.path.join(out, "synthetic.csv")}"']) == 0
+        assert eval_accuracy(ev) == last_train_accuracy(str(runs / "cheb"))
+
     def test_edges_export_feeds_sg_product_task(self, tmp_path):
         out = str(tmp_path / "synth")
         assert main(["synth", "--kind", "edges", "--out", out]) == 0
