@@ -20,9 +20,9 @@ from chebnet import data as datamod
 from chebnet.archive import ArchiveError, load_archive, restore_model, save_archive
 from chebnet.config import (ConfigError, config_json, resolve_config,
                             training_config)
-from chebnet.data import SchemaError, _fmt
+from chebnet.data import SchemaError, _fmt, write_csv
 from chebnet.graph import build_graph_context
-from chebnet.metrics import compute_metrics, confusion_csv, format_metrics
+from chebnet.metrics import compute_metrics, confusion_table, format_metrics
 from chebnet.model import build_model
 from chebnet.training import (SEED_SYNTH, DivergenceError, HISTORY_HEADER,
                               cross_validate, fit_full, predict, subseed)
@@ -115,19 +115,6 @@ def load_task_dataset(cfg):
     raise ConfigError(f"unknown task {task!r}")
 
 
-def _history_csv(history):
-    lines = [",".join(HISTORY_HEADER)]
-    for epoch, lg, lc, lt, acc in history:
-        lines.append(f"{epoch},{_fmt(lg)},{_fmt(lc)},{_fmt(lt)},{_fmt(acc)}")
-    return "\n".join(lines) + "\n"
-
-
-def _fold_plan_csv(plan):
-    lines = ["sample_index,fold"]
-    lines.extend(f"{i},{int(f)}" for i, f in enumerate(plan))
-    return "\n".join(lines) + "\n"
-
-
 def _checkpoint_entries(model, graph, mean, std):
     entries = list(model.named_arrays())
     entries.append(("extra.adjacency", graph.adjacency))
@@ -161,11 +148,12 @@ def cmd_train(args):
     for fr in result.fold_results:
         report += f"{fr.fold}\t{fr.metrics.accuracy!r}\n"
     _write(os.path.join(run_dir, "metrics.txt"), report)
-    _write(os.path.join(run_dir, "confusion.csv"),
-           confusion_csv(result.pooled, dataset.class_names))
-    _write(os.path.join(run_dir, "history.csv"), _history_csv(history))
-    _write(os.path.join(run_dir, "fold_plan.csv"),
-           _fold_plan_csv(result.fold_plan))
+    write_csv(os.path.join(run_dir, "confusion.csv"),
+              *confusion_table(result.pooled, dataset.class_names))
+    write_csv(os.path.join(run_dir, "history.csv"), HISTORY_HEADER,
+              ([epoch, *map(_fmt, values)] for epoch, *values in history))
+    write_csv(os.path.join(run_dir, "fold_plan.csv"), ["sample_index", "fold"],
+              enumerate(result.fold_plan.tolist()))
     save_archive(os.path.join(run_dir, "checkpoint.bin"),
                  _checkpoint_entries(model, graph, mean, std),
                  _checkpoint_meta(cfg, dataset, model, graph))
@@ -223,7 +211,7 @@ def _restore_and_load(args, cfg):
                            f"retrain to write one")
     try:
         model = build_model(**record, rng=np.random.default_rng(0))
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"{path}: bad architecture record: {exc}") from None
     class_names = meta.get("class_names")
     if not _is_names(class_names, model.n_classes):
@@ -271,8 +259,8 @@ def cmd_eval(args):
     os.makedirs(args.out, exist_ok=True)
     _write(os.path.join(args.out, "eval_metrics.txt"),
            format_metrics(metrics, class_names))
-    _write(os.path.join(args.out, "eval_confusion.csv"),
-           confusion_csv(metrics, class_names))
+    write_csv(os.path.join(args.out, "eval_confusion.csv"),
+              *confusion_table(metrics, class_names))
     print(f"accuracy {metrics.accuracy!r}")
     return 0
 
@@ -291,11 +279,9 @@ def cmd_export(args):
     acts = model.layer_activations(graph, feats)
     labels = ["input"] + [f"layer{i + 1}" for i in range(len(acts) - 1)]
     for label, act in zip(labels, acts):
-        path = os.path.join(args.out, f"embeddings_{label}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(f"f{j}" for j in range(act.shape[1])) + "\n")
-            for row in act:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(os.path.join(args.out, f"embeddings_{label}.csv"),
+                  [f"f{j}" for j in range(act.shape[1])],
+                  (map(_fmt, row) for row in act))
     print(f"wrote {len(acts)} embedding files to {args.out}")
     return 0
 

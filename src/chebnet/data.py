@@ -8,6 +8,10 @@ rows, and an optional ``products.csv`` with ``product,group,plant`` labels).
 Synthetic generators emit the same shapes so the whole pipeline can be
 exercised without the proprietary datasets.
 
+The write side is ``write_csv``: every CSV the package writes is UTF-8
+with minimal quoting and ``\\n`` line ends, which the readers here and
+``csv.reader`` read back cell for cell.
+
 ``Dataset`` holds the task layout: what a sample is, which feature axis
 holds the graph's nodes and how a sample becomes a conv sequence.
 """
@@ -19,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from itertools import zip_longest
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -750,30 +755,39 @@ def synth_generate(n_samples, n_channels, n_classes, separation, seed,
 
 
 # ---------------------------------------------------------------------------
-# synthetic export (same formats the loaders read)
+# the write side: every CSV the package writes
 
 
 def _fmt(x):
     return repr(float(x))
 
 
+def write_csv(path, header, rows):
+    """Write ``header``, then each of ``rows`` (cells are strings or
+    integers; floats go through ``_fmt``), to ``path`` as UTF-8 CSV with
+    minimal quoting and ``\\n`` line ends: a cell holding a comma, a quote
+    or a line break is quoted, so ``csv.reader`` reads it back as written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        # the writer quotes a cell holding a character of its "\r\n" line
+        # terminator, so a lone "\r" too, where csv.reader ends a line; each
+        # row is one write call, whose "\r\n" becomes "\n"
+        writer = csv.writer(SimpleNamespace(
+            write=lambda row: fh.write(row[:-2] + "\n")))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataco_csv(dataset, path, target_column="target"):
     """Write a node dataset as a transaction-style CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.channel_names) + [target_column])
-        for row, target in zip(dataset.features, dataset.targets):
-            writer.writerow([_fmt(v) for v in row] + [int(target)])
+    write_csv(path, [*dataset.channel_names, target_column],
+              ([*map(_fmt, row), int(target)]
+               for row, target in zip(dataset.features, dataset.targets)))
 
 
 def write_adjacency_csv(path, adjacency, channel_names):
     """Dense adjacency CSV with a header row of channel names."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(channel_names))
-        for row in adjacency:
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, channel_names,
+              (map(_fmt, row) for row in np.asarray(adjacency, np.float64)))
 
 
 def write_supplygraph_dir(directory, n_products=12, n_dates=40,
@@ -801,19 +815,15 @@ def write_supplygraph_dir(directory, n_products=12, n_dates=40,
                            axis=1)
         noise = 0.3 * rng.standard_normal((n_dates, n_products))
         matrix = latent[comm].T + noise
-        path = os.path.join(directory, f"{name}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date"] + products)
-            for t in range(n_dates):
-                writer.writerow([dates[t]] + [_fmt(v) for v in matrix[t]])
+        write_csv(os.path.join(directory, f"{name}.csv"),
+                  ["date", *products],
+                  ([day, *map(_fmt, values)]
+                   for day, values in zip(dates, matrix)))
 
-    with open(os.path.join(directory, "products.csv"), "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["product", "group", "plant"])
-        for i, p in enumerate(products):
-            writer.writerow([p, f"G{comm[i]}", f"PL{plants[i]}"])
+    write_csv(os.path.join(directory, "products.csv"),
+              ["product", "group", "plant"],
+              ([p, f"G{comm[i]}", f"PL{plants[i]}"]
+               for i, p in enumerate(products)))
 
     for kind, labels_of in (
             ("product_group", lambda s, d: comm[s] * n_communities + comm[d]),
@@ -821,10 +831,8 @@ def write_supplygraph_dir(directory, n_products=12, n_dates=40,
         src = rng.integers(0, n_products, size=n_edges)
         dst = rng.integers(0, n_products - 1, size=n_edges)
         dst = np.where(dst >= src, dst + 1, dst)
-        path = os.path.join(directory, f"edges_{kind}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["src", "dst", "label"])
-            for s, d in zip(src, dst):
-                writer.writerow([int(s), int(d), int(labels_of(s, d))])
+        write_csv(os.path.join(directory, f"edges_{kind}.csv"),
+                  ["src", "dst", "label"],
+                  ([int(s), int(d), int(labels_of(s, d))]
+                   for s, d in zip(src, dst)))
     return directory

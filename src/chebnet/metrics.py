@@ -84,11 +84,9 @@ def format_metrics(metrics, class_names=None):
     return "\n".join(lines) + "\n"
 
 
-def confusion_csv(metrics, class_names=None):
-    """Confusion matrix as CSV; header columns are predicted class labels."""
-    if class_names is None:
-        class_names = [f"class_{i}" for i in range(metrics.n_classes)]
-    rows = ["true\\pred," + ",".join(class_names)]
-    for i, name in enumerate(class_names):
-        rows.append(name + "," + ",".join(str(v) for v in metrics.confusion[i]))
-    return "\n".join(rows) + "\n"
+def confusion_table(metrics, class_names):
+    """The confusion matrix as a header and rows for ``write_csv``: header
+    columns are predicted classes, each row starts with its true class."""
+    return (["true\\pred", *class_names],
+            ([name, *row] for name, row in zip(class_names,
+                                               metrics.confusion.tolist())))

@@ -268,9 +268,12 @@ class EnsembleModel:
         """
         if training or not self.head.samples_are_rows:
             return self._graph_block(graph, features, edges, training, rng)
-        # near-equal blocks, so none is a stray row: a one-row product does
-        # not keep the bits of the same row in a larger block
+        # a one-row product does not keep the bits of the same row in a
+        # larger block, so the blocks are near-equal and a lone row runs
+        # as a block of two copies of itself
         x = np.asarray(features, dtype=np.float64)
+        if len(x) == 1:
+            return self._graph_block(graph, x[[0, 0]], None, False, None)[:1]
         n_blocks = -(-len(x) // self._eval_block_rows(graph.n_nodes))
         return np.concatenate([
             self._graph_block(graph, rows, None, False, None)

@@ -502,8 +502,12 @@ class TestEvalCommand:
         lambda meta: meta["architecture"].update(conv_kernels="ten"),
         lambda meta: meta["architecture"].update(conv_shape=5),
         lambda meta: meta["architecture"].update(depth=4),
+        lambda meta: meta["architecture"].update(
+            graph_dims=[float("inf"), 5, 2, 2]),
+        lambda meta: meta["architecture"].update(cheb_orders=[float("inf")]),
+        lambda meta: meta["architecture"].update(embedding_dim=float("nan")),
     ], ids=["missing", "not-a-dict", "wrong-type", "not-a-pair",
-            "unknown-key"])
+            "unknown-key", "infinite-dim", "infinite-order", "nan-embedding"])
     def test_bad_architecture_record_exits_one(self, tmp_path, capsys,
                                                update):
         run_dir = run_train(tmp_path)
@@ -511,7 +515,8 @@ class TestEvalCommand:
         rewrite_meta(path, update)
         assert main(["eval", "--checkpoint", path,
                      "--out", str(tmp_path / "eval"), *FAST]) == 1
-        assert "architecture record" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "architecture record" in err
 
     def test_fewer_feature_columns_exit_one(self, tmp_path, capsys):
         run_dir = run_train(tmp_path)
@@ -755,6 +760,36 @@ class TestEvalCommand:
                      "--checkpoint", os.path.join(run_dir, "checkpoint.bin"),
                      "--out", out]) == 0
         assert eval_accuracy(out) == last_train_accuracy(run_dir)
+
+    def test_group_name_with_comma_and_quotes_reads_back(self, tmp_path):
+        """A product group named with a comma and quotes keeps its name as
+        one cell of confusion.csv and eval_confusion.csv."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), n_products=6,
+                                  n_dates=30, seed=4)
+        path = os.path.join(d, "products.csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [[c.replace("G0", 'G0, "north"') for c in r]
+                    for r in csv.reader(fh)]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        task = ["--set", 'task="sg-product"', "--set", "training.window=10",
+                "--set", f"data.path={json.dumps(d)}"]
+        out = str(tmp_path / "runs")
+        assert main(["train", *task, "--set", "training.epochs=3",
+                     "--set", "training.folds=2",
+                     "--set", f"output_dir={json.dumps(out)}"]) == 0
+        checkpoint = os.path.join(out, "cheb", "checkpoint.bin")
+        names = load_archive(checkpoint)[1]["class_names"]
+        assert sorted(names) == ['G0, "north"', "G1"]
+        assert main(["eval", *task, "--checkpoint", checkpoint,
+                     "--out", str(tmp_path / "eval")]) == 0
+        for table in (os.path.join(out, "cheb", "confusion.csv"),
+                      str(tmp_path / "eval" / "eval_confusion.csv")):
+            with open(table, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["true\\pred", *names]
+            assert [r[0] for r in rows[1:]] == names
+            assert all(len(r) == 3 for r in rows)
 
     def test_missing_checkpoint_exits_one(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "nope.bin"),

@@ -1022,6 +1022,30 @@ class TestDatacoExport:
         np.testing.assert_array_equal(loaded.targets, ds.targets)
 
 
+CELLS = st.text(st.sampled_from(',"\r\n \xe9') | st.characters(
+    codec="utf-8", exclude_characters="\x00"), max_size=6)
+
+
+class TestWriteCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CELLS, min_size=1, max_size=4),
+           st.lists(st.lists(CELLS, min_size=1, max_size=4), max_size=5))
+    def test_cells_read_back_unchanged(self, header, rows):
+        """Commas, quotes, a lone carriage return, line breaks, spaces,
+        non-ASCII text and empty cells come back from ``csv.reader`` as
+        written (NUL is left out: Python 3.10's reader rejects it)."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            datamod.write_csv(path, header, rows)
+            with open(path, newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh)) == [header, *rows]
+
+    def test_lines_end_with_newline(self, tmp_path):
+        path = tmp_path / "t.csv"
+        datamod.write_csv(path, ["a", "b c"], [[1, "x\ry"], ["", "d"]])
+        assert path.read_bytes() == b'a,b c\n1,"x\ry"\n,d\n'
+
+
 class TestDatasetLayout:
     """``Dataset`` decides what a sample is and which axis holds the
     graph's nodes."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from chebnet.metrics import (compute_metrics, confusion_csv, format_metrics,
+from chebnet.data import write_csv
+from chebnet.metrics import (compute_metrics, confusion_table, format_metrics,
                              metrics_from_confusion)
 
 
@@ -80,9 +81,11 @@ class TestSerialization:
             for cell in line.split("\t")[1:]:
                 assert 0.0 <= float(cell) <= 1.0
 
-    def test_csv_roundtrip(self):
+    def test_csv_roundtrip(self, tmp_path):
         m = metrics_from_confusion(np.array([[3, 0], [1, 2]]))
-        lines = confusion_csv(m, ["a", "b"]).strip().splitlines()
+        path = tmp_path / "confusion.csv"
+        write_csv(path, *confusion_table(m, ["a", "b"]))
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "true\\pred,a,b"
         assert lines[1] == "a,3,0"
         assert lines[2] == "b,1,2"

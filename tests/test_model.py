@@ -448,11 +448,11 @@ class TestBlockedEval:
     windows of 80 channels at K = 3, dataco-csv's 20 000 rows of 11
     channels, and a row count one past a whole block."""
 
-    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
-    @pytest.mark.parametrize("rows, nodes, orders", [
-        (372, 80, [3, 3, 3, 3]), (20000, 11, [1]), (4333, 11, [1])])
-    def test_blocks_keep_the_bits_of_one_block(self, monkeypatch, variant,
-                                               rows, nodes, orders):
+    SHAPES = [(372, 80, [3, 3, 3, 3]), (20000, 11, [1]), (4333, 11, [1])]
+
+    @staticmethod
+    def case(variant, rows, nodes, orders):
+        """A model with random BatchNorm statistics, its graph and rows."""
         rng = np.random.default_rng(16)
         graph = make_graph(rng, nodes)
         model = build_model("node-class", variant, nodes, 3, (1, nodes),
@@ -460,13 +460,33 @@ class TestBlockedEval:
         for _, bn in model.blocks:
             bn.running_mean[...] = rng.standard_normal(bn.width)
             bn.running_var[...] = rng.uniform(0.5, 2.0, bn.width)
-        x = rng.standard_normal((rows, nodes))
+        return model, graph, rng.standard_normal((rows, nodes))
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    @pytest.mark.parametrize("rows, nodes, orders", SHAPES)
+    def test_blocks_keep_the_bits_of_one_block(self, monkeypatch, variant,
+                                               rows, nodes, orders):
+        model, graph, x = self.case(variant, rows, nodes, orders)
         assert model._eval_block_rows(nodes) < rows
         blocked = model.graph_forward(graph, x)
         monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
         whole = model.graph_forward(graph, x)
         assert blocked.shape == (rows, 3)
         assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    @pytest.mark.parametrize("rows, nodes, orders", SHAPES)
+    def test_a_row_alone_keeps_its_bits(self, monkeypatch, variant, rows,
+                                        nodes, orders):
+        """A one-row batch, as ``chebnet eval`` of a one-row file runs,
+        scores each of the first 300 rows as the whole batch does."""
+        model, graph, x = self.case(variant, rows, nodes, orders)
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
+        whole = model.graph_forward(graph, x)[:300]
+        alone = np.concatenate([model.graph_forward(graph, x[i:i + 1])
+                                for i in range(300)])
+        assert alone.shape == (300, 3)
+        assert alone.tobytes() == whole.tobytes()
 
     def test_empty_batch(self):
         rng = np.random.default_rng(17)
