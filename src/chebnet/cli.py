@@ -1,8 +1,9 @@
 """Command-line interface: train, eval, export, synth.
 
-Exit codes: 0 success, 1 usage/validation/schema errors or an allocation
-that does not fit in memory, 2 numeric failure (training divergence).  ``CHEBNET_OUTPUT_ROOT`` overrides where run
-directories are placed without changing the resolved config.
+Exit codes: 0 success, 1 usage/validation/schema errors, an allocation
+that does not fit in memory or a training worker process that died, 2
+numeric failure (training divergence).  ``CHEBNET_OUTPUT_ROOT`` overrides
+where run directories are placed without changing the resolved config.
 
 ``main`` first asks glibc's allocator to keep freed memory for reuse (see
 ``_keep_freed_memory``), so each training epoch reuses the activation blocks
@@ -25,7 +26,8 @@ from chebnet.graph import build_graph_context
 from chebnet.metrics import compute_metrics, confusion_table, format_metrics
 from chebnet.model import build_model
 from chebnet.training import (SEED_SYNTH, DivergenceError, HISTORY_HEADER,
-                              cross_validate, fit_full, predict, subseed)
+                              WorkerError, cross_validate_and_fit, predict,
+                              subseed)
 
 
 class _CliError(Exception):
@@ -140,8 +142,8 @@ def cmd_train(args):
     _write(os.path.join(run_dir, "resolved_config.json"), config_json(cfg))
 
     dataset = load_task_dataset(cfg)
-    result = cross_validate(dataset, tcfg)
-    model, history, graph, mean, std = fit_full(dataset, tcfg)
+    result, (model, history, graph, mean, std) = cross_validate_and_fit(
+        dataset, tcfg)
 
     report = format_metrics(result.pooled, dataset.class_names)
     report += "\nfold\taccuracy\n"
@@ -359,7 +361,7 @@ def main(argv=None):
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except (_CliError, ConfigError, SchemaError, ArchiveError, ValueError,
-            OSError) as exc:
+            OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -68,15 +68,25 @@ def compute_metrics(predictions, targets, n_classes):
     return metrics_from_confusion(confusion_matrix(predictions, targets, n_classes))
 
 
+# a class name's backslash, tab, CR and LF as they are written in the
+# tab-separated tables of ``format_metrics``
+_NAME_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r",
+                               "\n": "\\n"})
+
+
 def format_metrics(metrics, class_names=None):
-    """Render the structured text report (accuracy, per-class table, macro row)."""
+    """Render the structured text report (accuracy, per-class table, macro
+    row).  The table is tab-separated, one line per row, so each class
+    name is written with its backslashes doubled and its tab, CR and LF as
+    ``\\t``, ``\\r`` and ``\\n``; every other character, non-ASCII too, is
+    written as it is."""
     if class_names is None:
         class_names = [f"class_{i}" for i in range(metrics.n_classes)]
     lines = [f"accuracy {metrics.accuracy!r}", ""]
     lines.append("class\tprecision\trecall\tf1")
     for i, name in enumerate(class_names):
         lines.append(
-            f"{name}\t{float(metrics.precision[i])!r}"
+            f"{name.translate(_NAME_ESCAPES)}\t{float(metrics.precision[i])!r}"
             f"\t{float(metrics.recall[i])!r}\t{float(metrics.f1[i])!r}")
     lines.append(
         f"macro\t{metrics.macro_precision!r}\t{metrics.macro_recall!r}"

@@ -252,7 +252,8 @@ class EnsembleModel:
         """Rows per block of an eval-mode row-sample graph forward: as many
         as keep the widest activation, (rows, N, width) float64 with width
         the widest of N and the layers' outputs, within
-        ``EVAL_BLOCK_BYTES``; at least one."""
+        ``EVAL_BLOCK_BYTES``; at least one (``graph_forward`` still puts
+        two or more rows in each block)."""
         width = max([n_nodes] + [layer.out_features
                                  for layer, _ in self.blocks])
         return max(1, EVAL_BLOCK_BYTES // (8 * n_nodes * width))
@@ -269,12 +270,13 @@ class EnsembleModel:
         if training or not self.head.samples_are_rows:
             return self._graph_block(graph, features, edges, training, rng)
         # a one-row product does not keep the bits of the same row in a
-        # larger block, so the blocks are near-equal and a lone row runs
-        # as a block of two copies of itself
+        # larger block, so the blocks are near-equal and hold two rows or
+        # more, and a lone row runs as a block of two copies of itself
         x = np.asarray(features, dtype=np.float64)
         if len(x) == 1:
             return self._graph_block(graph, x[[0, 0]], None, False, None)[:1]
-        n_blocks = -(-len(x) // self._eval_block_rows(graph.n_nodes))
+        n_blocks = min(-(-len(x) // self._eval_block_rows(graph.n_nodes)),
+                       len(x) // 2)
         return np.concatenate([
             self._graph_block(graph, rows, None, False, None)
             for rows in np.array_split(x, max(n_blocks, 1))])

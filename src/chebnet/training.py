@@ -9,8 +9,25 @@ reproduce identical runs bitwise.
 
 The task layout (a fold's samples, the graph's node axis, the conv
 sequences) is ``Dataset``'s; this module never compares task kinds.
+
+The k fold fits and the final fit are independent jobs, and
+``cross_validate_and_fit`` runs them at once, one participant per usable
+core (``_run_fits``).  The calling process is participant 0; the others
+are forked worker processes.  Jobs are dealt largest training set first,
+each to the participant with the fewest rows so far, so the final fit,
+the largest, stays in the caller with its model and graph.  Results and
+the first error are taken in fold order, so every output and message is
+the serial run's.  While the fits run, numpy's OpenBLAS is held at one
+thread, the serial run included: the participants already fill the
+cores, and a product split over more threads can round differently (an
+edge task's do), so a train's bytes do not depend on the core count.
+With one core, or no OpenBLAS whose thread count this process can set,
+every job runs in the caller, one after another.
 """
 
+import ctypes
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +50,10 @@ HISTORY_HEADER = ("epoch", "loss_graph", "loss_conv", "loss_total",
 
 class DivergenceError(RuntimeError):
     """Training reached a non-finite loss."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without handing back its fits' results."""
 
 
 def subseed(seed, component, instance=0):
@@ -227,39 +248,226 @@ def _fit(dataset, config, instance):
     return model, history, graph, mean, std
 
 
+def _run_job(dataset, config, plan, job):
+    """Job ``job`` of a run: a fold below ``config.folds`` is one ``_fit`` on
+    the other folds' samples, then a prediction on its own samples z-scored
+    with that fit's statistics, and gives its ``FoldResult``; job
+    ``config.folds`` is the final fit on every sample and gives ``_fit``'s
+    tuple."""
+    if job == config.folds:
+        return _fit(dataset, config, job)
+    test = plan == job
+    model, history, graph, mean, std = _fit(dataset.select(~test), config,
+                                            job)
+    held = dataset.select(test)
+    preds = predict(model, graph, apply_zscore(held.features, mean, std),
+                    held.edges)
+    return FoldResult(fold=job, history=history,
+                      metrics=compute_metrics(preds, held.targets,
+                                              dataset.n_classes))
+
+
+def _run_share(dataset, config, plan, jobs):
+    """Run ``jobs`` in order up to the first that raises; returns
+    ({job: result}, None), or the results before it and (job, exception,
+    its traceback text)."""
+    done = {}
+    for job in jobs:
+        try:
+            done[job] = _run_job(dataset, config, plan, job)
+        except Exception as exc:
+            import traceback
+            return done, (job, exc, traceback.format_exc())
+    return done, None
+
+
+def _usable_cores():
+    """The number of cores this process may run on; 1 where the OS does
+    not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+
+
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS this process
+    has loaded, found through ``/proc/self/maps``; None where there is no
+    such library or no ``/proc``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                               ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _shares(rows, participants):
+    """Deal the jobs, whose training sets have ``rows`` rows, to
+    ``participants``: largest first, each to the participant with the
+    fewest rows so far (the lowest on a tie).  Returns each participant's
+    jobs in ascending order."""
+    load = [0] * participants
+    shares = [[] for _ in range(participants)]
+    for job in sorted(range(len(rows)), key=lambda j: -rows[j]):
+        p = load.index(min(load))
+        shares[p].append(job)
+        load[p] += rows[job]
+    return [sorted(share) for share in shares]
+
+
+# a worker's (dataset, config, plan), handed over by fork, never pickled
+_WORK = None
+# prctl option from linux/prctl.h: the signal sent when the parent ends
+_PR_SET_PDEATHSIG = 1
+
+
+def _start_worker(*work):
+    """A worker's initializer: keep the work, and where Linux allows, be
+    killed when the caller ends, however it ends."""
+    global _WORK
+    _WORK = work
+    import signal
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+
+
+def _work_share(jobs):
+    return _run_share(*_WORK, jobs)
+
+
+class _WorkerTraceback(Exception):
+    """The traceback text of an exception a worker raised, chained to it."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block; yields whether it
+    could."""
+    blas = _blas_threads()
+    if blas is None:
+        yield False
+        return
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(threads)
+
+
+def _run_pooled(dataset, config, plan, shares):
+    """Run ``shares[0]`` here and each other share in a forked worker;
+    returns ({job: result}, [(job, exception, traceback text)]).  Every
+    worker has ended when it returns.  Fork, not spawn: a spawned worker
+    would import numpy and compile chebnet again, 0.15-0.2 s each, and the
+    pool forks its workers before it starts a thread of its own."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(
+            len(shares) - 1, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(dataset, config, plan)) as pool:
+        futures = [(share, pool.submit(_work_share, share))
+                   for share in shares[1:]]
+        done, failure = _run_share(dataset, config, plan, shares[0])
+        failures = [failure] if failure else []
+        for share, future in futures:
+            try:
+                results, failure = future.result()
+            except BrokenProcessPool as exc:
+                lost = WorkerError(f"a training worker process ended "
+                                   f"without its results: {exc}")
+                results, failure = {}, (share[0], lost, None)
+            else:
+                if failure:
+                    failure[1].__cause__ = _WorkerTraceback(failure[2])
+            done.update(results)
+            failures += [failure] if failure else []
+    return done, failures
+
+
+def _run_fits(dataset, config, final):
+    """Run the k fold fits and, with ``final``, the final fit; returns the
+    fold plan and the results in job order (see ``_run_job``).  The
+    participants are the usable cores, at most one per job.  OpenBLAS runs
+    one thread throughout, so a result does not depend on the core count;
+    an error is the one the serial run would meet first."""
+    plan = kfold_split(dataset.n_samples, config.folds,
+                       subseed(config.seed, SEED_FOLDS))
+    jobs = range(config.folds + final)
+    # the final fit's job number is in no fold, so it trains on every row
+    rows = [dataset.n_samples - int((plan == job).sum()) for job in jobs]
+    shares = _shares(rows, min(_usable_cores(), len(jobs)))
+    with _one_blas_thread() as pinned:
+        if pinned and len(shares) > 1:
+            done, failures = _run_pooled(dataset, config, plan, shares)
+        else:
+            done, failure = _run_share(dataset, config, plan, jobs)
+            failures = [failure] if failure else []
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return plan, [done[job] for job in jobs]
+
+
+def _cv_result(dataset, plan, fold_results):
+    pooled = np.zeros((dataset.n_classes, dataset.n_classes), dtype=np.int64)
+    for fr in fold_results:
+        pooled += fr.metrics.confusion
+    return CVResult(fold_results=fold_results,
+                    pooled=metrics_from_confusion(pooled), fold_plan=plan)
+
+
 def cross_validate(dataset, config):
     """K-fold cross-validation; every sample is tested exactly once.
 
     Each fold is one ``_fit`` on the other folds' samples, then a
-    prediction on its own samples z-scored with that fit's statistics.
+    prediction on its own samples z-scored with that fit's statistics; the
+    folds run at once, as ``_run_fits`` deals them.
     """
-    n = dataset.n_samples
-    plan = kfold_split(n, config.folds, subseed(config.seed, SEED_FOLDS))
-    fold_results = []
-    pooled_confusion = np.zeros((dataset.n_classes, dataset.n_classes),
-                                dtype=np.int64)
-    for fold in range(config.folds):
-        test = plan == fold
-        model, history, graph, mean, std = _fit(dataset.select(~test), config,
-                                                fold)
-        held = dataset.select(test)
-        preds = predict(model, graph, apply_zscore(held.features, mean, std),
-                        held.edges)
-        m = compute_metrics(preds, held.targets, dataset.n_classes)
-        pooled_confusion += m.confusion
-        fold_results.append(FoldResult(fold=fold, metrics=m, history=history))
-
-    return CVResult(
-        fold_results=fold_results,
-        pooled=metrics_from_confusion(pooled_confusion),
-        fold_plan=plan,
-    )
+    plan, fold_results = _run_fits(dataset, config, final=False)
+    return _cv_result(dataset, plan, fold_results)
 
 
 def fit_full(dataset, config):
     """Train one model on the full dataset (the checkpointed model).
 
     Returns (model, history, graph, mean, std); the normalization record and
-    graph are what a later evaluation of new data must reuse.
+    graph are what a later evaluation of new data must reuse.  OpenBLAS
+    runs one thread, as in ``_run_fits``, so this is the final fit of
+    ``cross_validate_and_fit`` on any core count.
     """
-    return _fit(dataset, config, config.folds)
+    with _one_blas_thread():
+        return _fit(dataset, config, config.folds)
+
+
+def cross_validate_and_fit(dataset, config):
+    """``cross_validate`` and ``fit_full`` in one run of their k + 1 fits;
+    returns (CVResult, fit_full's tuple)."""
+    plan, results = _run_fits(dataset, config, final=True)
+    return _cv_result(dataset, plan, results[:-1]), results[-1]

@@ -5,9 +5,12 @@ oracle, the finite-difference gradient checker, an edge-relation dataset
 generator, a reader for the adjacency CSV that ``chebnet export --what
 graph`` writes, LeakyReLU as a function of its input, and the plain numpy
 forms of the per-epoch passes that the package computes another, faster
-or leaner way.  None of them is on a path the
-``chebnet`` commands run.
+or leaner way, and a list of this process's live child processes.  None
+of them is on a path the ``chebnet`` commands run.
 """
+
+import multiprocessing
+import os
 
 import numpy as np
 
@@ -256,3 +259,27 @@ def full_gcn_backward(prop, w, xin, up):
     the whole batch: dtheta = (P x)^T up and dx = P (up theta^T)."""
     dw = _flat2(xin, w.shape[0]).T @ _flat2(up, w.shape[1])
     return prop @ _matmul_transposed(up, w.T), dw
+
+
+# ---------------------------------------------------------------------------
+# child processes
+
+
+def live_children():
+    """Pids of this process's children that are still running or not yet
+    reaped: the ``multiprocessing`` ones it knows, and on Linux every
+    process in ``/proc`` whose parent is this one."""
+    pids = {p.pid for p in multiprocessing.active_children()}
+    me = str(os.getpid())
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as fh:
+                # pid (comm) state ppid ...
+                ppid = fh.read().rpartition(")")[2].split()[1]
+        except (OSError, IndexError):
+            continue
+        if ppid == me:
+            pids.add(int(entry))
+    return sorted(pids)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chebnet import cli
+from chebnet import cli, training
 from chebnet.archive import load_archive, save_archive
 from chebnet.cli import main
 from chebnet.config import (DEFAULTS, ConfigError, parse_override,
@@ -18,7 +18,7 @@ from chebnet.config import (DEFAULTS, ConfigError, parse_override,
 from chebnet.data import write_supplygraph_dir
 from chebnet.training import TrainingConfig
 
-from oracles import read_adjacency_csv
+from oracles import live_children, read_adjacency_csv
 
 FAST = [
     "--set", "synth.n_samples=60",
@@ -413,6 +413,89 @@ class TestDeterminism:
                       "resolved_config.json"):
             assert (first / fname).read_bytes() == \
                 (second / fname).read_bytes(), fname
+
+
+class TestParallelTrain:
+    """``chebnet train`` runs its fits in the caller and a forked worker
+    (the ``pooled`` fixture) and writes the bytes of a one-core run; a
+    failure exits as the one-core run does, and no worker outlives it."""
+
+    DETERMINISTIC = ("metrics.txt", "confusion.csv", "history.csv",
+                     "fold_plan.csv", "checkpoint.bin")
+
+    @staticmethod
+    def inputs(tmp_path, case):
+        if case.startswith("synthetic"):
+            return [f'variant="{case.split("-")[1]}"', "training.epochs=5"]
+        data = write_supplygraph_dir(str(tmp_path / "supplygraph"), seed=0)
+        if case == "sg-product":
+            return ['task="sg-product"', f'data.path="{data}"',
+                    "model.cheb_orders=[3,3,3,3]", "training.folds=2",
+                    "training.epochs=2"]
+        return ['task="sg-plant-edges"', f'data.path="{data}"',
+                "training.epochs=5"]
+
+    @staticmethod
+    def train(out, overrides):
+        args = [a for o in overrides + [f'output_dir="{out}"']
+                for a in ("--set", o)]
+        return main(["train", *args])
+
+    @pytest.mark.parametrize("case", ["synthetic-cheb", "synthetic-gcn",
+                                      "synthetic-gat", "sg-product",
+                                      "sg-plant-edges"])
+    def test_same_bytes_as_one_core(self, tmp_path, monkeypatch, pooled,
+                                    case):
+        overrides = self.inputs(tmp_path, case)
+        assert self.train(tmp_path / "pooled", overrides) == 0
+        assert live_children() == []
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+        assert self.train(tmp_path / "one", overrides) == 0
+        for run in os.listdir(tmp_path / "one"):
+            for name in self.DETERMINISTIC:
+                assert ((tmp_path / "pooled" / run / name).read_bytes()
+                        == (tmp_path / "one" / run / name).read_bytes()), name
+
+    def test_divergence_in_a_worker_exits_two(self, tmp_path, monkeypatch,
+                                              capsys, pooled):
+        """Folds 1 and 2 diverge; fold 1 runs in the worker, and its
+        message is the one the one-core run prints."""
+        real = training._fit
+
+        def diverging(dataset, config, instance):
+            if instance in (1, 2):
+                raise training.DivergenceError(
+                    f"non-finite loss at epoch 0: graph=nan (fit {instance})")
+            return real(dataset, config, instance)
+
+        monkeypatch.setattr(training, "_fit", diverging)
+        overrides = ["training.folds=4", "training.epochs=2"]
+        messages = []
+        for cores in (2, 1):
+            monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+            assert self.train(tmp_path / str(cores), overrides) == 2
+            assert live_children() == []
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1] == (
+            "error: non-finite loss at epoch 0: graph=nan (fit 1)\n")
+
+    def test_dead_worker_exits_one(self, tmp_path, monkeypatch, capsys,
+                                   pooled):
+        caller = os.getpid()
+        real = training._run_job
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(training, "_run_job", dying)
+        assert self.train(tmp_path, ["training.epochs=2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a training worker process ended "
+                              "without its results")
+        assert "Traceback" not in err
+        assert live_children() == []
 
 
 class TestEvalCommand:

@@ -8,7 +8,7 @@ and the dense-eigendecomposition spectral filter.
 import numpy as np
 import pytest
 
-from chebnet import graph as graphmod
+from chebnet import graph as graphmod, training
 from chebnet.cli import main
 from chebnet.data import synth_generate, zscore_normalize
 from chebnet.graph import (
@@ -271,7 +271,9 @@ class TestGraphContext:
                                                     operator):
         """A 2-fold, 5-epoch default synthetic train builds 3 graphs (one
         per fold and the final fit) and its variant's operator once on
-        each, for every layer, epoch and pass."""
+        each, for every layer, epoch and pass.  The count is taken in this
+        process, so the fits run here, as they do on one core."""
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
         graphs, built = [], []
         real_context = graphmod.build_graph_context
         real_operator = graphmod.GraphContext._operator

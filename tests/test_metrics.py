@@ -1,5 +1,7 @@
 """Confusion matrix and derived metric arithmetic."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ class TestSerialization:
         for line in text.strip().splitlines()[3:]:
             for cell in line.split("\t")[1:]:
                 assert 0.0 <= float(cell) <= 1.0
+
+    def test_class_names_read_back(self):
+        """Each per-class row stays one line of four tab-separated cells,
+        and undoing the stated escapes gives the exact name back."""
+        names = ["G0, \"north\"\nsouth\tea\\st\r", "Café \\n"]
+        m = metrics_from_confusion(np.array([[3, 1], [0, 2]]))
+        rows = format_metrics(m, names).splitlines()[3:5]
+        unescape = {"\\": "\\", "t": "\t", "r": "\r", "n": "\n"}
+        for name, row in zip(names, rows):
+            cells = row.split("\t")
+            assert len(cells) == 4
+            assert re.sub(r"\\(.)", lambda e: unescape[e.group(1)],
+                          cells[0]) == name
+        assert rows[1].startswith("Café \\\\n\t")
 
     def test_csv_roundtrip(self, tmp_path):
         m = metrics_from_confusion(np.array([[3, 0], [1, 2]]))

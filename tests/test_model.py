@@ -451,12 +451,12 @@ class TestBlockedEval:
     SHAPES = [(372, 80, [3, 3, 3, 3]), (20000, 11, [1]), (4333, 11, [1])]
 
     @staticmethod
-    def case(variant, rows, nodes, orders):
+    def case(variant, rows, nodes, orders, dims=None):
         """A model with random BatchNorm statistics, its graph and rows."""
         rng = np.random.default_rng(16)
         graph = make_graph(rng, nodes)
         model = build_model("node-class", variant, nodes, 3, (1, nodes),
-                            rng=rng, cheb_orders=orders)
+                            rng=rng, cheb_orders=orders, graph_dims=dims)
         for _, bn in model.blocks:
             bn.running_mean[...] = rng.standard_normal(bn.width)
             bn.running_var[...] = rng.uniform(0.5, 2.0, bn.width)
@@ -487,6 +487,32 @@ class TestBlockedEval:
                                 for i in range(300)])
         assert alone.shape == (300, 3)
         assert alone.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_blocks_past_512_nodes_hold_two_rows(self, monkeypatch, variant):
+        """Past 512 nodes a block's byte budget holds under two rows; each
+        block still holds two or more, the remainder too, so no row keeps
+        the bits of a one-row product.  Hidden widths 32 and 16 keep the
+        first layer's (N, N, F) operand at 92 MB; in one-row blocks gcn
+        moves 2 of the 40 rows here."""
+        model, graph, x = self.case(variant, 40, 600, [1], (32, 16, 3))
+        assert model._eval_block_rows(600) == 1
+        blocked = model.graph_forward(graph, x)
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
+        whole = model.graph_forward(graph, x)
+        assert blocked.shape == (40, 3)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, 41])
+    def test_every_block_holds_two_rows(self, monkeypatch, rows):
+        model, graph, x = self.case("gcn", rows, 600, [1], (4, 4, 3))
+        sizes = []
+        block = model._graph_block
+        monkeypatch.setattr(model, "_graph_block",
+                            lambda g, f, *a: sizes.append(len(f)) or
+                            block(g, f, *a))
+        model.graph_forward(graph, x)
+        assert sum(sizes) == rows and min(sizes) >= 2
 
     def test_empty_batch(self):
         rng = np.random.default_rng(17)

@@ -1,16 +1,21 @@
-"""Losses, k-fold splitting, the training loop and cross-validation."""
+"""Losses, k-fold splitting, the training loop, cross-validation and the
+runner that trains its fits at once."""
+
+import os
 
 import numpy as np
 import pytest
 
+from chebnet import training
 from chebnet.data import Dataset, synth_generate
 from chebnet.graph import graph_from_features
 from chebnet.model import EnsembleModel, build_model, edge_embed
-from chebnet.training import (DivergenceError, TrainingConfig, cross_validate,
+from chebnet.training import (DivergenceError, TrainingConfig, WorkerError,
+                              cross_validate, cross_validate_and_fit,
                               ensemble_loss, fit_full, kfold_split, nll_loss,
                               nll_loss_grad, predict, train_model)
 
-from oracles import synth_edge_generate
+from oracles import live_children, synth_edge_generate
 
 
 class TestNllLoss:
@@ -325,6 +330,121 @@ class TestCrossValidate:
         cfg = quick_config(folds=4, epochs=25)
         result = cross_validate(dataset, cfg)
         assert result.pooled.confusion.sum() == 40
+
+
+def fit_arrays(fit):
+    """A ``fit_full`` tuple as comparable values: the history, the model's
+    named arrays as bytes, the adjacency and the normalization record."""
+    model, history, graph, mean, std = fit
+    return (history, [(name, arr.tobytes()) for name, arr in
+                      model.named_arrays()],
+            graph.adjacency.tobytes(), mean.tobytes(), std.tobytes())
+
+
+def cv_values(result):
+    return (result.fold_plan.tolist(), result.pooled.confusion.tolist(),
+            [(fr.fold, fr.history, fr.metrics.confusion.tolist())
+             for fr in result.fold_results])
+
+
+class TestRunner:
+    """``cross_validate_and_fit`` deals its k + 1 fits to the caller and
+    forked workers (the ``pooled`` fixture makes that two participants)."""
+
+    def test_shares_largest_first_to_the_lightest(self):
+        assert training._shares([9, 9, 10, 12], 2) == [[1, 3], [0, 2]]
+        assert training._shares([9, 9, 10, 12], 1) == [[0, 1, 2, 3]]
+        assert training._shares([5, 5, 5], 3) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("participants", [2, 3, 11])
+    def test_caller_keeps_the_final_fit(self, participants):
+        """The final fit trains on every row, so it is dealt first, to
+        the caller."""
+        plan = kfold_split(400, 10, 0)
+        rows = [400 - int((plan == job).sum()) for job in range(11)]
+        assert 10 in training._shares(rows, participants)[0]
+
+    def test_fits_run_in_two_processes(self, pooled, monkeypatch, tmp_path):
+        real = training._run_job
+
+        def spy(dataset, config, plan, job):
+            (tmp_path / str(job)).write_text(str(os.getpid()))
+            return real(dataset, config, plan, job)
+
+        monkeypatch.setattr(training, "_run_job", spy)
+        cross_validate_and_fit(tiny_dataset(n=24),
+                               quick_config(folds=4, epochs=2))
+        pids = {job: int((tmp_path / str(job)).read_text())
+                for job in range(5)}
+        assert pids[4] == os.getpid()
+        assert len(set(pids.values())) == 2
+        assert live_children() == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: (tiny_dataset(n=24), quick_config(folds=4, epochs=6)),
+        lambda: (synth_edge_generate(n_nodes=12, n_features=10,
+                                     n_communities=2, separation=3.0,
+                                     n_edges=80, seed=5)[0],
+                 quick_config(folds=3, epochs=6)),
+    ], ids=["node", "edge"])
+    def test_pooled_results_equal_the_serial_run(self, pooled, monkeypatch,
+                                                 make):
+        """At 80 edges the edge head's (80, 100) @ (100, 100) product
+        rounds otherwise when OpenBLAS splits it over two threads, so
+        ``fit_full`` too must hold OpenBLAS at one thread."""
+        dataset, cfg = make()
+        result, fit = cross_validate_and_fit(dataset, cfg)
+        alone = cross_validate(dataset, cfg), fit_full(dataset, cfg)
+        monkeypatch.setattr(training, "_usable_cores", lambda: 1)
+        serial, serial_fit = cross_validate_and_fit(dataset, cfg)
+        assert cv_values(result) == cv_values(serial) == cv_values(alone[0])
+        assert fit_arrays(fit) == fit_arrays(serial_fit)
+        assert fit_arrays(alone[1]) == fit_arrays(fit)
+        assert live_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_first_error_in_fold_order(self, pooled, monkeypatch, cores):
+        """Folds 1 and 2 fail.  With two participants fold 2 fails in the
+        caller and fold 1 in the worker, and the error raised is fold 1's,
+        the one a serial run meets first, chained to its worker
+        traceback."""
+        real = training._fit
+
+        def failing(dataset, config, instance):
+            if instance in (1, 2):
+                raise DivergenceError(f"fit {instance} diverged")
+            return real(dataset, config, instance)
+
+        monkeypatch.setattr(training, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(training, "_fit", failing)
+        with pytest.raises(DivergenceError, match="^fit 1 diverged$") as info:
+            cross_validate_and_fit(tiny_dataset(n=24),
+                                   quick_config(folds=4, epochs=2))
+        if cores == 2:
+            assert "fit 1 diverged" in str(info.value.__cause__)
+        assert live_children() == []
+
+    def test_dead_worker_is_an_error(self, pooled, monkeypatch):
+        caller = os.getpid()
+        real = training._run_job
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(*args)
+
+        monkeypatch.setattr(training, "_run_job", dying)
+        with pytest.raises(WorkerError, match="ended without its results"):
+            cross_validate_and_fit(tiny_dataset(n=24),
+                                   quick_config(folds=4, epochs=2))
+        assert live_children() == []
+
+    def test_blas_threads_restored(self, pooled):
+        get_threads, _ = training._blas_threads()
+        before = get_threads()
+        cross_validate_and_fit(tiny_dataset(n=24),
+                               quick_config(folds=4, epochs=2))
+        assert get_threads() == before
 
 
 class TestPredict:
