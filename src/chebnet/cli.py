@@ -12,10 +12,9 @@ the one before it freed instead of faulting in fresh pages.
 
 import argparse
 import ctypes
+import math
 import os
 import sys
-
-import numpy as np
 
 from chebnet import data as datamod
 from chebnet.archive import ArchiveError, load_archive, restore_model, save_archive
@@ -131,6 +130,7 @@ def _checkpoint_meta(cfg, dataset, model, graph):
         "architecture": model.architecture,
         "channel_names": list(graph.channel_names),
         "class_names": list(dataset.class_names),
+        "lambda_max": graph.lambda_max,
     }
 
 
@@ -211,8 +211,14 @@ def _restore_and_load(args, cfg):
     if not isinstance(record, dict):
         raise ArchiveError(f"{path}: no architecture record in the header; "
                            f"retrain to write one")
+    lam = meta.get("lambda_max")
+    if lam is not None and not (type(lam) in (int, float)
+                                and 0.0 < lam < math.inf):
+        raise ArchiveError(f"{path}: meta.lambda_max is not a positive "
+                           f"finite number")
     try:
-        model = build_model(**record, rng=np.random.default_rng(0))
+        # every weight is restored below: build it without drawing any
+        model = build_model(**record, rng=None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ArchiveError(f"{path}: bad architecture record: {exc}") from None
     class_names = meta.get("class_names")
@@ -221,7 +227,7 @@ def _restore_and_load(args, cfg):
                            f"{model.n_classes} names")
     restore_model(model, {k: v for k, v in entries.items()
                           if not k.startswith("extra.")})
-    graph = build_graph_context(adjacency, channel_names)
+    graph = build_graph_context(adjacency, channel_names, lam)
     dataset = load_task_dataset(cfg)
     if record["task"] != dataset.task:
         raise ArchiveError(f"{path}: the checkpoint is for {record['task']} "

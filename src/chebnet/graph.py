@@ -179,10 +179,13 @@ class GraphContext:
             (self.adjacency != 0.0) | np.eye(self.n_nodes, dtype=bool)))
 
 
-def build_graph_context(adjacency, channel_names=()):
-    """Run the degree -> Laplacian -> lambda_max -> scaling chain."""
+def build_graph_context(adjacency, channel_names=(), lam=None):
+    """Run the degree -> Laplacian -> lambda_max -> scaling chain; a
+    given ``lam`` (a checkpoint's own lambda_max) replaces the power
+    iteration, which draws its start vector from ``numpy.random``."""
     _, laplacian = degree_and_laplacian(adjacency)
-    lam = lambda_max(laplacian)
+    if lam is None:
+        lam = lambda_max(laplacian)
     return GraphContext(
         adjacency=np.asarray(adjacency, dtype=np.float64),
         laplacian=laplacian,

@@ -23,25 +23,37 @@ general autodiff: the fixed two-branch topology is differentiated by hand
 and validated against finite differences in the tests.
 
 Ownership: ``relu``, ``relu_backward``, ``leaky_relu_backward``,
-``BatchNorm.forward`` and ``BatchNorm.backward`` overwrite the array they
-are given and return it (BatchNorm's train-mode y is the one new array
-among them, because its xc stays cached), and so does the backward of
-ChebConv and GATLayer with the dense input ``x`` it is handed, which it
-returns as dx.  A caller passes them only an array it owns and no longer
-reads, such as a layer's fresh output or a fresh upstream gradient, and
-takes any sign mask it keeps before the activation overwrites its input.
-Every other layer leaves its arguments as they are.  An in-place ufunc
-gives the bits of its out-of-place form, so this changes no result.
+``BatchNorm.forward`` in train mode and ``BatchNorm.backward`` overwrite
+the array they are given and return it (the train-mode BatchNorm returns
+its input centred in place, which it keeps as its cache, and an eval-mode
+one returns its input untouched).  A caller passes them only an
+array it owns and no longer reads, such as a layer's fresh output or a
+fresh upstream gradient, and takes any sign mask it keeps before the
+activation overwrites its input.  Every other layer leaves its arguments
+as they are.  An in-place ufunc gives the bits of its out-of-place form,
+so this changes no result.
+
+Folded input: a BatchNorm forms no output.  Its forward returns
+(x, scale, shift), which stands for y = x * scale + shift per channel,
+and every graph layer takes a hidden input in that form, as its dense
+input x and the keywords ``scale`` and ``shift``.  It folds the map into
+its own weights, as inference engines fold BatchNorm into the next layer:
+it projects x with scale o theta (``_folded``) and adds the share of the
+shift as a per-(node, channel) constant in its bias add
+(``_add_bias``).  Its backward forms the weight gradient
+y^T g = scale o (x^T g) + shift (x) colsum(g) from the same x
+(``_input_weight_grad``) and returns dy = dL/dy, computed with the
+unfolded weights, in a new array.  ``apply_affine`` forms y where it is
+needed as an array: after the last block, and for ``layer_activations``.
 
 Inputs handed back: no graph layer keeps its input from forward to
-backward.  ChebConv and GATLayer (``takes_input``) get it back as the
-backward's keyword ``x``; the model forms a hidden layer's input again
-from the previous BatchNorm's cache (``BatchNorm.output``), so between
-forward and backward each activation is held once, as that BatchNorm's
-centred xc.  On dense input they compute their weight gradients first and
-then overwrite x with dx, so the one input-sized array a hidden backward
-allocates is that re-formed input.  GCNConv keeps P x, which its weight
-gradient needs and which is not its input, so it takes no x, and dx takes
+backward, and no backward writes to it.  ChebConv and GATLayer get it
+back as the backward's keyword ``x``; the model hands a hidden layer the
+previous BatchNorm's cache xc, which that BatchNorm keeps anyway, so
+between forward and backward each activation is held once and no hidden
+input is formed at all.  The one input-sized array a hidden backward
+allocates is its dx.  GCNConv keeps P x, which its weight gradient needs
+and which is not its input, so it ignores an x handed back, and dx takes
 the heap block P x frees.  ChebConv and GCNConv form dx in sample blocks
 of at most ``_DX_BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's chain
 P (up theta^T) makes no full-size temporary.  ChebConv forms the
@@ -50,13 +62,13 @@ dtheta_k = x^T u_k; the buffer keeps the last one for the dx blocks, and
 each block forms its rows T_k(Ls) up[rows] of the others again.  Its
 forward adds the terms T_k(Ls) (x theta_k) block by block.  So above what
 was live before the call a ChebConv forward allocates its output and two
-blocks, and a backward one upstream-sized array and two blocks, at any
-K: the whole-batch backward took 2|x| + |up|, and keeping every u_k for
-the dx blocks (K - 1)|up| (see README, Memory).  The price is K - 2 more
-N x N products per sample in the backward (none at K <= 2).  Each sample's
-stacked GEMMs and the order of the adds are those of the whole-batch
-form, so y, dx and the weight gradients keep their bits.  Linear keeps
-its cached input, and Conv1D hands its cache to
+blocks, and a backward dx, one upstream-sized array and two blocks, at
+any K: the whole-batch backward took 2|x| + |up|, and keeping every u_k
+for the dx blocks (K - 1)|up| (see README, Memory).  The price is K - 2
+more N x N products per sample in the backward (none at K <= 2).  Each
+sample's stacked GEMMs and the order of the adds are those of the
+whole-batch form, so y, dx and the weight gradients keep their bits.
+Linear keeps its cached input, and Conv1D hands its cache to
 ``kernels.conv1d_backward``.
 
 The activations are (rows, width) arrays with many rows and few channels,
@@ -146,6 +158,12 @@ class Parameter:
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
+    """Glorot-uniform initial weights drawn from ``rng``; zeros when rng
+    is None, which is only for a model whose weights are restored next
+    (a checkpoint's), so that restoring draws nothing and never imports
+    ``numpy.random``."""
+    if rng is None:
+        return np.zeros(shape)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
@@ -290,12 +308,14 @@ def dropout_backward(up, mask):
 # graph layers
 
 
-def _graph_input(layer, graph, x, diagonal):
+def _graph_input(layer, graph, x, diagonal, scale, shift):
     """A graph layer's input as float64, checked.  Dense input is (N, F_in)
     or (B, N, F_in) with N the graph's node count.  With ``diagonal=True``
     it is (B, N) rows, row b standing for the node-signal matrix diag(x_b):
     node i carries the value x_b[i] as its feature i, so the input width is
-    the node count."""
+    the node count.  ``scale`` and ``shift``, given together or not at all,
+    make dense x stand for the input y = x * scale + shift (see Folded
+    input in the module docstring)."""
     x = np.asarray(x, dtype=np.float64)
     if diagonal:
         if x.ndim != 2 or x.shape[1] != layer.in_features:
@@ -311,20 +331,54 @@ def _graph_input(layer, graph, x, diagonal):
     elif x.shape[-2] != graph.n_nodes:
         raise ValueError(f"input has {x.shape[-2]} nodes but the graph has "
                          f"{graph.n_nodes}")
+    if (scale is None) != (shift is None) or (scale is not None and (
+            diagonal or np.shape(scale) != (layer.in_features,)
+            or np.shape(shift) != (layer.in_features,))):
+        raise ValueError(f"scale and shift go together, each of shape "
+                         f"({layer.in_features},), and only with dense input")
     return x
 
 
-def _backward_input(x, shape, diagonal):
+def _backward_input(x, shape):
     """The input a graph layer's backward is handed back, checked against
-    the ``shape`` its forward saw.  Diagonal rows are only read; dense
-    input is overwritten with dx, so it is taken as a float64, C-contiguous,
-    writeable array (a copy when it is not one)."""
-    x = (np.asarray(x, dtype=np.float64) if diagonal
-         else np.require(x, np.float64, ["C", "W"]))
+    the ``shape`` its forward saw; the backward only reads it."""
+    x = np.asarray(x, dtype=np.float64)
     if x.shape != shape:
         raise ValueError(f"backward input has shape {x.shape}, the forward's "
                          f"had {shape}")
     return x
+
+
+def _folded(w, scale):
+    """The weight that takes x when the input is y = x * scale + shift:
+    ``scale`` folded into w's input rows (w itself without a scale).  w is
+    (F_in, F_out) or a (K, F_in, F_out) stack."""
+    return w if scale is None else scale[:, None] * w
+
+
+def _add_bias(y, bias, shift, ops, w):
+    """y += bias in place, after a propagated layer's products.  When the
+    input is x * scale + shift, the shift adds sum_k (ops[k] 1)(shift w[k])^T
+    through the (K, N, N) operators ``ops`` and (K, F_in, F_out) weights
+    ``w``: that (N, F_out) constant joins the bias and is added as one
+    vector over y's (N * F_out)-wide rows."""
+    if shift is not None:
+        bias = ops.sum(axis=-1).T @ (shift @ w) + bias
+    flat = _flat2(y, bias.size)
+    _channelwise(np.add, flat, bias.reshape(-1), out=flat)
+    return y
+
+
+def _input_weight_grad(xf, gf, scale, shift, g_sum=None):
+    """y^T g for the input rows y = x * scale + shift, formed from the rows
+    xf of x, which stay as they are: scale o (x^T g) + shift (x) g_sum, with
+    g_sum the column sums of g unless given (plain x^T g without a
+    scale)."""
+    dw = xf.T @ gf
+    if scale is not None:
+        dw *= scale[:, None]
+        dw += np.outer(shift, _column_sums(gf) if g_sum is None else g_sum)
+    return dw
 
 
 def _diagonal_apply(x, basis, w):
@@ -355,18 +409,19 @@ class ChebConv(_Layer):
     y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), in sample blocks.
     The backward, handed x back, forms u_k = T_k(Ls) up (u_0 = up; T_k(Ls)
     is symmetric) one at a time for dtheta_k = x^T u_k, and then
-    dx = sum_k u_k theta_k^T block by block in x's memory, from the last
+    dx = sum_k u_k theta_k^T block by block in a new array, from the last
     u_k it kept and each block's rows of the others formed again (the
-    module docstring gives the cost).  The cache holds the basis and x's
-    shape, not x.
+    module docstring gives the cost).  The cache holds the basis, x's
+    shape and the input's scale and shift, not x.
+
+    Folded input x * scale + shift projects with scale o theta_k and adds
+    sum_k (T_k(Ls) 1)(shift theta_k)^T with the bias (``_add_bias``).
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``): then y = x @ M with
     M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], and no (B, N, N) array
     is formed.  Its backward returns no input gradient.
     """
-
-    takes_input = True
 
     def __init__(self, in_features, out_features, order=1, *, rng):
         if order < 1:
@@ -382,9 +437,9 @@ class ChebConv(_Layer):
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def forward(self, graph, x, *, diagonal=False):
-        x = _graph_input(self, graph, x, diagonal)
-        w = self.weight.value
+    def forward(self, graph, x, *, diagonal=False, scale=None, shift=None):
+        x = _graph_input(self, graph, x, diagonal, scale, shift)
+        w = _folded(self.weight.value, scale)
         basis = graph.cheb_basis(self.order)
         if diagonal:
             y = _diagonal_apply(x, basis, w)
@@ -394,36 +449,40 @@ class ChebConv(_Layer):
                 d = np.matmul(x[rows], w[0], out=y[rows])
                 for k in range(1, self.order):
                     d += basis[k] @ (x[rows] @ w[k])
-        _channelwise(np.add, y, self.bias.value, out=y)
-        self._keep((basis, diagonal, x.shape))
+        _add_bias(y, self.bias.value, shift, basis, self.weight.value)
+        self._keep((basis, diagonal, x.shape, scale, shift))
         return y
 
     def backward(self, up, *, x):
-        basis, diagonal, shape = self._take()
-        x = _backward_input(x, shape, diagonal)
+        basis, diagonal, shape, scale, shift = self._take()
+        x = _backward_input(x, shape)
         up = np.asarray(up, dtype=np.float64)
-        self.bias.accumulate(_column_sums(_flat2(up, self.out_features)))
+        up_sum = _column_sums(_flat2(up, self.out_features))
+        self.bias.accumulate(up_sum)
         if diagonal:
             self.weight.accumulate(_diagonal_weight_grad(basis, x, up))
             return None
         w = self.weight.value
         xf = _flat2(x, self.in_features)
         dw = np.empty_like(w)
-        dw[0] = xf.T @ _flat2(up, self.out_features)
+        dw[0] = _input_weight_grad(xf, _flat2(up, self.out_features), scale,
+                                   shift, up_sum)
         u = np.empty_like(up) if self.order > 1 else None
         for k in range(1, self.order):
             np.matmul(basis[k], up, out=u)
-            dw[k] = xf.T @ _flat2(u, self.out_features)
+            dw[k] = _input_weight_grad(xf, _flat2(u, self.out_features),
+                                       scale, shift)
         self.weight.accumulate(dw)
-        # x is dead: dx takes its memory, block by block; u still holds the
-        # last order's u_k, and each block forms its rows of the others again
+        # u still holds the last order's u_k, and each block forms its rows
+        # of the others again
+        dx = np.empty(shape)
         widest = max(self.in_features, self.out_features)
         for rows in _sample_blocks(shape[:-1] + (widest,)):
-            d = _matmul_transposed(up[rows], w[0].T, out=x[rows])
+            d = _matmul_transposed(up[rows], w[0].T, out=dx[rows])
             for k in range(1, self.order):
                 uk = u[rows] if k == self.order - 1 else basis[k] @ up[rows]
                 d += _matmul_transposed(uk, w[k].T)
-        return x
+        return dx
 
 
 class GCNConv(_Layer):
@@ -431,14 +490,15 @@ class GCNConv(_Layer):
     y = P x theta + bias with P = D^-1/2 (W + I) D^-1/2, the propagation
     matrix, which ``GraphContext.propagation`` builds once per graph.
 
+    Folded input x * scale + shift projects P x with scale o theta and adds
+    (P 1)(shift theta)^T with the bias (``_add_bias``).
+
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``) and computes y = x @ M with
     M[i, n, f] = P[n, i] theta[i, f]; its backward returns no input
     gradient.  The cache holds P x (the rows for diagonal input), so the
     backward takes no x back and ignores one.
     """
-
-    takes_input = False
 
     def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
@@ -451,21 +511,23 @@ class GCNConv(_Layer):
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def forward(self, graph, x, *, diagonal=False):
-        x = _graph_input(self, graph, x, diagonal)
+    def forward(self, graph, x, *, diagonal=False, scale=None, shift=None):
+        x = _graph_input(self, graph, x, diagonal, scale, shift)
         prop = graph.propagation()
+        w = _folded(self.weight.value, scale)
         if diagonal:
             xin = x
-            y = _diagonal_apply(x, prop[None], self.weight.value[None])
+            y = _diagonal_apply(x, prop[None], w[None])
         else:
             xin = prop @ x
-            y = xin @ self.weight.value
-        _channelwise(np.add, y, self.bias.value, out=y)
-        self._keep((prop, xin, diagonal))
+            y = xin @ w
+        _add_bias(y, self.bias.value, shift, prop[None],
+                  self.weight.value[None])
+        self._keep((prop, xin, diagonal, scale, shift))
         return y
 
     def backward(self, up, *, x=None):
-        prop, xin, diagonal = self._take()
+        prop, xin, diagonal, scale, shift = self._take()
         up = np.asarray(up, dtype=np.float64)
         upf = _flat2(up, self.out_features)
         self.bias.accumulate(_column_sums(upf))
@@ -473,7 +535,11 @@ class GCNConv(_Layer):
             self.weight.accumulate(
                 _diagonal_weight_grad(prop[None], xin, up)[0])
             return None
-        self.weight.accumulate(_flat2(xin, self.in_features).T @ upf)
+        # the shift's rows of P y are P 1 shift^T: they weigh g by P 1
+        g_sum = (None if shift is None else _column_sums(
+            _flat2(prop.sum(axis=-1) @ up, self.out_features)))
+        self.weight.accumulate(_input_weight_grad(
+            _flat2(xin, self.in_features), upf, scale, shift, g_sum))
         shape = xin.shape
         del xin     # the cached product is dead: dx may take its memory
         dx = np.empty(shape)
@@ -494,16 +560,18 @@ class GATLayer(_Layer):
     aggregation is the attention-weighted sum followed by a leaky activation
     with slope ``ACTIVATION_SLOPE``.
 
+    Folded input x * scale + shift transforms with scale o psi and adds
+    shift psi to every node's h.
+
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``), whose transform is h = x[..., None] * psi; its
     backward returns no input gradient.  The cache keeps the leaky
     activations' sign masks, not their inputs, and not x, which the
-    backward is handed back and overwrites with dx.
+    backward is handed back.
     """
 
     LOGIT_SLOPE = 0.2
     ACTIVATION_SLOPE = 0.2
-    takes_input = True
 
     def __init__(self, in_features, out_features, *, rng):
         self.in_features = in_features
@@ -517,12 +585,14 @@ class GATLayer(_Layer):
     def parameters(self):
         return [("transform", self.transform), ("attention", self.attention)]
 
-    def forward(self, graph, x, *, diagonal=False):
-        x = _graph_input(self, graph, x, diagonal)
+    def forward(self, graph, x, *, diagonal=False, scale=None, shift=None):
+        x = _graph_input(self, graph, x, diagonal, scale, shift)
         if diagonal:
             h = x[..., None] * self.transform.value
         else:
-            h = x @ self.transform.value
+            h = x @ _folded(self.transform.value, scale)
+            if shift is not None:
+                _channelwise(np.add, h, shift @ self.transform.value, out=h)
         a_src = self.attention.value[: self.out_features]
         a_dst = self.attention.value[self.out_features:]
         s = h @ a_src
@@ -538,12 +608,13 @@ class GATLayer(_Layer):
         agg_positive = agg > 0.0
         self._keep({"shape": x.shape, "diagonal": diagonal, "h": h,
                     "logits_positive": logits_positive, "alpha": alpha,
-                    "agg_positive": agg_positive})
+                    "agg_positive": agg_positive, "scale": scale,
+                    "shift": shift})
         return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
     def backward(self, up, *, x):
         c = self._take()
-        x = _backward_input(x, c["shape"], c["diagonal"])
+        x = _backward_input(x, c["shape"])
         # the activation backward works in place, and ``up`` is the caller's
         dagg = leaky_relu_backward(np.array(up, dtype=np.float64),
                                    c["agg_positive"], self.ACTIVATION_SLOPE)
@@ -570,9 +641,10 @@ class GATLayer(_Layer):
         if c["diagonal"]:
             self.transform.accumulate(np.einsum("bi,bif->if", x, dh))
             return None
-        self.transform.accumulate(
-            _flat2(x, self.in_features).T @ _flat2(dh, self.out_features))
-        return _matmul_transposed(dh, self.transform.value.T, out=x)
+        self.transform.accumulate(_input_weight_grad(
+            _flat2(x, self.in_features), _flat2(dh, self.out_features),
+            c["scale"], c["shift"]))
+        return _matmul_transposed(dh, self.transform.value.T)
 
 
 # ---------------------------------------------------------------------------
@@ -656,24 +728,31 @@ class Linear(_Layer):
         return _matmul_transposed(up, self.weight.value.T)
 
 
+def apply_affine(x, scale, shift, out=None):
+    """y = x * scale + shift over the last axis, in ``out`` when given: the
+    output a BatchNorm hands over as (x, scale, shift), formed."""
+    y = _channelwise(np.multiply, x, scale, out=out)
+    return _channelwise(np.add, y, shift, out=y)
+
+
 class BatchNorm(_Layer):
     """Per-channel batch normalization over all leading axes.
 
     Train mode normalizes with (biased) batch statistics and folds them into
     the running estimates with momentum 0.1; eval mode uses the running
-    statistics.  The input is centred once, xc = x - mean, and normalized
-    with one per-channel scale, y = xc * (gamma * inv_std) + beta.  Only a
-    train-mode forward caches for backward, and its cache is xc (not the
-    normalized xhat = xc * inv_std), from which the backward works with the
-    same scale.  ``output`` forms the train-mode y again from that cache,
-    for the next graph layer's backward.  Every per-channel statistic is
-    one einsum reduction over the rows, which builds no (rows, width)
-    temporary.
+    statistics.  The forward forms no output: it returns (x', scale,
+    shift), which stands for y = x' * scale + shift, for the next graph
+    layer to fold into its weights, or for ``apply_affine`` to form.  In
+    train mode x' is the input centred once, xc = x - mean, and the cache
+    for the backward, with scale = gamma * inv_std and shift = beta; in
+    eval mode x' is the input itself, with scale = gamma * inv_std and
+    shift = beta - running_mean * scale, and the forward makes no pass
+    over it.  Every per-channel statistic is one einsum reduction over the
+    rows, which builds no (rows, width) temporary.
 
     Both passes overwrite the array they are given (see the module
     docstring): a train-mode forward centres x in place and caches it as
-    xc, an eval-mode forward returns y in x's memory, and the backward
-    forms dx in ``up``'s.
+    xc, and the backward forms dx in ``up``'s memory.
     """
 
     EPS = 1e-5
@@ -697,41 +776,26 @@ class BatchNorm(_Layer):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.width:
             raise ValueError(f"expected width {self.width}, got {x.shape[-1]}")
+        if not self.training:
+            self._keep(None)
+            scale = self.gamma.value * (
+                1.0 / np.sqrt(self.running_var + self.EPS))
+            return x, scale, self.beta.value - self.running_mean * scale
         flat = _flat2(x, self.width)
-        if self.training:
-            if flat.shape[0] < 2:
-                raise ValueError("batch norm needs at least 2 rows in train mode")
-            rows = flat.shape[0]
-            mean = np.einsum("ij->j", flat) / rows
-            xc = _channelwise(np.subtract, flat, mean, out=flat)
-            var = np.einsum("ij,ij->j", xc, xc) / rows
-            self.running_mean *= 1.0 - self.MOMENTUM
-            self.running_mean += self.MOMENTUM * mean
-            self.running_var *= 1.0 - self.MOMENTUM
-            self.running_var += self.MOMENTUM * var
-        else:
-            xc = _channelwise(np.subtract, flat, self.running_mean, out=flat)
-            var = self.running_var
+        if flat.shape[0] < 2:
+            raise ValueError("batch norm needs at least 2 rows in train mode")
+        rows = flat.shape[0]
+        mean = np.einsum("ij->j", flat) / rows
+        xc = _channelwise(np.subtract, flat, mean, out=flat)
+        var = np.einsum("ij,ij->j", xc, xc) / rows
+        self.running_mean *= 1.0 - self.MOMENTUM
+        self.running_mean += self.MOMENTUM * mean
+        self.running_var *= 1.0 - self.MOMENTUM
+        self.running_var += self.MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         self._keep((xc, inv_std, x.shape))
-        # eval mode keeps no xc, so y takes its memory, the input's
-        return self._normalized(xc, inv_std, x.shape,
-                                out=None if self.training else xc)
-
-    def output(self):
-        """The output of the last train-mode forward, formed again from the
-        cache, which stays for the backward.  The same calls on the same
-        values give the forward's bits, and no running statistic moves."""
-        if self._cache is None:
-            raise InvalidStateError("BatchNorm.output without a train-mode "
-                                    "forward")
-        return self._normalized(*self._cache)
-
-    def _normalized(self, xc, inv_std, shape, out=None):
-        """y = xc * (gamma * inv_std) + beta, in ``out`` when given."""
-        y = _channelwise(np.multiply, xc, self.gamma.value * inv_std, out=out)
-        _channelwise(np.add, y, self.beta.value, out=y)
-        return y.reshape(shape)
+        return (xc.reshape(x.shape), self.gamma.value * inv_std,
+                self.beta.value.copy())
 
     def backward(self, up):
         xc, inv_std, shape = self._take()

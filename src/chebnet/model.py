@@ -19,26 +19,32 @@ propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
 The later ChebConv layers apply the same N x N matrices T_k(Ls) to their
 dense (B, N, F) input.
 The diagonal first layer forms no input gradient.  An edge task's first
-graph layer takes the dense (N, F) node features and returns one, formed
-in a copy of them, which nothing reads.  The first Conv1D is called with
-``input_grad=False`` (only Conv1D takes it) and computes none.
+graph layer takes the dense (N, F) node features and returns one, which
+nothing reads.  The first Conv1D is called with ``input_grad=False`` (only
+Conv1D takes it) and computes none.
 
 Both branches keep the cache rule of ``chebnet.layers`` (``take_once``),
 and the heads are layers under it.  Of every ReLU and LeakyReLU
 pre-activation the model keeps only the bool sign mask z > 0, which is
-what their backward takes.  No graph layer keeps its input:
-``graph_backward`` hands it back to the layers that take it
-(``_layer_input``), a hidden layer's formed again by the BatchNorm before
+what their backward takes.  A block's BatchNorm hands its output over
+unformed, as (x, scale, shift) for y = x * scale + shift, and the next
+graph layer folds that map into its weights (Folded input in
+``chebnet.layers``): in training x is the BatchNorm's cached xc, and in
+eval mode the ReLU output itself, so no hidden BatchNorm makes a pass of
+its own there.  Only the last block's output, which feeds dropout and
+the head, and ``layer_activations`` form y, with ``apply_affine``.  No
+graph layer keeps its input: ``graph_backward`` hands it back, the
+caller's features or a BatchNorm's cached xc, and no backward writes to
 it.  An eval-mode forward (prediction, ``layer_activations``) keeps
 nothing.
 
 The activations and BatchNorm overwrite the array they are given (see
 ``chebnet.layers``), and the model passes them only arrays it owns: a
 layer's fresh output or a fresh upstream gradient, never the caller's
-features or conv sequences.  So a block's ReLU, BatchNorm centring (train)
-or whole normalization (eval) take no new array, and in the backward
-BatchNorm forms dx in its upstream gradient, which the ReLU backward then
-masks in place.  Sign masks are taken before the activation runs.
+features or conv sequences.  So a block's ReLU and BatchNorm centring
+(train) take no new array, and in the backward BatchNorm forms dx in its
+upstream gradient, which the ReLU backward then masks in place.  Sign
+masks are taken before the activation runs.
 
 The per-epoch passes follow the fast-path rules of ``chebnet.layers``:
 the conv branch's LeakyReLUs take the unmasked ``leaky_relu_backward``,
@@ -68,6 +74,7 @@ from chebnet.layers import (
     Linear,
     Parameter,
     _Layer,
+    apply_affine,
     dropout,
     dropout_backward,
     leaky_relu_backward,
@@ -229,20 +236,26 @@ class EnsembleModel:
     # -- graph branch ---------------------------------------------------------
 
     def _blocks(self, graph, features, training):
-        """Yield the graph-branch input, then each block's output, each
-        paired with the sign mask of the pre-activation that produced it
-        (None for the input and in eval mode).  Sets every graph-branch
-        layer and the head to ``training`` mode first.  The first layer
-        takes (B, C) rows with ``diagonal=True`` when the samples are the
-        rows (node tasks), else the (N, F) node feature matrix."""
+        """Yield the graph-branch input, then each block's output, each as
+        the (x, scale, shift) that stands for y = x * scale + shift (the
+        input's scale and shift are None) and paired with the sign mask of
+        the pre-activation that produced it (None for the input and in eval
+        mode).  A block's output is its BatchNorm's hand-over, which the
+        next graph layer folds into its weights, so no hidden block forms
+        its y.  Sets every graph-branch layer and the head to ``training``
+        mode first.  The first layer takes (B, C) rows with
+        ``diagonal=True`` when the samples are the rows (node tasks), else
+        the (N, F) node feature matrix."""
         for layer, bn in self.blocks:
             layer.training = bn.training = training
         self.head.training = training
-        h = np.asarray(features, dtype=np.float64)
+        h = (np.asarray(features, dtype=np.float64), None, None)
         yield None, h
         diagonal = self.head.samples_are_rows
         for layer, bn in self.blocks:
-            z = layer.forward(graph, h, diagonal=diagonal)
+            x, scale, shift = h
+            z = layer.forward(graph, x, diagonal=diagonal, scale=scale,
+                              shift=shift)
             positive = z > 0.0 if training else None
             h = bn.forward(relu(z))
             diagonal = False
@@ -283,45 +296,38 @@ class EnsembleModel:
 
     def _graph_block(self, graph, features, edges, training, rng):
         """``graph_forward`` of one block of rows (an edge task's whole
-        graph); a training-mode call keeps the backward's cache: the
-        caller's features, the sign masks and the dropout mask, the head
-        keeping its own."""
-        signs = []
+        graph).  Only the last block's output is formed, in an eval-mode
+        forward in the memory of its BatchNorm's input.  A training-mode
+        call keeps the backward's cache: each graph layer's input (the
+        caller's features, then each hidden BatchNorm's cached xc), the
+        sign masks and the dropout mask, the head keeping its own."""
+        inputs, signs = [], []
         for positive, h in self._blocks(graph, features, training):
-            signs.append(positive)
+            if training:
+                inputs.append(h[0])
+                signs.append(positive)
+        x, scale, shift = h
+        h = apply_affine(x, scale, shift, out=None if training else x)
         h, mask = dropout(h, self.dropout_p, rng=rng, training=training)
         out = self.head.forward(h, edges)
-        self._gcache = ({"features": features, "signs": signs[1:],
+        self._gcache = ({"inputs": inputs[:-1], "signs": signs[1:],
                          "mask": mask} if training else None)
         return out
 
     def graph_backward(self, dout):
         """Accumulate the graph branch's parameter gradients and release
         the forward's cache; returns nothing, since no caller reads the
-        gradient of the input.  A graph layer that ``takes_input`` is
-        handed back its input (``_layer_input``)."""
+        gradient of the input.  Each graph layer is handed back its input,
+        which it only reads, and the model drops its reference once that
+        layer's backward returns."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
         dh = dropout_backward(self.head.backward(dout), c["mask"])
+        inputs = c["inputs"]
         for i in reversed(range(len(self.blocks))):
             layer, bn = self.blocks[i]
             dz = relu_backward(bn.backward(dh), c["signs"][i])
-            x = (self._layer_input(i, c["features"]) if layer.takes_input
-                 else None)
-            dh = layer.backward(dz, x=x)
-
-    def _layer_input(self, i, features):
-        """The input of block i's graph layer, handed back to its backward,
-        which overwrites a dense one with its input gradient.  A hidden
-        layer's is the previous BatchNorm's output, formed again from that
-        BatchNorm's cache, so it becomes the layer's one new input-sized
-        array.  The first layer's is the caller's features: diagonal rows
-        are only read, and dense ones (edge tasks) go in as a copy."""
-        if i:
-            return self.blocks[i - 1][1].output()
-        if self.head.samples_are_rows:
-            return features
-        return np.array(features, dtype=np.float64)
+            dh = layer.backward(dz, x=inputs.pop())
 
     # -- conv branch ----------------------------------------------------------
 
@@ -363,7 +369,10 @@ class EnsembleModel:
         per graph node; their input is the mean of the diagonal node-signal
         matrices, diag(mean of the rows).
         """
-        acts = [h for _, h in self._blocks(graph, features, False)]
+        first, *blocks = [h for _, h in self._blocks(graph, features, False)]
+        # each block's x is its own ReLU output, read by nothing else now
+        acts = [first[0]] + [apply_affine(x, scale, shift, out=x)
+                             for x, scale, shift in blocks]
         if not self.head.samples_are_rows:
             return acts
         return [np.diag(acts[0].mean(axis=0))] + [h.mean(axis=0)
@@ -393,7 +402,9 @@ def build_model(task, variant, width, n_classes, conv_shape, rng,
     ``width`` is the channel count for node tasks (= node count of the
     correlation graph) and the per-node feature width for edge tasks.
     Graph layers past the end of ``cheb_orders`` get order 1; for the cheb
-    variant, orders past the last graph layer must be 1.
+    variant, orders past the last graph layer must be 1.  ``rng=None``
+    gives zero weights, for restoring a checkpoint's (see
+    ``layers.glorot_uniform``).
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")

@@ -16,7 +16,7 @@ from chebnet.data import (Dataset, conv_inputs_node, load_dataco,
 from chebnet.graph import (build_adjacency, build_graph_context, cheb_apply,
                            graph_from_features, pearson_correlation)
 from chebnet.layers import (BatchNorm, ChebConv, Conv1D, GATLayer, GCNConv,
-                            Linear)
+                            Linear, apply_affine)
 from chebnet.model import build_model
 from chebnet.training import (SEED_SYNTH, TrainingConfig, cross_validate,
                               kfold_split, nll_loss_grad, subseed,
@@ -150,8 +150,7 @@ def test_criterion_3_gradient_suite():
 def _run_graph(layer, graph, x, proj):
     y = layer.forward(graph, x)
     loss = float((y * proj).sum())
-    # the backward forms dx in the input it is handed: pass a copy
-    dx = layer.backward(proj, x=x.copy())
+    dx = layer.backward(proj, x=x)
     return loss, [p.grad.copy() for _, p in layer.parameters()] + [dx]
 
 
@@ -166,7 +165,7 @@ def _run_batchnorm(layer, x, proj):
     layer.running_mean[...] = 0.0
     layer.running_var[...] = 1.0
     # BatchNorm works in place on what it is given: pass copies
-    y = layer.forward(x.copy())
+    y = apply_affine(*layer.forward(x.copy()))
     loss = float((y * proj).sum())
     dx = layer.backward(proj.copy())
     return loss, [p.grad.copy() for _, p in layer.parameters()] + [dx]

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import struct
+import subprocess
+import sys
 from datetime import date, timedelta
 
 import numpy as np
@@ -964,6 +966,43 @@ class TestCorruptCheckpoint:
         assert f"{path}: {name} holds a {fault} value" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [-1.0, 0, "2.0", True, None, 1e400],
+                             ids=["negative", "zero", "string", "bool",
+                                  "null", "infinite"])
+    def test_bad_lambda_max_exits_one(self, small_checkpoint, capsys, value):
+        """The checkpoint's own lambda_max scales its graph's Laplacian, so
+        it must be a positive finite number; a null one is as if it were
+        missing (an older checkpoint), and the graph computes its own."""
+        raw, work = small_checkpoint
+        path = work / "bad-lambda.bin"
+        path.write_bytes(raw)
+        rewrite_meta(path, lambda meta: meta.update(lambda_max=value))
+        code = main(["eval", "--checkpoint", str(path),
+                     "--out", str(work / "eval-lambda"), *FAST])
+        err = capsys.readouterr().err
+        if value is None:
+            assert code == 0
+        else:
+            assert code == 1
+            assert f"{path}: meta.lambda_max is not a positive" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_without_lambda_max_evaluates_the_same(
+            self, small_checkpoint):
+        """A checkpoint written before lambda_max was recorded computes it
+        from its adjacency, as its train did, and so scores the same."""
+        raw, work = small_checkpoint
+        (work / "with.bin").write_bytes(raw)
+        (work / "without.bin").write_bytes(raw)
+        rewrite_meta(work / "without.bin", lambda meta: meta.pop("lambda_max"))
+        texts = []
+        for name in ("with", "without"):
+            out = work / f"eval-{name}"
+            assert main(["eval", "--checkpoint", str(work / f"{name}.bin"),
+                         "--out", str(out), *FAST]) == 0
+            texts.append((out / "eval_metrics.txt").read_text())
+        assert texts[0] == texts[1]
+
     def test_rewritten_intact_checkpoint_evaluates_the_same(
             self, small_checkpoint):
         raw, work = small_checkpoint
@@ -1007,6 +1046,32 @@ class TestExportCommand:
             with open(os.path.join(out, name)) as fh:
                 rows = list(csv.reader(fh))
             assert len(rows) == 1 + 10  # header + one row per node
+
+    @pytest.mark.parametrize("command", [["eval"],
+                                         ["export", "--what", "embeddings"]])
+    def test_restore_never_imports_numpy_random(self, tmp_path, command):
+        """Restoring draws nothing: the model is built with zero weights,
+        which the checkpoint's replace, and the graph takes the
+        checkpoint's lambda_max instead of a power iteration from a random
+        start, so a fresh interpreter never imports ``numpy.random`` on
+        a CSV's data (synthetic data draws from it by design)."""
+        assert main(["synth", "--kind", "node", "--out",
+                     str(tmp_path / "synth")]) == 0
+        data = tmp_path / "synth" / "synthetic.csv"
+        csv_task = ["--set", 'task="dataco-risk"',
+                    "--set", 'data.target_column="target"',
+                    "--set", f'data.path="{data}"']
+        run_dir = run_train(tmp_path, extra=csv_task)
+        script = ("import sys\n"
+                  "from chebnet.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "sys.exit(code or 3 * ('numpy.random' in sys.modules))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *command, "--checkpoint",
+             os.path.join(run_dir, "checkpoint.bin"),
+             "--out", str(tmp_path / "out"), *csv_task],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_bad_stored_graph_exits_one(self, tmp_path, capsys):
         run_dir = run_train(tmp_path)

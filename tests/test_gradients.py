@@ -16,6 +16,7 @@ from chebnet.layers import (
     GATLayer,
     GCNConv,
     Linear,
+    apply_affine,
     leaky_relu_backward,
     log_softmax,
     log_softmax_backward,
@@ -44,8 +45,7 @@ def check_graph_layer(layer, graph, x, proj):
             p.zero_grad()
         y = layer.forward(graph, x)
         loss = float((y * proj).sum())
-        # the backward forms dx in the input it is handed: pass a copy
-        dx = layer.backward(proj, x=x.copy())
+        dx = layer.backward(proj, x=x)
         grads = [p.grad.copy() for _, p in layer.parameters()] + [dx]
         return loss, grads
 
@@ -162,6 +162,38 @@ class TestLayerGradients:
 
             assert grad_check(f, [p.value for _, p in layer.parameters()]) < TOL
 
+    @pytest.mark.parametrize("kind", ["cheb", "gcn", "gat"])
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (4, 3)],
+                             ids=["node-batch", "edge-nodes"])
+    def test_folded_input(self, seed, kind, shape):
+        """A hidden layer handed (x, scale, shift) for its input
+        y = x * scale + shift: the parameter gradients, and through the
+        returned dy the gradients of x (dy * scale), scale (the row sums of
+        dy * x) and shift (the row sums of dy)."""
+        rng = np.random.default_rng(1000 + seed)
+        graph = make_graph(rng, shape[-2])
+        layer = {"cheb": lambda: ChebConv(3, 2, order=3, rng=rng),
+                 "gcn": lambda: GCNConv(3, 2, rng=rng),
+                 "gat": lambda: GATLayer(3, 2, rng=rng)}[kind]()
+        x = rng.standard_normal(shape)
+        scale = rng.uniform(0.5, 1.5, 3)
+        shift = rng.standard_normal(3)
+        proj = rng.standard_normal(shape[:-1] + (2,))
+
+        def f():
+            for _, p in layer.parameters():
+                p.zero_grad()
+            y = layer.forward(graph, x, scale=scale, shift=shift)
+            dy = layer.backward(proj, x=x).reshape(-1, 3)
+            rows = x.reshape(-1, 3)
+            return (float((y * proj).sum()),
+                    [p.grad.copy() for _, p in layer.parameters()]
+                    + [(dy * scale).reshape(shape), (dy * rows).sum(axis=0),
+                       dy.sum(axis=0)])
+
+        arrays = [p.value for _, p in layer.parameters()] + [x, scale, shift]
+        assert grad_check(f, arrays) < TOL
+
     def test_conv1d(self, seed):
         rng = np.random.default_rng(500 + seed)
         layer = Conv1D(2, 3, rng=rng)
@@ -186,7 +218,7 @@ class TestLayerGradients:
             layer.running_mean[...] = 0.0
             layer.running_var[...] = 1.0
             # BatchNorm works in place on what it is given: pass copies
-            y = layer.forward(x.copy())
+            y = apply_affine(*layer.forward(x.copy()))
             loss = float((y * proj).sum())
             dx = layer.backward(proj.copy())
             return loss, [p.grad.copy() for _, p in layer.parameters()] + [dx]

@@ -19,6 +19,7 @@ from chebnet.layers import (
     Linear,
     _DX_BLOCK_BYTES,
     _channelwise,
+    apply_affine,
     dropout,
     leaky_relu_backward,
     log_softmax,
@@ -34,6 +35,12 @@ def make_graph(rng, n, density=0.7):
     w = rng.random((n, n)) * (rng.random((n, n)) < density)
     w = (w + w.T) / 2.0
     return build_graph_context(w)
+
+
+def bn_output(bn, x):
+    """BatchNorm's output y, formed from the (x, scale, shift) its forward
+    hands over."""
+    return apply_affine(*bn.forward(x))
 
 
 def param_count(layer):
@@ -119,15 +126,19 @@ class TestInPlace:
         assert relu(x) is x
 
     def test_batchnorm_works_in_the_given_arrays(self):
+        """A train-mode forward hands over x centred in place, its cache;
+        an eval-mode forward hands over x itself and makes no pass."""
         rng = np.random.default_rng(5)
         bn = BatchNorm(3)
         x, up = rng.standard_normal((2, 4, 5, 3))
-        bn.forward(x)
+        xc, _, _ = bn.forward(x)
         assert np.shares_memory(bn._cache[0], x)   # xc is x, centred
+        assert np.shares_memory(xc, x) and xc.shape == x.shape
         assert np.shares_memory(bn.backward(up), up)
         bn.training = False
         x = rng.standard_normal((4, 5, 3))
-        assert np.shares_memory(bn.forward(x), x)
+        before = x.tobytes()
+        assert bn.forward(x)[0] is x and x.tobytes() == before
 
 
 class TestChebConv:
@@ -246,6 +257,78 @@ class TestDenseInputCheck:
                 layer.forward(graph, x)
 
 
+def folded_case(kind, shape, training, seed):
+    """Two copies of one graph layer, a BatchNorm hand-over (x, scale,
+    shift) of a ReLU output of ``shape`` in train or eval mode, and y
+    formed from it."""
+    rng = np.random.default_rng(seed)
+    graph = make_graph(rng, shape[-2])
+    make = {"cheb1": lambda r: ChebConv(5, 3, order=1, rng=r),
+            "cheb2": lambda r: ChebConv(5, 3, order=2, rng=r),
+            "cheb3": lambda r: ChebConv(5, 3, order=3, rng=r),
+            "gcn": lambda r: GCNConv(5, 3, rng=r),
+            "gat": lambda r: GATLayer(5, 3, rng=r)}[kind]
+    folded, formed = make(np.random.default_rng(seed)), \
+        make(np.random.default_rng(seed))
+    for a, b in zip(folded.parameters(), formed.parameters()):
+        if a[0] == "bias":
+            a[1].value[...] = b[1].value[...] = rng.standard_normal(3)
+    bn = BatchNorm(5)
+    bn.gamma.value[...] = rng.uniform(0.5, 1.5, 5)
+    bn.beta.value[...] = rng.standard_normal(5)
+    bn.running_mean[...] = rng.standard_normal(5)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, 5)
+    bn.training = training
+    x, scale, shift = bn.forward(relu(rng.standard_normal(shape)))
+    return (graph, folded, formed, (x, scale, shift),
+            apply_affine(x, scale, shift), rng)
+
+
+class TestFoldedInput:
+    """A graph layer handed a BatchNorm's (x, scale, shift) gives the
+    output and gradients of the same layer on the formed
+    y = x * scale + shift: forward, weight and bias gradients and dy agree
+    within 1e-12 of each one's largest magnitude (round-off of a sum taken
+    in another order), and x keeps its bits."""
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("shape", [(4, 7, 5), (7, 5)],
+                             ids=["node-batch", "edge-nodes"])
+    @pytest.mark.parametrize("kind", ["cheb1", "cheb2", "cheb3", "gcn",
+                                      "gat"])
+    def test_matches_the_formed_input(self, kind, shape, training):
+        graph, folded, formed, (x, scale, shift), y, rng = folded_case(
+            kind, shape, training, 60)
+        before = x.tobytes()
+        got = folded.forward(graph, x, scale=scale, shift=shift)
+        want = formed.forward(graph, y)
+        up = rng.standard_normal(want.shape)
+        pairs = [(got, want),
+                 (folded.backward(up, x=x), formed.backward(up, x=y))]
+        pairs += [(a.grad, b.grad) for (_, a), (_, b)
+                  in zip(folded.parameters(), formed.parameters())]
+        for a, b in pairs:
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert x.tobytes() == before
+
+    @pytest.mark.parametrize("kind", ["cheb1", "cheb3", "gcn", "gat"])
+    def test_checks_scale_and_shift(self, kind):
+        graph, layer, _, (x, scale, shift), _, _ = folded_case(
+            kind, (4, 7, 5), True, 61)
+        for kwargs in ({"scale": scale}, {"shift": shift},
+                       {"scale": scale[:4], "shift": shift[:4]}):
+            with pytest.raises(ValueError, match="scale and shift"):
+                layer.forward(graph, x, **kwargs)
+        rows = np.ones((4, 7))
+        wide = type(layer)(7, 3, **({"order": layer.order}
+                                    if kind.startswith("cheb") else {}),
+                           rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="only with dense input"):
+            wide.forward(graph, rows, diagonal=True, scale=np.ones(7),
+                         shift=np.zeros(7))
+
+
 class TestGCNConv:
     def test_single_node_self_loop(self):
         rng = np.random.default_rng(9)
@@ -257,12 +340,13 @@ class TestGCNConv:
         np.testing.assert_allclose(layer.forward(graph, x), expected)
 
     def test_backward_frees_its_dead_input(self):
-        """dx = P (up theta^T) is formed in the memory of the input only the
-        layer holds, block by block: above what was live before the call
-        the backward allocates at most two sample blocks."""
+        """dx = P (up theta^T) is formed in the memory of the cached P x,
+        which only the layer holds, block by block: above what was live
+        before the call the backward allocates at most two sample
+        blocks."""
         rng = np.random.default_rng(48)
         layer = GCNConv(80, 40, rng=rng)
-        peak, _ = backward_peak(layer, make_graph(rng, 80), rng)
+        peak, _, _ = backward_peak(layer, make_graph(rng, 80), rng)
         assert peak <= 2 * _DX_BLOCK_BYTES
 
     def test_propagation_symmetric(self):
@@ -414,43 +498,19 @@ class TestBatchNorm:
         x = rng.standard_normal((200, 3))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         bn = BatchNorm(3)
-        y = bn.forward(x.copy())  # BatchNorm centres its input in place
+        y = bn_output(bn, x.copy())  # BatchNorm centres its input in place
         assert np.abs(y - x).max() < 1e-4
 
     def test_normalizes_batch(self):
         rng = np.random.default_rng(25)
         bn = BatchNorm(4)
-        y = bn.forward(rng.standard_normal((32, 4)) * 7 + 3)
+        y = bn_output(bn, rng.standard_normal((32, 4)) * 7 + 3)
         assert np.abs(y.mean(axis=0)).max() < 1e-6
         assert np.abs(y.var(axis=0) - 1.0).max() < 1e-4
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError):
             BatchNorm(2).forward(np.ones((1, 2)))
-
-    @pytest.mark.parametrize("shape", [(40, 3), (7, 11, 5), (186, 80, 40)])
-    def test_output_forms_the_forward_again(self, shape):
-        """``output`` gives a new array with the train-mode forward's bits,
-        keeps the cache for the backward and moves no running statistic;
-        without a train-mode forward it raises."""
-        rng = np.random.default_rng(27)
-        bn = BatchNorm(shape[-1])
-        bn.gamma.value[...] = rng.uniform(0.5, 1.5, size=shape[-1])
-        bn.beta.value[...] = rng.standard_normal(shape[-1])
-        with pytest.raises(InvalidStateError):
-            bn.output()
-        y = bn.forward(rng.standard_normal(shape))
-        stats = (bn.running_mean.copy(), bn.running_var.copy())
-        again = bn.output()
-        assert again is not y and again.tobytes() == y.tobytes()
-        assert again.shape == y.shape
-        assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == \
-            (stats[0].tobytes(), stats[1].tobytes())
-        bn.backward(np.ones(shape))
-        bn.training = False
-        bn.forward(rng.standard_normal(shape))
-        with pytest.raises(InvalidStateError):
-            bn.output()
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(26)
@@ -459,7 +519,7 @@ class TestBatchNorm:
             bn.forward(rng.standard_normal((64, 2)) * 2 + 5)
         bn.training = False
         x = rng.standard_normal((8, 2))
-        y = bn.forward(x.copy())  # an eval-mode forward overwrites its input
+        y = bn_output(bn, x)  # an eval-mode forward makes no pass over x
         expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.EPS)
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
@@ -475,7 +535,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(27)
         bn = BatchNorm(3)
         x = rng.standard_normal((6, 4, 3))
-        y = bn.forward(x)
+        y = bn_output(bn, x)
         assert y.shape == x.shape
         flat = y.reshape(-1, 3)
         assert np.abs(flat.mean(axis=0)).max() < 1e-6
@@ -490,7 +550,7 @@ class TestBatchNorm:
         x = rng.standard_normal((5, 4, 3)) * 3.0 + 1.0
         up = rng.standard_normal((5, 4, 3))
         # BatchNorm works in place on what it is given: pass copies
-        y = bn.forward(x.copy())
+        y = bn_output(bn, x.copy())
         dx = bn.backward(up.copy())
 
         flat, upf = x.reshape(-1, 3), up.reshape(-1, 3)
@@ -514,7 +574,8 @@ class TestBatchNorm:
 
 def _cache_case(name):
     """A new layer with a backward cache, its train-mode forward and its
-    backward (a graph layer's handed a copy of the forward's input)."""
+    backward (a graph layer's handed back the forward's input; BatchNorm's
+    forward formed into its output)."""
     rng = np.random.default_rng(30)
     graph = make_graph(rng, 5)
     x = rng.standard_normal((3, 5, 4))
@@ -535,7 +596,9 @@ def _cache_case(name):
     }[name]
     backward = layer.backward
     if len(args) == 2:
-        backward = lambda up: layer.backward(up, x=args[1].copy())  # noqa: E731
+        backward = lambda up: layer.backward(up, x=args[1])  # noqa: E731
+    if name == "batchnorm":
+        return layer, lambda: bn_output(layer, x.copy()), backward
     return layer, lambda: layer.forward(*args, **kwargs), backward
 
 
@@ -730,39 +793,40 @@ class TestChebBackward:
         assert dx.shape == x.shape
         assert peak <= 2 * x.nbytes + up.nbytes + 2**20
 
-    def test_backward_frees_its_dead_input(self):
-        """The backward forms dx in the memory of the input it is handed
-        back, and holds one propagated gradient T_k(Ls) up at a time, in
-        one buffer: above what was live before the call it allocates one
-        upstream-sized array and at most two sample blocks, at any order
-        (at K = 7 the layer took 56.6 MiB when it kept all K - 1)."""
+    def test_backward_holds_one_propagated_gradient(self):
+        """The backward holds one propagated gradient T_k(Ls) up at a time,
+        in one buffer: above what was live before the call it allocates
+        dx, one upstream-sized array and at most two sample blocks, at any
+        order (at K = 7 the layer took 56.6 MiB more when it kept all
+        K - 1)."""
         rng = np.random.default_rng(47)
         graph = make_graph(rng, 80)
         for order in (3, 5, 7):
             layer = ChebConv(80, 40, order=order, rng=rng)
-            peak, up = backward_peak(layer, graph, rng)
-            assert peak <= up.nbytes + 2 * _DX_BLOCK_BYTES, order
+            peak, up, dx = backward_peak(layer, graph, rng)
+            assert peak <= dx.nbytes + up.nbytes + 2 * _DX_BLOCK_BYTES, order
 
 
 def backward_peak(layer, graph, rng, batch=372):
     """tracemalloc peak of one backward of a graph layer above the memory
     live before the call, on a (batch, N, F_in) input handed back to it,
-    whose memory dx takes when the layer ``takes_input``; returns
-    (peak, up)."""
+    which the backward leaves as it is; returns (peak, up, dx)."""
     n = graph.n_nodes
     tracemalloc.start()
     try:
         x = rng.standard_normal((batch, n, layer.in_features))
         layer.forward(graph, x)
         up = rng.standard_normal((batch, n, layer.out_features))
+        before = x.tobytes()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         dx = layer.backward(up, x=x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert dx is x if layer.takes_input else dx.shape == x.shape
-    return peak, up
+    assert dx.shape == x.shape and not np.shares_memory(dx, x)
+    assert x.tobytes() == before
+    return peak, up, dx
 
 
 # Row counts for the full-width passes: every count below 70 (so every
@@ -778,9 +842,8 @@ def batchnorm_reference(bn, x, up):
     flat = x.reshape(-1, bn.width)
     rows = flat.shape[0]
     if up is None:
-        xc = flat - bn.running_mean
-        inv_std = 1.0 / np.sqrt(bn.running_var + bn.EPS)
-        y = xc * (bn.gamma.value * inv_std) + bn.beta.value
+        scale = bn.gamma.value * (1.0 / np.sqrt(bn.running_var + bn.EPS))
+        y = flat * scale + (bn.beta.value - bn.running_mean * scale)
         return y.reshape(x.shape), None, None, None, None, None
     mean = np.einsum("ij->j", flat) / rows
     xc = flat - mean
@@ -819,14 +882,15 @@ class TestFullWidthPasses:
 
         want = batchnorm_reference(bn, x, up)
         # BatchNorm works in place on what it is given: pass copies
-        got = (bn.forward(x.copy()), bn.backward(up.copy()), bn.running_mean,
+        got = (bn_output(bn, x.copy()), bn.backward(up.copy()),
+               bn.running_mean,
                bn.running_var, bn.gamma.grad, bn.beta.grad)
         for g, w in zip(got, want):
             assert same_bits(g, w)
 
         bn.training = False
         x = rng.standard_normal(shape)
-        assert same_bits(bn.forward(x.copy()),
+        assert same_bits(bn_output(bn, x.copy()),
                          batchnorm_reference(bn, x, None)[0])
 
     @settings(max_examples=200, deadline=None)

@@ -306,6 +306,11 @@ class TestInputGradient:
             assert all(isinstance(dx, np.ndarray) for dx in upper)
 
 
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def cached_arrays(cache):
     """The arrays a layer's cache (an array, a tuple or a dict) holds."""
     if isinstance(cache, dict):
@@ -316,24 +321,27 @@ def cached_arrays(cache):
 
 
 class TestGraphLayerInputs:
-    """No graph layer keeps its input from forward to backward: the model
-    hands it back to the backward (``EnsembleModel._layer_input``), and a
-    dense one becomes that layer's input gradient."""
+    """No graph layer keeps its input from forward to backward, and no
+    backward writes to it: the model hands each layer its input back.  A
+    hidden layer's input is the previous BatchNorm's cached xc with that
+    BatchNorm's scale and shift, which the layer folds into its weights,
+    so no hidden BatchNorm output is formed."""
 
     @staticmethod
     def record(model):
         """Wrap every graph layer's forward and backward; returns the lists
-        of forward inputs and of backward (x bytes, x, dx)."""
+        of forward (x, x bytes, keywords) and of backward (x, x bytes at
+        the call, x bytes after it, dx)."""
         inputs, calls = [], []
         for layer, _ in model.blocks:
-            def forward(graph, x, *, diagonal=False, _inner=layer.forward):
-                inputs.append(x)
-                return _inner(graph, x, diagonal=diagonal)
+            def forward(graph, x, *, _inner=layer.forward, **kwargs):
+                inputs.append((x, x.tobytes(), kwargs))
+                return _inner(graph, x, **kwargs)
 
             def backward(up, *, x, _inner=layer.backward):
-                seen = None if x is None else x.tobytes()
+                seen = x.tobytes()
                 dx = _inner(up, x=x)
-                calls.append((seen, x, dx))
+                calls.append((x, seen, x.tobytes(), dx))
                 return dx
             layer.forward, layer.backward = forward, backward
         return inputs, calls
@@ -347,17 +355,33 @@ class TestGraphLayerInputs:
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             inputs, _ = self.record(model)
             model.graph_forward(graph, feats, edges, training=True, rng=rng)
-            for i, ((layer, _), x) in enumerate(zip(model.blocks, inputs)):
-                if i or layer.takes_input:
+            for i, ((layer, _), (x, _, _)) in enumerate(zip(model.blocks,
+                                                             inputs)):
+                if i or variant != "gcn" or not model.head.samples_are_rows:
                     assert not any(np.shares_memory(a, x)
                                    for a in cached_arrays(layer._cache))
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_hidden_input_is_the_batchnorm_cache(self, variant):
+        """The first layer takes the caller's features as they are; each
+        hidden layer's train-mode input is the previous BatchNorm's cached
+        xc, with that BatchNorm's gamma * inv_std and beta."""
+        rng = np.random.default_rng(19)
+        for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
+            inputs, _ = self.record(model)
+            model.graph_forward(graph, feats, edges, training=True, rng=rng)
+            (x, _, kwargs), *hidden = inputs
+            assert x is feats and kwargs["scale"] is None
+            for (_, bn), (x, _, kwargs) in zip(model.blocks, hidden):
+                xc, inv_std, shape = bn._cache
+                assert np.shares_memory(x, xc) and x.shape == shape
+                assert same_bits(kwargs["scale"], bn.gamma.value * inv_std)
+                assert same_bits(kwargs["shift"], bn.beta.value)
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_handed_back_input_keeps_its_bits(self, variant):
-        """The backward of a layer that ``takes_input`` gets its forward's
-        input bit for bit (a hidden layer's formed again by BatchNorm).  A
-        dense one becomes dx, so it is never the caller's features; the
-        diagonal rows are only read."""
+        """Each backward is handed its forward's input, bit for bit, and
+        leaves it so; its dx is a new array."""
         rng = np.random.default_rng(17)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             inputs, calls = self.record(model)
@@ -365,26 +389,46 @@ class TestGraphLayerInputs:
                                       rng=rng)
             model.graph_backward(np.ones_like(glp))
             # the backward runs last block first
-            for (layer, _), want, (seen, x, dx) in zip(
-                    model.blocks, inputs, reversed(calls)):
-                if not layer.takes_input:
-                    assert x is None
-                    continue
-                assert seen == want.tobytes()
-                if dx is not None:      # dense input, overwritten
-                    assert dx is x and not np.shares_memory(x, feats)
+            for (want, want_bytes, _), (x, seen, after, dx) in zip(
+                    inputs, reversed(calls)):
+                assert x is want and seen == after == want_bytes
+                assert dx is None or not np.shares_memory(dx, x)
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_only_the_last_block_forms_its_output(self, monkeypatch,
+                                                  variant, training):
+        """A forward forms one block output, the last, which feeds dropout
+        and the head; every hidden one is folded into the next layer."""
+        rng = np.random.default_rng(20)
+        formed = []
+        real = model_module.apply_affine
+        monkeypatch.setattr(model_module, "apply_affine",
+                            lambda *a, **k: formed.append(a[0].shape)
+                            or real(*a, **k))
+        for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
+            formed.clear()
+            out = model.graph_forward(graph, feats, edges, training=training,
+                                      rng=rng)
+            width = model.blocks[-1][1].width
+            assert formed == [feats.shape[:1] + (graph.n_nodes, width)
+                              if model.head.samples_are_rows
+                              else (graph.n_nodes, width)]
+            if training:
+                model.graph_backward(np.ones_like(out))
 
 
 class TestTrainingStepMemory:
     """One training epoch at the benchmark workloads' shapes stays under a
     tracemalloc peak set from the measured one (62.9 MiB at sg-product's,
-    60.7 MiB at dataco-csv's; 71.0 and 82.3 MiB while each graph layer
-    kept its input and ChebConv its K - 1 propagated gradients)."""
+    55.5 MiB at dataco-csv's; 60.7 MiB at dataco-csv's while each hidden
+    BatchNorm formed its output, and 71.0 and 82.3 MiB while each graph
+    layer kept its input and ChebConv its K - 1 propagated gradients)."""
 
     @pytest.mark.parametrize("rows, channels, classes, conv_shape, orders, "
                              "bound_mib", [
                                  (372, 80, 3, (4, 20), (3, 3, 3, 3), 66),
-                                 (20000, 11, 2, (1, 11), (1, 1, 1, 1), 64),
+                                 (20000, 11, 2, (1, 11), (1, 1, 1, 1), 59),
                              ], ids=["sg-product", "dataco-csv"])
     def test_peak(self, rows, channels, classes, conv_shape, orders,
                   bound_mib):
