@@ -46,6 +46,26 @@ y^T g = scale o (x^T g) + shift (x) colsum(g) from the same x
 unfolded weights, in a new array.  ``apply_affine`` forms y where it is
 needed as an array: after the last block, and for ``layer_activations``.
 
+Gradient sums handed on: a BatchNorm's backward reads two sums over the
+rows of its upstream gradient dy, colsum(dy) and colsum(dy * xc).  When
+dy is the dx of the graph layer that took the BatchNorm's cache xc as
+its x, that layer has already formed what those sums need: with
+dy = sum_k u_k theta_k^T, colsum(dy) = sum_k theta_k colsum(u_k) and
+colsum(dy * x) = sum_k rowsum(theta_k o x^T u_k), where x^T u_k is its
+weight gradient's product and colsum(u_k) its shift term's
+(``_input_grad_sums``; GCNConv's products are (P x)^T up and the
+P 1-weighted sums).  So ``backward(..., sums=True)`` returns
+(dy, colsum(dy), colsum(dy * x)) at the cost of a few (F_in, F_out)
+products, and ``BatchNorm.backward(up, sums=...)`` takes them instead of
+two passes over its input-sized arrays.  The sums are taken in another
+order than the passes would, so they agree to round-off, not bit for
+bit.
+
+The diagonal first layer's bias rides in its one GEMM: [x 1] @ [M; bias]
+(``_diagonal_apply``), and its gradient in the ones row of the weight
+gradient's GEMM [x 1]^T up (``_diagonal_weight_grad``), so neither pass
+over its (B, N, F) output or upstream gradient is made.
+
 Inputs handed back: no graph layer keeps its input from forward to
 backward, and no backward writes to it.  ChebConv and GATLayer get it
 back as the backward's keyword ``x``; the model hands a hidden layer the
@@ -369,33 +389,59 @@ def _add_bias(y, bias, shift, ops, w):
     return y
 
 
-def _input_weight_grad(xf, gf, scale, shift, g_sum=None):
-    """y^T g for the input rows y = x * scale + shift, formed from the rows
-    xf of x, which stay as they are: scale o (x^T g) + shift (x) g_sum, with
-    g_sum the column sums of g unless given (plain x^T g without a
-    scale)."""
-    dw = xf.T @ gf
-    if scale is not None:
-        dw *= scale[:, None]
-        dw += np.outer(shift, _column_sums(gf) if g_sum is None else g_sum)
+def _input_weight_grad(xtg, scale, shift, g_sum):
+    """y^T g for the input rows y = x * scale + shift, from xtg = x^T g and
+    g_sum, the column sums of g: scale o xtg + shift (x) g_sum (xtg itself
+    without a scale)."""
+    if scale is None:
+        return xtg
+    dw = scale[:, None] * xtg
+    dw += np.outer(shift, g_sum)
     return dw
 
 
-def _diagonal_apply(x, basis, w):
-    """y[b, n, f] = sum_k sum_i basis[k, n, i] x[b, i] w[k, i, f], the
-    filter sum_k basis[k] diag(x_b) w[k] on (B, N) rows, as one GEMM
-    y = x @ M with M[i, n, f] = sum_k basis[k, n, i] w[k, i, f]."""
+def _input_grad_sums(w, xtg, g_sums):
+    """The column sums of dx = sum_k u_k w[k]^T and of dx * x over the
+    rows, from the products the weight gradient takes, xtg[k] = x^T u_k,
+    and the column sums g_sums[k] of u_k: sum_k w[k] g_sums[k] and
+    sum_k rowsum(w[k] o xtg[k]).  They are the two sums BatchNorm's
+    backward reads when x is its cache (see Gradient sums handed on)."""
+    dx_sum = sum(wk @ gk for wk, gk in zip(w, g_sums))
+    dx_x = sum(np.einsum("if,if->i", wk, tk) for wk, tk in zip(w, xtg))
+    return dx_sum, dx_x
+
+
+def _with_ones(x):
+    """(B, N) rows with a column of ones appended: (B, N + 1)."""
+    xa = np.empty((x.shape[0], x.shape[1] + 1))
+    xa[:, :-1] = x
+    xa[:, -1] = 1.0
+    return xa
+
+
+def _diagonal_apply(x, basis, w, bias):
+    """y[b, n, f] = sum_k sum_i basis[k, n, i] x[b, i] w[k, i, f] + bias[f],
+    the filter sum_k basis[k] diag(x_b) w[k] plus the bias on (B, N) rows,
+    as one GEMM y = [x 1] @ [M; bias] with
+    M[i, n, f] = sum_k basis[k, n, i] w[k, i, f] and the bias tiled over
+    the nodes in the ones column's row, so no pass over y adds it."""
     n, f = basis.shape[1], w.shape[2]
-    m = basis.transpose(2, 1, 0) @ w.transpose(1, 0, 2)
-    return (x @ m.reshape(n, n * f)).reshape(x.shape[0], n, f)
+    m = np.empty((n + 1, n * f))
+    np.matmul(basis.transpose(2, 1, 0), w.transpose(1, 0, 2),
+              out=m[:n].reshape(n, n, f))
+    m[n] = np.tile(bias, n)
+    return (_with_ones(x) @ m).reshape(x.shape[0], n, f)
 
 
 def _diagonal_weight_grad(basis, x, up):
-    """Gradient of ``_diagonal_apply`` with respect to w:
-    dw[k, i, f] = sum_n basis[k, n, i] G[i, n, f], G = x^T up."""
+    """Gradients of ``_diagonal_apply`` with respect to w and the bias:
+    dw[k, i, f] = sum_n basis[k, n, i] G[i, n, f] with G = x^T up, and
+    dbias[f] = sum_n H[n, f] with H the ones column's row of the same
+    GEMM [x 1]^T up, so no pass over up sums it."""
     b, n, f = up.shape
-    g = (x.T @ up.reshape(b, n * f)).reshape(n, n, f)
-    return (basis.transpose(2, 0, 1) @ g).transpose(1, 0, 2)
+    g = (_with_ones(x).T @ up.reshape(b, n * f)).reshape(n + 1, n, f)
+    dw = (basis.transpose(2, 0, 1) @ g[:n]).transpose(1, 0, 2)
+    return dw, g[n].sum(axis=0)
 
 
 class ChebConv(_Layer):
@@ -418,9 +464,14 @@ class ChebConv(_Layer):
     sum_k (T_k(Ls) 1)(shift theta_k)^T with the bias (``_add_bias``).
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
-    ``_graph_input``): then y = x @ M with
-    M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], and no (B, N, N) array
-    is formed.  Its backward returns no input gradient.
+    ``_graph_input``): then y = x @ M + bias with
+    M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], one GEMM that adds the
+    bias too, and no (B, N, N) array is formed.  Its backward returns no
+    input gradient.
+
+    ``backward(up, x=x, sums=True)`` returns (dx, colsum(dx),
+    colsum(dx * x)), the sums formed from x^T u_k and colsum(u_k) (see
+    Gradient sums handed on).
     """
 
     def __init__(self, in_features, out_features, order=1, *, rng):
@@ -442,37 +493,41 @@ class ChebConv(_Layer):
         w = _folded(self.weight.value, scale)
         basis = graph.cheb_basis(self.order)
         if diagonal:
-            y = _diagonal_apply(x, basis, w)
+            y = _diagonal_apply(x, basis, w, self.bias.value)
         else:
             y = np.empty(x.shape[:-1] + (self.out_features,))
             for rows in _sample_blocks(y.shape):
                 d = np.matmul(x[rows], w[0], out=y[rows])
                 for k in range(1, self.order):
                     d += basis[k] @ (x[rows] @ w[k])
-        _add_bias(y, self.bias.value, shift, basis, self.weight.value)
+            _add_bias(y, self.bias.value, shift, basis, self.weight.value)
         self._keep((basis, diagonal, x.shape, scale, shift))
         return y
 
-    def backward(self, up, *, x):
+    def backward(self, up, *, x, sums=False):
         basis, diagonal, shape, scale, shift = self._take()
         x = _backward_input(x, shape)
         up = np.asarray(up, dtype=np.float64)
+        if diagonal:
+            dw, dbias = _diagonal_weight_grad(basis, x, up)
+            self.weight.accumulate(dw)
+            self.bias.accumulate(dbias)
+            return None
         up_sum = _column_sums(_flat2(up, self.out_features))
         self.bias.accumulate(up_sum)
-        if diagonal:
-            self.weight.accumulate(_diagonal_weight_grad(basis, x, up))
-            return None
         w = self.weight.value
         xf = _flat2(x, self.in_features)
-        dw = np.empty_like(w)
-        dw[0] = _input_weight_grad(xf, _flat2(up, self.out_features), scale,
-                                   shift, up_sum)
+        xtg, g_sums = [xf.T @ _flat2(up, self.out_features)], [up_sum]
         u = np.empty_like(up) if self.order > 1 else None
         for k in range(1, self.order):
             np.matmul(basis[k], up, out=u)
-            dw[k] = _input_weight_grad(xf, _flat2(u, self.out_features),
-                                       scale, shift)
-        self.weight.accumulate(dw)
+            uf = _flat2(u, self.out_features)
+            xtg.append(xf.T @ uf)
+            g_sums.append(_column_sums(uf) if sums or scale is not None
+                          else None)
+        self.weight.accumulate(np.stack([
+            _input_weight_grad(t, scale, shift, g)
+            for t, g in zip(xtg, g_sums)]))
         # u still holds the last order's u_k, and each block forms its rows
         # of the others again
         dx = np.empty(shape)
@@ -482,7 +537,7 @@ class ChebConv(_Layer):
             for k in range(1, self.order):
                 uk = u[rows] if k == self.order - 1 else basis[k] @ up[rows]
                 d += _matmul_transposed(uk, w[k].T)
-        return dx
+        return (dx, *_input_grad_sums(w, xtg, g_sums)) if sums else dx
 
 
 class GCNConv(_Layer):
@@ -494,10 +549,12 @@ class GCNConv(_Layer):
     (P 1)(shift theta)^T with the bias (``_add_bias``).
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
-    ``_graph_input``) and computes y = x @ M with
-    M[i, n, f] = P[n, i] theta[i, f]; its backward returns no input
-    gradient.  The cache holds P x (the rows for diagonal input), so the
-    backward takes no x back and ignores one.
+    ``_graph_input``) and computes y = x @ M + bias with
+    M[i, n, f] = P[n, i] theta[i, f] in one GEMM; its backward returns no
+    input gradient.  The cache holds P x (the rows for diagonal input), so
+    the backward takes no x back and ignores one; with ``sums=True`` it
+    returns the sums of dx from (P x)^T up and the P 1-weighted column
+    sums of up (see Gradient sums handed on).
     """
 
     def __init__(self, in_features, out_features, *, rng):
@@ -517,37 +574,40 @@ class GCNConv(_Layer):
         w = _folded(self.weight.value, scale)
         if diagonal:
             xin = x
-            y = _diagonal_apply(x, prop[None], w[None])
+            y = _diagonal_apply(x, prop[None], w[None], self.bias.value)
         else:
             xin = prop @ x
-            y = xin @ w
-        _add_bias(y, self.bias.value, shift, prop[None],
-                  self.weight.value[None])
+            y = _add_bias(xin @ w, self.bias.value, shift, prop[None],
+                          self.weight.value[None])
         self._keep((prop, xin, diagonal, scale, shift))
         return y
 
-    def backward(self, up, *, x=None):
+    def backward(self, up, *, x=None, sums=False):
         prop, xin, diagonal, scale, shift = self._take()
         up = np.asarray(up, dtype=np.float64)
+        if diagonal:
+            dw, dbias = _diagonal_weight_grad(prop[None], xin, up)
+            self.weight.accumulate(dw[0])
+            self.bias.accumulate(dbias)
+            return None
         upf = _flat2(up, self.out_features)
         self.bias.accumulate(_column_sums(upf))
-        if diagonal:
-            self.weight.accumulate(
-                _diagonal_weight_grad(prop[None], xin, up)[0])
-            return None
-        # the shift's rows of P y are P 1 shift^T: they weigh g by P 1
-        g_sum = (None if shift is None else _column_sums(
-            _flat2(prop.sum(axis=-1) @ up, self.out_features)))
-        self.weight.accumulate(_input_weight_grad(
-            _flat2(xin, self.in_features), upf, scale, shift, g_sum))
+        # the shift's rows of P y, and the column sums of dx = P up theta^T,
+        # are P 1 shift^T and (P 1)^T up theta^T: both weigh g by P 1
+        g_sum = (_column_sums(_flat2(prop.sum(axis=-1) @ up,
+                                     self.out_features))
+                 if sums or shift is not None else None)
+        xtg = _flat2(xin, self.in_features).T @ upf
+        self.weight.accumulate(_input_weight_grad(xtg, scale, shift, g_sum))
         shape = xin.shape
         del xin     # the cached product is dead: dx may take its memory
+        w = self.weight.value
         dx = np.empty(shape)
         for rows in _sample_blocks(shape):
             # prop is symmetric
-            np.matmul(prop, _matmul_transposed(up[rows], self.weight.value.T),
-                      out=dx[rows])
-        return dx
+            np.matmul(prop, _matmul_transposed(up[rows], w.T), out=dx[rows])
+        # x^T dx = (P x)^T up theta^T, and xtg holds (P x)^T up
+        return (dx, *_input_grad_sums([w], [xtg], [g_sum])) if sums else dx
 
 
 class GATLayer(_Layer):
@@ -567,7 +627,9 @@ class GATLayer(_Layer):
     ``_graph_input``), whose transform is h = x[..., None] * psi; its
     backward returns no input gradient.  The cache keeps the leaky
     activations' sign masks, not their inputs, and not x, which the
-    backward is handed back.
+    backward is handed back.  With ``sums=True`` the backward also returns
+    the sums of dx, from x^T dh and colsum(dh) (see Gradient sums handed
+    on).
     """
 
     LOGIT_SLOPE = 0.2
@@ -612,7 +674,7 @@ class GATLayer(_Layer):
                     "shift": shift})
         return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
-    def backward(self, up, *, x):
+    def backward(self, up, *, x, sums=False):
         c = self._take()
         x = _backward_input(x, c["shape"])
         # the activation backward works in place, and ``up`` is the caller's
@@ -641,10 +703,14 @@ class GATLayer(_Layer):
         if c["diagonal"]:
             self.transform.accumulate(np.einsum("bi,bif->if", x, dh))
             return None
-        self.transform.accumulate(_input_weight_grad(
-            _flat2(x, self.in_features), _flat2(dh, self.out_features),
-            c["scale"], c["shift"]))
-        return _matmul_transposed(dh, self.transform.value.T)
+        scale, psi = c["scale"], self.transform.value
+        dhf = _flat2(dh, self.out_features)
+        xtg = _flat2(x, self.in_features).T @ dhf
+        g_sum = _column_sums(dhf) if sums or scale is not None else None
+        self.transform.accumulate(_input_weight_grad(xtg, scale, c["shift"],
+                                                     g_sum))
+        dx = _matmul_transposed(dh, psi.T)
+        return (dx, *_input_grad_sums([psi], [xtg], [g_sum])) if sums else dx
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +814,10 @@ class BatchNorm(_Layer):
     eval mode x' is the input itself, with scale = gamma * inv_std and
     shift = beta - running_mean * scale, and the forward makes no pass
     over it.  Every per-channel statistic is one einsum reduction over the
-    rows, which builds no (rows, width) temporary.
+    rows, which builds no (rows, width) temporary.  The backward's two,
+    colsum(up) and colsum(up * xc), can be handed in as ``sums`` instead:
+    the model hands a hidden BatchNorm the ones the next graph layer formed
+    (see Gradient sums handed on).
 
     Both passes overwrite the array they are given (see the module
     docstring): a train-mode forward centres x in place and caches it as
@@ -797,14 +866,15 @@ class BatchNorm(_Layer):
         return (xc.reshape(x.shape), self.gamma.value * inv_std,
                 self.beta.value.copy())
 
-    def backward(self, up):
+    def backward(self, up, *, sums=None):
         xc, inv_std, shape = self._take()
         upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
         rows = upf.shape[0]
         # with xhat = xc * inv_std: dgamma = sum(up * xhat) and
         # dx = gamma * inv_std * (up - mean(up) - xhat * mean(up * xhat))
-        up_sum = np.einsum("ij->j", upf)
-        up_xc = np.einsum("ij,ij->j", upf, xc)
+        if sums is None:
+            sums = np.einsum("ij->j", upf), np.einsum("ij,ij->j", upf, xc)
+        up_sum, up_xc = sums
         self.gamma.accumulate(up_xc * inv_std)
         self.beta.accumulate(up_sum)
         dx = _channelwise(np.subtract, upf, up_sum / rows, out=upf)

@@ -35,8 +35,10 @@ its own there.  Only the last block's output, which feeds dropout and
 the head, and ``layer_activations`` form y, with ``apply_affine``.  No
 graph layer keeps its input: ``graph_backward`` hands it back, the
 caller's features or a BatchNorm's cached xc, and no backward writes to
-it.  An eval-mode forward (prediction, ``layer_activations``) keeps
-nothing.
+it.  A hidden layer's backward hands on the two column sums of its dx
+that the previous BatchNorm's backward reads (Gradient sums handed on in
+``chebnet.layers``), so that backward makes no pass to form them.  An
+eval-mode forward (prediction, ``layer_activations``) keeps nothing.
 
 The activations and BatchNorm overwrite the array they are given (see
 ``chebnet.layers``), and the model passes them only arrays it owns: a
@@ -319,15 +321,20 @@ class EnsembleModel:
         the forward's cache; returns nothing, since no caller reads the
         gradient of the input.  Each graph layer is handed back its input,
         which it only reads, and the model drops its reference once that
-        layer's backward returns."""
+        layer's backward returns.  A hidden layer's backward also returns
+        the column sums of dx and of dx * x, which the previous
+        BatchNorm's backward takes as its ``sums``."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
         dh = dropout_backward(self.head.backward(dout), c["mask"])
-        inputs = c["inputs"]
+        inputs, sums = c["inputs"], None
         for i in reversed(range(len(self.blocks))):
             layer, bn = self.blocks[i]
-            dz = relu_backward(bn.backward(dh), c["signs"][i])
-            dh = layer.backward(dz, x=inputs.pop())
+            dz = relu_backward(bn.backward(dh, sums=sums), c["signs"][i])
+            if i:
+                dh, *sums = layer.backward(dz, x=inputs.pop(), sums=True)
+            else:
+                layer.backward(dz, x=inputs.pop())
 
     # -- conv branch ----------------------------------------------------------
 

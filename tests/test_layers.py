@@ -328,6 +328,34 @@ class TestFoldedInput:
             wide.forward(graph, rows, diagonal=True, scale=np.ones(7),
                          shift=np.zeros(7))
 
+    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "plain"])
+    @pytest.mark.parametrize("shape", [(4, 7, 5), (7, 5)],
+                             ids=["node-batch", "edge-nodes"])
+    @pytest.mark.parametrize("kind", ["cheb1", "cheb2", "cheb3", "gcn",
+                                      "gat"])
+    def test_gradient_sums(self, kind, shape, folded):
+        """``backward(..., sums=True)`` also returns the column sums of dy
+        and of dy * x over all rows, formed from the layer's own products:
+        each within 1e-12 of the sum of its terms' magnitudes of the sums
+        over the arrays.  dy and every parameter gradient keep the bits of
+        the backward without sums."""
+        graph, layer, twin, (x, scale, shift), y, rng = folded_case(
+            kind, shape, True, 62)
+        if not folded:
+            x, scale, shift = y, None, None
+        for each in (layer, twin):
+            each.forward(graph, x, scale=scale, shift=shift)
+        up = rng.standard_normal(shape[:-1] + (3,))
+        dy, dy_sum, dy_x = layer.backward(up, x=x, sums=True)
+        assert same_bits(dy, twin.backward(up, x=x))
+        for (_, a), (_, b) in zip(layer.parameters(), twin.parameters()):
+            assert same_bits(a.grad, b.grad)
+        rows = dy.reshape(-1, 5)
+        for got, terms in ((dy_sum, rows), (dy_x, rows * x.reshape(-1, 5))):
+            assert got.shape == (5,)
+            assert np.all(np.abs(got - terms.sum(axis=0))
+                          <= 1e-12 * np.abs(terms).sum(axis=0))
+
 
 class TestGCNConv:
     def test_single_node_self_loop(self):
@@ -511,6 +539,25 @@ class TestBatchNorm:
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError):
             BatchNorm(2).forward(np.ones((1, 2)))
+
+    def test_backward_takes_the_sums(self):
+        """Handed the column sums of up and of up * xc, as the next graph
+        layer forms them, the backward uses them in place of its own: with
+        its own einsum sums it keeps every bit."""
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((6, 4, 3)) * 2.0 + 1.0
+        up = rng.standard_normal((6, 4, 3))
+        results = []
+        for given in (False, True):
+            bn = BatchNorm(3)
+            xc = bn.forward(x.copy())[0].reshape(-1, 3)
+            upf = up.reshape(-1, 3)
+            sums = ((np.einsum("ij->j", upf), np.einsum("ij,ij->j", upf, xc))
+                    if given else None)
+            results.append((bn.backward(up.copy(), sums=sums), bn.gamma.grad,
+                            bn.beta.grad))
+        for got, want in zip(*results):
+            assert same_bits(got, want)
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(26)

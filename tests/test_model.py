@@ -34,7 +34,9 @@ def lift(features):
 class TestDiagonalFirstLayer:
     def test_matches_lifted_dense(self):
         """``diagonal=True`` on (B, C) rows equals the dense forward on
-        their diagonal node-signal matrices, for every graph layer."""
+        their diagonal node-signal matrices, for every graph layer, with a
+        nonzero bias, which the diagonal GEMM adds; so do the parameter
+        gradients of their backwards."""
         rng = np.random.default_rng(12)
         graph = make_graph(rng, 6)
         feats = rng.standard_normal((5, 6))
@@ -44,13 +46,21 @@ class TestDiagonalFirstLayer:
                   for k in range(1, 5)]
         makers += [lambda r: GCNConv(6, 4, rng=r),
                    lambda r: GATLayer(6, 4, rng=r)]
+        up = rng.standard_normal((5, 6, 4))
         for make in makers:
-            layer = make(np.random.default_rng(13))
-            dense = layer.forward(graph, lifted)
-            diagonal = layer.forward(graph, feats, diagonal=True)
-            assert diagonal.shape == dense.shape == (5, 6, 4)
-            scale = np.abs(dense).max()
-            assert np.abs(diagonal - dense).max() <= 1e-12 * scale
+            grads = []
+            for diagonal in (False, True):
+                layer = make(np.random.default_rng(13))
+                if hasattr(layer, "bias"):
+                    layer.bias.value[...] = [0.5, -1.0, 2.0, 0.25]
+                out = layer.forward(graph, feats if diagonal else lifted,
+                                    diagonal=diagonal)
+                layer.backward(up, x=feats if diagonal else lifted)
+                grads.append([out] + [p.grad for _, p in layer.parameters()])
+            for dense, diagonal in zip(*grads):
+                assert diagonal.shape == dense.shape
+                scale = np.abs(dense).max()
+                assert np.abs(diagonal - dense).max() <= 1e-12 * scale
 
     def test_rejects_rows_that_do_not_fit_the_graph(self):
         rng = np.random.default_rng(14)
@@ -289,10 +299,10 @@ class TestInputGradient:
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             returned = []
             for layer, _ in model.blocks:
-                def backward(up, *, x, _inner=layer.backward):
-                    dx = _inner(up, x=x)
-                    returned.append(dx)
-                    return dx
+                def backward(up, *, _inner=layer.backward, **kwargs):
+                    out = _inner(up, **kwargs)
+                    returned.append(out[0] if kwargs.get("sums") else out)
+                    return out
                 layer.backward = backward
             glp = model.graph_forward(graph, feats, edges, training=True,
                                       rng=rng)
@@ -338,11 +348,12 @@ class TestGraphLayerInputs:
                 inputs.append((x, x.tobytes(), kwargs))
                 return _inner(graph, x, **kwargs)
 
-            def backward(up, *, x, _inner=layer.backward):
+            def backward(up, *, x, _inner=layer.backward, **kwargs):
                 seen = x.tobytes()
-                dx = _inner(up, x=x)
+                out = _inner(up, x=x, **kwargs)
+                dx = out[0] if kwargs.get("sums") else out
                 calls.append((x, seen, x.tobytes(), dx))
-                return dx
+                return out
             layer.forward, layer.backward = forward, backward
         return inputs, calls
 
@@ -393,6 +404,32 @@ class TestGraphLayerInputs:
                     inputs, reversed(calls)):
                 assert x is want and seen == after == want_bytes
                 assert dx is None or not np.shares_memory(dx, x)
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_hidden_batchnorm_takes_the_next_layers_sums(self, variant):
+        """Each hidden BatchNorm's backward is handed the column sums of its
+        upstream gradient and of that gradient times its cached xc, which
+        the next graph layer formed from its own products: each within
+        1e-12 of the sum of its terms' magnitudes of the sums over the
+        arrays.  The last BatchNorm, which feeds the head, forms its own."""
+        rng = np.random.default_rng(21)
+        for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
+            seen = []
+            for _, bn in model.blocks:
+                def backward(up, *, sums=None, _bn=bn, _inner=bn.backward):
+                    seen.append((up.reshape(-1, _bn.width).copy(),
+                                 _bn._cache[0].copy(), sums))
+                    return _inner(up, sums=sums)
+                bn.backward = backward
+            glp = model.graph_forward(graph, feats, edges, training=True,
+                                      rng=rng)
+            model.graph_backward(np.ones_like(glp))
+            (_, _, last), *hidden = seen    # the last block runs first
+            assert last is None and len(hidden) == len(model.blocks) - 1
+            for up, xc, (up_sum, up_xc) in hidden:
+                for got, terms in ((up_sum, up), (up_xc, up * xc)):
+                    assert np.all(np.abs(got - terms.sum(axis=0))
+                                  <= 1e-12 * np.abs(terms).sum(axis=0))
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     @pytest.mark.parametrize("training", [True, False])
