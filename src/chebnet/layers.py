@@ -54,12 +54,12 @@ dy = sum_k u_k theta_k^T, colsum(dy) = sum_k theta_k colsum(u_k) and
 colsum(dy * x) = sum_k rowsum(theta_k o x^T u_k), where x^T u_k is its
 weight gradient's product and colsum(u_k) its shift term's
 (``_input_grad_sums``; GCNConv's products are (P x)^T up and the
-P 1-weighted sums).  So ``backward(..., sums=True)`` returns
-(dy, colsum(dy), colsum(dy * x)) at the cost of a few (F_in, F_out)
-products, and ``BatchNorm.backward(up, sums=...)`` takes them instead of
-two passes over its input-sized arrays.  The sums are taken in another
-order than the passes would, so they agree to round-off, not bit for
-bit.
+P 1-weighted sums).  So a backward whose forward took a folded input
+returns (dy, colsum(dy), colsum(dy * x)) at the cost of a few
+(F_in, F_out) products, and ``BatchNorm.backward(up, sums=...)`` takes
+them instead of two passes over its input-sized arrays.  The sums are
+taken in another order than the passes would, so they agree to
+round-off, not bit for bit.
 
 The diagonal first layer's bias rides in its one GEMM: [x 1] @ [M; bias]
 (``_diagonal_apply``), and its gradient in the ones row of the weight
@@ -75,7 +75,7 @@ input is formed at all.  The one input-sized array a hidden backward
 allocates is its dx.  GCNConv keeps P x, which its weight gradient needs
 and which is not its input, so it ignores an x handed back, and dx takes
 the heap block P x frees.  ChebConv and GCNConv form dx in sample blocks
-of at most ``_DX_BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's chain
+of about ``BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's chain
 P (up theta^T) makes no full-size temporary.  ChebConv forms the
 propagated gradients u_k = T_k(Ls) up one at a time in one buffer for
 dtheta_k = x^T u_k; the buffer keeps the last one for the dx blocks, and
@@ -242,21 +242,38 @@ def _matmul_transposed(a, bt, out=None):
     return np.matmul(a, bt, out=out)
 
 
-# Bytes of one sample block of an input gradient formed block by block
-# (see ``_sample_blocks``).
-_DX_BLOCK_BYTES = 2 << 20
+# Byte budget of one sample block of a graph layer's dense forward or input
+# gradient (see ``_sample_blocks``).
+BLOCK_BYTES = 2 << 20
 
 
-def _sample_blocks(shape):
-    """Slices of the leading axis of a stacked (B, ..., N, F) float64 array
-    of ``shape``, each covering at most ``_DX_BLOCK_BYTES`` (at least one
-    sample); a 2-D (N, F) array, which has no sample axis, is one block.
-    Each sample's stacked product is its own GEMM, so a product taken block
-    by block has the bits of the whole one."""
-    if len(shape) < 3:
-        return [slice(None)]
-    rows = max(1, _DX_BLOCK_BYTES // (8 * math.prod(shape[1:])))
-    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
+def _row_blocks(n_rows, row_bytes, budget):
+    """Consecutive slices that split ``n_rows`` rows of ``row_bytes`` bytes
+    each into near-equal blocks, the first n_rows % blocks of them one row
+    longer (as ``np.array_split`` cuts): as few blocks as keep each within
+    ``budget`` bytes, but never more than n_rows // 2, so no block holds
+    one row when there are two or more.  Every row block in the package is
+    cut by this rule, with ``row_bytes`` taken from the array's itemsize.
+
+    A product of one row takes another BLAS path than one of two or more
+    rows and can round differently, while a stacked product is one GEMM
+    per sample; so a product taken block by block keeps the bits of the
+    whole one.  When the budget holds fewer than three rows, a block of
+    two or three rows may exceed it."""
+    per_block = max(1, budget // row_bytes)
+    n_blocks = max(1, min(-(-n_rows // per_block), n_rows // 2))
+    size, longer = divmod(n_rows, n_blocks)
+    starts = [i * size + min(i, longer) for i in range(n_blocks + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _sample_blocks(a, width):
+    """``_row_blocks`` of the leading axis of a stacked (B, ..., N, F) array
+    ``a`` within ``BLOCK_BYTES``, a sample's bytes taken from a's itemsize
+    and its (..., N) rows at ``width`` columns; a 2-D (N, F) array, which
+    has no sample axis, is one block."""
+    return [slice(None)] if a.ndim < 3 else _row_blocks(
+        len(a), a.itemsize * math.prod(a.shape[1:-1]) * width, BLOCK_BYTES)
 
 
 def _column_sums(a):
@@ -469,7 +486,7 @@ class ChebConv(_Layer):
     bias too, and no (B, N, N) array is formed.  Its backward returns no
     input gradient.
 
-    ``backward(up, x=x, sums=True)`` returns (dx, colsum(dx),
+    After a folded forward the backward returns (dx, colsum(dx),
     colsum(dx * x)), the sums formed from x^T u_k and colsum(u_k) (see
     Gradient sums handed on).
     """
@@ -496,7 +513,7 @@ class ChebConv(_Layer):
             y = _diagonal_apply(x, basis, w, self.bias.value)
         else:
             y = np.empty(x.shape[:-1] + (self.out_features,))
-            for rows in _sample_blocks(y.shape):
+            for rows in _sample_blocks(y, self.out_features):
                 d = np.matmul(x[rows], w[0], out=y[rows])
                 for k in range(1, self.order):
                     d += basis[k] @ (x[rows] @ w[k])
@@ -504,7 +521,7 @@ class ChebConv(_Layer):
         self._keep((basis, diagonal, x.shape, scale, shift))
         return y
 
-    def backward(self, up, *, x, sums=False):
+    def backward(self, up, *, x):
         basis, diagonal, shape, scale, shift = self._take()
         x = _backward_input(x, shape)
         up = np.asarray(up, dtype=np.float64)
@@ -523,21 +540,20 @@ class ChebConv(_Layer):
             np.matmul(basis[k], up, out=u)
             uf = _flat2(u, self.out_features)
             xtg.append(xf.T @ uf)
-            g_sums.append(_column_sums(uf) if sums or scale is not None
-                          else None)
+            g_sums.append(_column_sums(uf) if scale is not None else None)
         self.weight.accumulate(np.stack([
             _input_weight_grad(t, scale, shift, g)
             for t, g in zip(xtg, g_sums)]))
         # u still holds the last order's u_k, and each block forms its rows
         # of the others again
         dx = np.empty(shape)
-        widest = max(self.in_features, self.out_features)
-        for rows in _sample_blocks(shape[:-1] + (widest,)):
+        # a block's rows of up and of dx: N nodes at the wider of the widths
+        for rows in _sample_blocks(dx, max(w.shape[1:])):
             d = _matmul_transposed(up[rows], w[0].T, out=dx[rows])
             for k in range(1, self.order):
                 uk = u[rows] if k == self.order - 1 else basis[k] @ up[rows]
                 d += _matmul_transposed(uk, w[k].T)
-        return (dx, *_input_grad_sums(w, xtg, g_sums)) if sums else dx
+        return dx if scale is None else (dx, *_input_grad_sums(w, xtg, g_sums))
 
 
 class GCNConv(_Layer):
@@ -552,9 +568,9 @@ class GCNConv(_Layer):
     ``_graph_input``) and computes y = x @ M + bias with
     M[i, n, f] = P[n, i] theta[i, f] in one GEMM; its backward returns no
     input gradient.  The cache holds P x (the rows for diagonal input), so
-    the backward takes no x back and ignores one; with ``sums=True`` it
-    returns the sums of dx from (P x)^T up and the P 1-weighted column
-    sums of up (see Gradient sums handed on).
+    the backward takes no x back and ignores one; after a folded forward
+    it returns the sums of dx too, from (P x)^T up and the P 1-weighted
+    column sums of up (see Gradient sums handed on).
     """
 
     def __init__(self, in_features, out_features, *, rng):
@@ -582,7 +598,7 @@ class GCNConv(_Layer):
         self._keep((prop, xin, diagonal, scale, shift))
         return y
 
-    def backward(self, up, *, x=None, sums=False):
+    def backward(self, up, *, x=None):
         prop, xin, diagonal, scale, shift = self._take()
         up = np.asarray(up, dtype=np.float64)
         if diagonal:
@@ -594,20 +610,20 @@ class GCNConv(_Layer):
         self.bias.accumulate(_column_sums(upf))
         # the shift's rows of P y, and the column sums of dx = P up theta^T,
         # are P 1 shift^T and (P 1)^T up theta^T: both weigh g by P 1
-        g_sum = (_column_sums(_flat2(prop.sum(axis=-1) @ up,
-                                     self.out_features))
-                 if sums or shift is not None else None)
+        g_sum = None if scale is None else _column_sums(
+            _flat2(prop.sum(axis=-1) @ up, self.out_features))
         xtg = _flat2(xin, self.in_features).T @ upf
         self.weight.accumulate(_input_weight_grad(xtg, scale, shift, g_sum))
         shape = xin.shape
         del xin     # the cached product is dead: dx may take its memory
         w = self.weight.value
         dx = np.empty(shape)
-        for rows in _sample_blocks(shape):
+        for rows in _sample_blocks(dx, self.in_features):
             # prop is symmetric
             np.matmul(prop, _matmul_transposed(up[rows], w.T), out=dx[rows])
         # x^T dx = (P x)^T up theta^T, and xtg holds (P x)^T up
-        return (dx, *_input_grad_sums([w], [xtg], [g_sum])) if sums else dx
+        return (dx if scale is None
+                else (dx, *_input_grad_sums([w], [xtg], [g_sum])))
 
 
 class GATLayer(_Layer):
@@ -627,9 +643,9 @@ class GATLayer(_Layer):
     ``_graph_input``), whose transform is h = x[..., None] * psi; its
     backward returns no input gradient.  The cache keeps the leaky
     activations' sign masks, not their inputs, and not x, which the
-    backward is handed back.  With ``sums=True`` the backward also returns
-    the sums of dx, from x^T dh and colsum(dh) (see Gradient sums handed
-    on).
+    backward is handed back.  After a folded forward the backward returns
+    the sums of dx too, from x^T dh and colsum(dh) (see Gradient sums
+    handed on).
     """
 
     LOGIT_SLOPE = 0.2
@@ -674,7 +690,7 @@ class GATLayer(_Layer):
                     "shift": shift})
         return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
-    def backward(self, up, *, x, sums=False):
+    def backward(self, up, *, x):
         c = self._take()
         x = _backward_input(x, c["shape"])
         # the activation backward works in place, and ``up`` is the caller's
@@ -706,11 +722,12 @@ class GATLayer(_Layer):
         scale, psi = c["scale"], self.transform.value
         dhf = _flat2(dh, self.out_features)
         xtg = _flat2(x, self.in_features).T @ dhf
-        g_sum = _column_sums(dhf) if sums or scale is not None else None
+        g_sum = _column_sums(dhf) if scale is not None else None
         self.transform.accumulate(_input_weight_grad(xtg, scale, c["shift"],
                                                      g_sum))
         dx = _matmul_transposed(dh, psi.T)
-        return (dx, *_input_grad_sums([psi], [xtg], [g_sum])) if sums else dx
+        return (dx if scale is None
+                else (dx, *_input_grad_sums([psi], [xtg], [g_sum])))
 
 
 # ---------------------------------------------------------------------------

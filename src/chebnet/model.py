@@ -55,9 +55,12 @@ flattening them into tall GEMMs.  The conv branch's mean over its last few
 positions stays ``mean(axis=-1)``: an einsum there sums in another order.
 
 When the samples are the rows, an eval-mode graph forward runs them in
-blocks of ``_eval_block_rows`` and concatenates their log-probabilities:
-each sample is independent there, and a block's activations stay small
-enough to be reused from the heap instead of mapped afresh.  An edge
+row blocks and concatenates their log-probabilities: each sample is
+independent there, and a block's activations stay small enough to be
+reused from the heap instead of mapped afresh.  The blocks follow the one
+rule of ``layers._row_blocks``, with a row's bytes from the array's
+itemsize and a budget of ``EVAL_BLOCK_BYTES``, so every block holds two
+rows or more and keeps the bits of the whole batch.  An edge
 task's graph couples every node, so it runs as one block, as does
 ``layer_activations``, whose batch means span all rows.
 """
@@ -76,6 +79,7 @@ from chebnet.layers import (
     Linear,
     Parameter,
     _Layer,
+    _row_blocks,
     apply_affine,
     dropout,
     dropout_backward,
@@ -92,7 +96,7 @@ VARIANTS = ("cheb", "gcn", "gat")
 CONV_SLOPE = 0.1
 EDGE_HEAD_HIDDEN = 100
 # Byte budget for the widest activation of one block of an eval-mode
-# node-task graph forward (see ``EnsembleModel._eval_block_rows``).
+# node-task graph forward (see ``EnsembleModel.graph_forward``).
 EVAL_BLOCK_BYTES = 4 << 20
 
 
@@ -263,38 +267,29 @@ class EnsembleModel:
             diagonal = False
             yield positive, h
 
-    def _eval_block_rows(self, n_nodes):
-        """Rows per block of an eval-mode row-sample graph forward: as many
-        as keep the widest activation, (rows, N, width) float64 with width
-        the widest of N and the layers' outputs, within
-        ``EVAL_BLOCK_BYTES``; at least one (``graph_forward`` still puts
-        two or more rows in each block)."""
-        width = max([n_nodes] + [layer.out_features
-                                 for layer, _ in self.blocks])
-        return max(1, EVAL_BLOCK_BYTES // (8 * n_nodes * width))
-
     def graph_forward(self, graph, features, edges=None, training=False,
                       rng=None):
         """Log-probabilities of the graph branch.
 
         Node tasks take (B, C) feature rows; edge tasks take the (N, F) node
         feature matrix plus the edge index array to score.  When the
-        samples are the rows, an eval-mode forward runs them in blocks of
-        ``_eval_block_rows``.
+        samples are the rows, an eval-mode forward runs them in the blocks
+        ``layers._row_blocks`` cuts: a row's bytes are those of its widest
+        activation, (N, width) with width the widest of N and the layers'
+        outputs, and the budget is ``EVAL_BLOCK_BYTES``.
         """
         if training or not self.head.samples_are_rows:
             return self._graph_block(graph, features, edges, training, rng)
-        # a one-row product does not keep the bits of the same row in a
-        # larger block, so the blocks are near-equal and hold two rows or
-        # more, and a lone row runs as a block of two copies of itself
         x = np.asarray(features, dtype=np.float64)
+        # a one-row product does not keep the bits of the same row in a
+        # larger block: a lone row runs as a block of two copies of itself
         if len(x) == 1:
             return self._graph_block(graph, x[[0, 0]], None, False, None)[:1]
-        n_blocks = min(-(-len(x) // self._eval_block_rows(graph.n_nodes)),
-                       len(x) // 2)
+        widths = [layer.out_features for layer, _ in self.blocks]
+        row_bytes = x.itemsize * graph.n_nodes * max(graph.n_nodes, *widths)
         return np.concatenate([
-            self._graph_block(graph, rows, None, False, None)
-            for rows in np.array_split(x, max(n_blocks, 1))])
+            self._graph_block(graph, x[rows], None, False, None)
+            for rows in _row_blocks(len(x), row_bytes, EVAL_BLOCK_BYTES)])
 
     def _graph_block(self, graph, features, edges, training, rng):
         """``graph_forward`` of one block of rows (an edge task's whole
@@ -321,9 +316,9 @@ class EnsembleModel:
         the forward's cache; returns nothing, since no caller reads the
         gradient of the input.  Each graph layer is handed back its input,
         which it only reads, and the model drops its reference once that
-        layer's backward returns.  A hidden layer's backward also returns
-        the column sums of dx and of dx * x, which the previous
-        BatchNorm's backward takes as its ``sums``."""
+        layer's backward returns.  A hidden layer's input is folded, so its
+        backward also returns the column sums of dx and of dx * x, which
+        the previous BatchNorm's backward takes as its ``sums``."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
         dh = dropout_backward(self.head.backward(dout), c["mask"])
@@ -331,10 +326,10 @@ class EnsembleModel:
         for i in reversed(range(len(self.blocks))):
             layer, bn = self.blocks[i]
             dz = relu_backward(bn.backward(dh, sums=sums), c["signs"][i])
-            if i:
-                dh, *sums = layer.backward(dz, x=inputs.pop(), sums=True)
-            else:
-                layer.backward(dz, x=inputs.pop())
+            out = layer.backward(dz, x=inputs.pop())
+            if i:   # a hidden layer's input is folded: out is (dx, *sums)
+                assert isinstance(out, tuple), "a hidden layer ran unfolded"
+                dh, *sums = out
 
     # -- conv branch ----------------------------------------------------------
 

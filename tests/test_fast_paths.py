@@ -6,7 +6,7 @@ NaN, infinities, subnormals and the largest finite values."""
 import numpy as np
 import pytest
 
-from chebnet import kernels
+from chebnet import kernels, layers
 from chebnet.graph import build_graph_context
 from chebnet.layers import (_SHORT_CONTRACTION, ChebConv, GCNConv,
                             _matmul_transposed, _sample_blocks,
@@ -159,26 +159,36 @@ def random_graph(rng, n):
     return build_graph_context((w + w.T) / 2.0)
 
 
+def one_block_at_any_budget(monkeypatch, x, width):
+    """A 2-D (N, F) array has no sample axis, so it is one block; with a
+    one-byte budget a layer that cut it along the node axis would form
+    several blocks and fail its products' shape checks or the bits."""
+    assert _sample_blocks(x, width) == [slice(None)]
+    monkeypatch.setattr(layers, "BLOCK_BYTES", 1)
+
+
 class TestBlockedForward:
     """ChebConv's dense forward adds its terms T_k(Ls) (x theta_k) in
     sample blocks; y keeps the bits of the whole-batch form.  Shapes
-    (B, N, F_in -> F_out, K): sg-product's wide layer, a batch whose last
-    block is partial, one sample, and an edge task's 2-D (N, F) node
-    features."""
+    (B, N, F_in -> F_out, K): sg-product's wide layer, a batch of two
+    blocks, one sample, and an edge task's 2-D (N, F) node features, which
+    has no sample axis and is one block at any budget."""
 
     SHAPES = [((372, 80, 80), 40, 3), ((100, 80, 80), 40, 3),
               ((1, 80, 80), 40, 3), ((12, 200), 100, 3)]
 
     @pytest.mark.parametrize("shape, f_out, order", SHAPES)
-    def test_cheb_matches_whole_batch(self, shape, f_out, order):
+    def test_cheb_matches_whole_batch(self, monkeypatch, shape, f_out, order):
         rng = np.random.default_rng(shape[0] + f_out)
         graph = random_graph(rng, shape[-2])
         layer = ChebConv(shape[-1], f_out, order=order, rng=rng)
         layer.bias.value[...] = rng.standard_normal(f_out)
         x = rng.standard_normal(shape)
-        blocks = _sample_blocks(shape[:-1] + (f_out,))
+        blocks = _sample_blocks(x, f_out)
         if len(shape) == 3 and shape[0] > 1:
             assert len(blocks) > 1
+        if len(shape) == 2:
+            one_block_at_any_budget(monkeypatch, x, f_out)
         want = full_cheb_forward(graph.cheb_basis(order), layer.weight.value,
                                  layer.bias.value, x)
         assert same_bits(layer.forward(graph, x), want)
@@ -190,21 +200,21 @@ class TestBlockedInputGradient:
     whole-batch backward.  Shapes (B, N, F_in -> F_out, K): sg-product's
     wide and narrow layers, dataco-csv's first dense layer, a batch that is
     not a multiple of the block, one sample, and an edge task's 2-D (N, F)
-    node features."""
+    node features, one block at any budget."""
 
     SHAPES = [((372, 80, 80), 40, 3), ((186, 80, 40), 5, 3),
               ((20000, 11, 11), 6, 1), ((45, 80, 80), 40, 3),
               ((1, 80, 80), 40, 3), ((12, 200), 100, 3)]
 
     @pytest.mark.parametrize("shape, f_out, order", SHAPES)
-    def test_cheb_matches_whole_batch(self, shape, f_out, order):
+    def test_cheb_matches_whole_batch(self, monkeypatch, shape, f_out, order):
         rng = np.random.default_rng(shape[0] + shape[-1] + f_out)
         graph = random_graph(rng, shape[-2])
         layer = ChebConv(shape[-1], f_out, order=order, rng=rng)
         x = rng.standard_normal(shape)
         up = rng.standard_normal(shape[:-1] + (f_out,))
-        if len(shape) == 2:     # no sample axis: one block
-            assert _sample_blocks(shape) == [slice(None)]
+        if len(shape) == 2:
+            one_block_at_any_budget(monkeypatch, x, max(shape[-1], f_out))
         layer.forward(graph, x.copy())
         want_dx, want_dw = full_cheb_backward(graph.cheb_basis(order),
                                               layer.weight.value, x, up)
@@ -212,12 +222,14 @@ class TestBlockedInputGradient:
         assert same_bits(layer.weight.grad, 0.0 + want_dw)
 
     @pytest.mark.parametrize("shape, f_out, order", SHAPES)
-    def test_gcn_matches_whole_batch(self, shape, f_out, order):
+    def test_gcn_matches_whole_batch(self, monkeypatch, shape, f_out, order):
         rng = np.random.default_rng(shape[0] + shape[-1] + f_out)
         graph = random_graph(rng, shape[-2])
         layer = GCNConv(shape[-1], f_out, rng=rng)
         x = rng.standard_normal(shape)
         up = rng.standard_normal(shape[:-1] + (f_out,))
+        if len(shape) == 2:
+            one_block_at_any_budget(monkeypatch, x, shape[-1])
         layer.forward(graph, x)
         prop = graph.propagation()
         want_dx, want_dw = full_gcn_backward(prop, layer.weight.value,

@@ -167,9 +167,10 @@ class TestLayerGradients:
                              ids=["node-batch", "edge-nodes"])
     def test_folded_input(self, seed, kind, shape):
         """A hidden layer handed (x, scale, shift) for its input
-        y = x * scale + shift: the parameter gradients, and through the
-        returned dy the gradients of x (dy * scale), scale (the row sums of
-        dy * x) and shift (the row sums of dy)."""
+        y = x * scale + shift: the parameter gradients, through the
+        returned dy the gradient of x (dy * scale), and the returned sums
+        as the gradients of scale (the row sums of dy * x) and shift (the
+        row sums of dy)."""
         rng = np.random.default_rng(1000 + seed)
         graph = make_graph(rng, shape[-2])
         layer = {"cheb": lambda: ChebConv(3, 2, order=3, rng=rng),
@@ -184,12 +185,10 @@ class TestLayerGradients:
             for _, p in layer.parameters():
                 p.zero_grad()
             y = layer.forward(graph, x, scale=scale, shift=shift)
-            dy = layer.backward(proj, x=x).reshape(-1, 3)
-            rows = x.reshape(-1, 3)
+            dy, dy_sum, dy_x = layer.backward(proj, x=x)
             return (float((y * proj).sum()),
                     [p.grad.copy() for _, p in layer.parameters()]
-                    + [(dy * scale).reshape(shape), (dy * rows).sum(axis=0),
-                       dy.sum(axis=0)])
+                    + [dy * scale, dy_x, dy_sum])
 
         arrays = [p.value for _, p in layer.parameters()] + [x, scale, shift]
         assert grad_check(f, arrays) < TOL

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from chebnet import graph as graphmod
 from chebnet.graph import build_graph_context, cheb_apply
 from chebnet.layers import (
+    BLOCK_BYTES,
     BatchNorm,
     ChebConv,
     Conv1D,
@@ -17,8 +18,8 @@ from chebnet.layers import (
     GCNConv,
     InvalidStateError,
     Linear,
-    _DX_BLOCK_BYTES,
     _channelwise,
+    _row_blocks,
     apply_affine,
     dropout,
     leaky_relu_backward,
@@ -303,8 +304,8 @@ class TestFoldedInput:
         got = folded.forward(graph, x, scale=scale, shift=shift)
         want = formed.forward(graph, y)
         up = rng.standard_normal(want.shape)
-        pairs = [(got, want),
-                 (folded.backward(up, x=x), formed.backward(up, x=y))]
+        dy, _, _ = folded.backward(up, x=x)     # with its gradient sums
+        pairs = [(got, want), (dy, formed.backward(up, x=y))]
         pairs += [(a.grad, b.grad) for (_, a), (_, b)
                   in zip(folded.parameters(), formed.parameters())]
         for a, b in pairs:
@@ -334,22 +335,22 @@ class TestFoldedInput:
     @pytest.mark.parametrize("kind", ["cheb1", "cheb2", "cheb3", "gcn",
                                       "gat"])
     def test_gradient_sums(self, kind, shape, folded):
-        """``backward(..., sums=True)`` also returns the column sums of dy
-        and of dy * x over all rows, formed from the layer's own products:
-        each within 1e-12 of the sum of its terms' magnitudes of the sums
-        over the arrays.  dy and every parameter gradient keep the bits of
-        the backward without sums."""
-        graph, layer, twin, (x, scale, shift), y, rng = folded_case(
+        """The backward returns the column sums of dy and of dy * x over
+        all rows exactly when its forward took a folded input, formed from
+        the layer's own products: each within 1e-12 of the sum of its
+        terms' magnitudes of the sums over the arrays.  After a plain
+        forward it returns dy alone."""
+        graph, layer, _, (x, scale, shift), y, rng = folded_case(
             kind, shape, True, 62)
         if not folded:
             x, scale, shift = y, None, None
-        for each in (layer, twin):
-            each.forward(graph, x, scale=scale, shift=shift)
+        layer.forward(graph, x, scale=scale, shift=shift)
         up = rng.standard_normal(shape[:-1] + (3,))
-        dy, dy_sum, dy_x = layer.backward(up, x=x, sums=True)
-        assert same_bits(dy, twin.backward(up, x=x))
-        for (_, a), (_, b) in zip(layer.parameters(), twin.parameters()):
-            assert same_bits(a.grad, b.grad)
+        out = layer.backward(up, x=x)
+        if not folded:
+            assert isinstance(out, np.ndarray) and out.shape == x.shape
+            return
+        dy, dy_sum, dy_x = out
         rows = dy.reshape(-1, 5)
         for got, terms in ((dy_sum, rows), (dy_x, rows * x.reshape(-1, 5))):
             assert got.shape == (5,)
@@ -375,7 +376,7 @@ class TestGCNConv:
         rng = np.random.default_rng(48)
         layer = GCNConv(80, 40, rng=rng)
         peak, _, _ = backward_peak(layer, make_graph(rng, 80), rng)
-        assert peak <= 2 * _DX_BLOCK_BYTES
+        assert peak <= 2 * BLOCK_BYTES
 
     def test_propagation_symmetric(self):
         rng = np.random.default_rng(10)
@@ -791,7 +792,7 @@ class TestChebDense:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= y.nbytes + 2 * _DX_BLOCK_BYTES
+        assert peak <= y.nbytes + 2 * BLOCK_BYTES
 
 
 class TestChebBackward:
@@ -851,7 +852,7 @@ class TestChebBackward:
         for order in (3, 5, 7):
             layer = ChebConv(80, 40, order=order, rng=rng)
             peak, up, dx = backward_peak(layer, graph, rng)
-            assert peak <= dx.nbytes + up.nbytes + 2 * _DX_BLOCK_BYTES, order
+            assert peak <= dx.nbytes + up.nbytes + 2 * BLOCK_BYTES, order
 
 
 def backward_peak(layer, graph, rng, batch=372):
@@ -874,6 +875,59 @@ def backward_peak(layer, graph, rng, batch=372):
     assert dx.shape == x.shape and not np.shares_memory(dx, x)
     assert x.tobytes() == before
     return peak, up, dx
+
+
+def block_sizes(n_rows, row_bytes, budget):
+    """The row counts of ``_row_blocks``' blocks, checked to cover
+    range(n_rows) in order with no gap or overlap."""
+    blocks = _row_blocks(n_rows, row_bytes, budget)
+    bounds = [0] + [b.stop for b in blocks]
+    assert [b.start for b in blocks] == bounds[:-1]
+    assert bounds[-1] == n_rows and all(b.step is None for b in blocks)
+    return [b.stop - b.start for b in blocks]
+
+
+class TestRowBlocks:
+    """``_row_blocks`` cuts every row block: a graph layer's sample blocks
+    and the eval forward's row blocks."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(n_rows=st.integers(0, 3000), row_bytes=st.integers(1, 1 << 12),
+           budget=st.integers(1, 1 << 16))
+    def test_rule(self, n_rows, row_bytes, budget):
+        """Near-equal blocks of two rows or more, each within the budget
+        when it holds three rows (a budget of two cannot cut an odd count
+        into blocks of two; below that each block holds two or three), and
+        the fewest: with one block fewer, one would pass the budget."""
+        sizes = block_sizes(n_rows, row_bytes, budget)
+        assert max(sizes) - min(sizes) <= 1
+        if n_rows >= 2:
+            assert min(sizes) >= 2
+        if budget >= 3 * row_bytes:
+            assert max(sizes) * row_bytes <= budget
+        else:
+            assert max(sizes) <= 3
+        if len(sizes) > 1:
+            assert -(-n_rows // (len(sizes) - 1)) * row_bytes > budget
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_rows=st.integers(0, 3000), elements=st.integers(1, 1 << 10),
+           budget=st.integers(1, 1 << 16))
+    def test_narrower_items_give_no_smaller_blocks(self, n_rows, elements,
+                                                   budget):
+        """Rows of 4-byte items get blocks no smaller than the same rows of
+        8-byte items, so float32 arrays need no rule of their own."""
+        narrow, wide = (block_sizes(n_rows, itemsize * elements, budget)
+                        for itemsize in (4, 8))
+        assert min(narrow) >= min(wide) and max(narrow) >= max(wide)
+
+    def test_budget_below_two_rows(self):
+        """Past the budget a block still holds two rows, and an odd count
+        puts its extra row in the first block; a lone row is one block, and
+        no rows one empty block."""
+        assert _row_blocks(5, 100, 10) == [slice(0, 3), slice(3, 5)]
+        assert _row_blocks(1, 100, 10) == [slice(0, 1)]
+        assert _row_blocks(0, 100, 10) == [slice(0, 0)]
 
 
 # Row counts for the full-width passes: every count below 70 (so every

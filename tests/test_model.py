@@ -301,7 +301,8 @@ class TestInputGradient:
             for layer, _ in model.blocks:
                 def backward(up, *, _inner=layer.backward, **kwargs):
                     out = _inner(up, **kwargs)
-                    returned.append(out[0] if kwargs.get("sums") else out)
+                    returned.append(out[0] if isinstance(out, tuple)
+                                    else out)
                     return out
                 layer.backward = backward
             glp = model.graph_forward(graph, feats, edges, training=True,
@@ -351,7 +352,7 @@ class TestGraphLayerInputs:
             def backward(up, *, x, _inner=layer.backward, **kwargs):
                 seen = x.tobytes()
                 out = _inner(up, x=x, **kwargs)
-                dx = out[0] if kwargs.get("sums") else out
+                dx = out[0] if isinstance(out, tuple) else out
                 calls.append((x, seen, x.tobytes(), dx))
                 return out
             layer.forward, layer.backward = forward, backward
@@ -430,6 +431,19 @@ class TestGraphLayerInputs:
                 for got, terms in ((up_sum, up), (up_xc, up * xc)):
                     assert np.all(np.abs(got - terms.sum(axis=0))
                                   <= 1e-12 * np.abs(terms).sum(axis=0))
+
+    def test_a_hidden_dx_without_sums_is_refused(self):
+        """A hidden layer's backward that returned dx alone would be split
+        along the sample axis, three rows into dh and two "sums";
+        ``graph_backward`` refuses it instead."""
+        rng = np.random.default_rng(22)
+        model, graph, (rows, _), _ = node_and_edge_cases("cheb")[0]
+        layer = model.blocks[-1][0]
+        inner = layer.backward
+        layer.backward = lambda up, **kwargs: inner(up, **kwargs)[0]
+        glp = model.graph_forward(graph, rows[:3], training=True, rng=rng)
+        with pytest.raises(AssertionError, match="unfolded"):
+            model.graph_backward(np.ones_like(glp))
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     @pytest.mark.parametrize("training", [True, False])
@@ -543,15 +557,29 @@ class TestBlockedEval:
             bn.running_var[...] = rng.uniform(0.5, 2.0, bn.width)
         return model, graph, rng.standard_normal((rows, nodes))
 
+    @staticmethod
+    def record_blocks(monkeypatch, model):
+        """The list each block's row count is appended to as the model's
+        ``graph_forward`` runs it."""
+        sizes = []
+        block = model._graph_block
+        monkeypatch.setattr(model, "_graph_block",
+                            lambda g, f, *a: sizes.append(len(f)) or
+                            block(g, f, *a))
+        return sizes
+
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     @pytest.mark.parametrize("rows, nodes, orders", SHAPES)
     def test_blocks_keep_the_bits_of_one_block(self, monkeypatch, variant,
                                                rows, nodes, orders):
         model, graph, x = self.case(variant, rows, nodes, orders)
-        assert model._eval_block_rows(nodes) < rows
+        sizes = self.record_blocks(monkeypatch, model)
         blocked = model.graph_forward(graph, x)
+        assert len(sizes) > 1 and sum(sizes) == rows
+        sizes.clear()
         monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
         whole = model.graph_forward(graph, x)
+        assert sizes == [rows]      # the whole batch runs as one block
         assert blocked.shape == (rows, 3)
         assert blocked.tobytes() == whole.tobytes()
 
@@ -577,8 +605,12 @@ class TestBlockedEval:
         first layer's (N, N, F) operand at 92 MB; in one-row blocks gcn
         moves 2 of the 40 rows here."""
         model, graph, x = self.case(variant, 40, 600, [1], (32, 16, 3))
-        assert model._eval_block_rows(600) == 1
+        # a row's widest activation holds at least N x N items
+        assert 2 * x.itemsize * 600 * 600 > model_module.EVAL_BLOCK_BYTES
+        sizes = self.record_blocks(monkeypatch, model)
         blocked = model.graph_forward(graph, x)
+        # 40 // 2 blocks, the most the rule allows, and none of one row
+        assert sizes == [2] * 20
         monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
         whole = model.graph_forward(graph, x)
         assert blocked.shape == (40, 3)
@@ -587,11 +619,7 @@ class TestBlockedEval:
     @pytest.mark.parametrize("rows", [2, 3, 5, 41])
     def test_every_block_holds_two_rows(self, monkeypatch, rows):
         model, graph, x = self.case("gcn", rows, 600, [1], (4, 4, 3))
-        sizes = []
-        block = model._graph_block
-        monkeypatch.setattr(model, "_graph_block",
-                            lambda g, f, *a: sizes.append(len(f)) or
-                            block(g, f, *a))
+        sizes = self.record_blocks(monkeypatch, model)
         model.graph_forward(graph, x)
         assert sum(sizes) == rows and min(sizes) >= 2
 
