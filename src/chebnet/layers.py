@@ -53,11 +53,11 @@ its x, that layer has already formed what those sums need: with
 dy = sum_k u_k theta_k^T, colsum(dy) = sum_k theta_k colsum(u_k) and
 colsum(dy * x) = sum_k rowsum(theta_k o x^T u_k), where x^T u_k is its
 weight gradient's product and colsum(u_k) its shift term's
-(``_input_grad_sums``; GCNConv's products are (P x)^T up and the
-P 1-weighted sums).  So a backward whose forward took a folded input
-returns (dy, colsum(dy), colsum(dy * x)) at the cost of a few
-(F_in, F_out) products, and ``BatchNorm.backward(up, sums=...)`` takes
-them instead of two passes over its input-sized arrays.  The sums are
+(``_input_grad_sums``; GCNConv's u_0 is P up).  So a backward whose
+forward took a folded input returns (dy, colsum(dy), colsum(dy * x)) at
+the cost of a few (F_in, F_out) products, and
+``BatchNorm.backward(up, sums=...)`` takes them instead of two passes
+over its input-sized arrays.  The sums are
 taken in another order than the passes would, so they agree to
 round-off, not bit for bit.
 
@@ -67,20 +67,19 @@ gradient's GEMM [x 1]^T up (``_diagonal_weight_grad``), so neither pass
 over its (B, N, F) output or upstream gradient is made.
 
 Inputs handed back: no graph layer keeps its input from forward to
-backward, and no backward writes to it.  ChebConv and GATLayer get it
-back as the backward's keyword ``x``; the model hands a hidden layer the
-previous BatchNorm's cache xc, which that BatchNorm keeps anyway, so
-between forward and backward each activation is held once and no hidden
-input is formed at all.  The one input-sized array a hidden backward
-allocates is its dx.  GCNConv keeps P x, which its weight gradient needs
-and which is not its input, so it ignores an x handed back, and dx takes
-the heap block P x frees.  ChebConv and GCNConv form dx in sample blocks
-of about ``BLOCK_BYTES`` (``_sample_blocks``), so GCNConv's chain
-P (up theta^T) makes no full-size temporary.  ChebConv forms the
-propagated gradients u_k = T_k(Ls) up one at a time in one buffer for
-dtheta_k = x^T u_k; the buffer keeps the last one for the dx blocks, and
-each block forms its rows T_k(Ls) up[rows] of the others again.  Its
-forward adds the terms T_k(Ls) (x theta_k) block by block.  So above what
+backward, and no backward writes to it.  Each gets it back as the
+backward's keyword ``x``; the model hands a hidden layer the previous
+BatchNorm's cache xc, which that BatchNorm keeps anyway, so between
+forward and backward each activation is held once and no hidden input is
+formed at all.  The one input-sized array a hidden backward allocates is
+its dx.  ChebConv, and with it GCNConv, an order-1 ChebConv whose one
+operator is P, forms dx in sample blocks of about ``BLOCK_BYTES``
+(``_sample_blocks``).  It forms the propagated gradients u_k = ops[k] up
+one at a time in one buffer for dtheta_k = x^T u_k; the buffer keeps the
+last one for the dx blocks, and each block forms its rows ops[k] up[rows]
+of the others again (u_0 = up needs no product when ops[0] is the
+identity).  Its forward adds the terms ops[k] (x theta_k) block by
+block.  So above what
 was live before the call a ChebConv forward allocates its output and two
 blocks, and a backward dx, one upstream-sized array and two blocks, at
 any K: the whole-batch backward took 2|x| + |up|, and keeping every u_k
@@ -465,24 +464,25 @@ class ChebConv(_Layer):
     """Graph convolution by a K-order Chebyshev polynomial of the scaled
     Laplacian: y = sum_k T_k(Ls) x theta_k + bias.
 
-    Both input kinds filter with the basis, the K matrices T_k(Ls) of size
-    N x N, which ``GraphContext.cheb_basis`` builds once per graph and
-    order.  Dense input (N, F_in) or (B, N, F_in) is projected and then
-    propagated at the output width,
-    y = x theta_0 + sum_{k>=1} T_k(Ls) (x theta_k), in sample blocks.
-    The backward, handed x back, forms u_k = T_k(Ls) up (u_0 = up; T_k(Ls)
-    is symmetric) one at a time for dtheta_k = x^T u_k, and then
+    The filter reads its K operators ops[k], each N x N and symmetric, from
+    one place, ``_operators``: here the basis T_k(Ls), which
+    ``GraphContext.cheb_basis`` builds once per graph and order.  Its
+    operator 0 is T_0 = I, which no product applies (``_identity_first``).
+    Dense input (N, F_in) or (B, N, F_in) is projected and then propagated
+    at the output width, y = sum_k ops[k] (x theta_k), in sample blocks.
+    The backward, handed x back, forms u_k = ops[k] up (u_0 = up for the
+    identity) one at a time for dtheta_k = x^T u_k, and then
     dx = sum_k u_k theta_k^T block by block in a new array, from the last
     u_k it kept and each block's rows of the others formed again (the
-    module docstring gives the cost).  The cache holds the basis, x's
+    module docstring gives the cost).  The cache holds the operators, x's
     shape and the input's scale and shift, not x.
 
     Folded input x * scale + shift projects with scale o theta_k and adds
-    sum_k (T_k(Ls) 1)(shift theta_k)^T with the bias (``_add_bias``).
+    sum_k (ops[k] 1)(shift theta_k)^T with the bias (``_add_bias``).
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``): then y = x @ M + bias with
-    M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f], one GEMM that adds the
+    M[i, n, f] = sum_k ops[k][n, i] theta_k[i, f], one GEMM that adds the
     bias too, and no (B, N, N) array is formed.  Its backward returns no
     input gradient.
 
@@ -490,6 +490,9 @@ class ChebConv(_Layer):
     colsum(dx * x)), the sums formed from x^T u_k and colsum(u_k) (see
     Gradient sums handed on).
     """
+
+    # operator 0 is T_0 = I, which no product applies
+    _identity_first = True
 
     def __init__(self, in_features, out_features, order=1, *, rng):
         if order < 1:
@@ -505,125 +508,96 @@ class ChebConv(_Layer):
     def parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
+    def _operators(self, graph):
+        """The (K, N, N) stack of the filter's operators."""
+        return graph.cheb_basis(self.order)
+
+    def _theta(self):
+        """The weight as a (K, F_in, F_out) stack, a view."""
+        return self.weight.value.reshape(self.order, self.in_features,
+                                         self.out_features)
+
     def forward(self, graph, x, *, diagonal=False, scale=None, shift=None):
         x = _graph_input(self, graph, x, diagonal, scale, shift)
-        w = _folded(self.weight.value, scale)
-        basis = graph.cheb_basis(self.order)
+        theta = self._theta()
+        w = _folded(theta, scale)
+        ops = self._operators(graph)
         if diagonal:
-            y = _diagonal_apply(x, basis, w, self.bias.value)
+            y = _diagonal_apply(x, ops, w, self.bias.value)
         else:
             y = np.empty(x.shape[:-1] + (self.out_features,))
             for rows in _sample_blocks(y, self.out_features):
                 d = np.matmul(x[rows], w[0], out=y[rows])
+                if not self._identity_first:
+                    d[...] = ops[0] @ d
                 for k in range(1, self.order):
-                    d += basis[k] @ (x[rows] @ w[k])
-            _add_bias(y, self.bias.value, shift, basis, self.weight.value)
-        self._keep((basis, diagonal, x.shape, scale, shift))
+                    d += ops[k] @ (x[rows] @ w[k])
+            _add_bias(y, self.bias.value, shift, ops, theta)
+        self._keep((ops, diagonal, x.shape, scale, shift))
         return y
 
     def backward(self, up, *, x):
-        basis, diagonal, shape, scale, shift = self._take()
+        ops, diagonal, shape, scale, shift = self._take()
         x = _backward_input(x, shape)
         up = np.asarray(up, dtype=np.float64)
         if diagonal:
-            dw, dbias = _diagonal_weight_grad(basis, x, up)
-            self.weight.accumulate(dw)
+            dw, dbias = _diagonal_weight_grad(ops, x, up)
+            self.weight.accumulate(dw.reshape(self.weight.shape))
             self.bias.accumulate(dbias)
             return None
         up_sum = _column_sums(_flat2(up, self.out_features))
         self.bias.accumulate(up_sum)
-        w = self.weight.value
+        w = self._theta()
         xf = _flat2(x, self.in_features)
-        xtg, g_sums = [xf.T @ _flat2(up, self.out_features)], [up_sum]
-        u = np.empty_like(up) if self.order > 1 else None
-        for k in range(1, self.order):
-            np.matmul(basis[k], up, out=u)
+        first = int(self._identity_first)
+        # u_0 = up when operator 0 is the identity
+        xtg, g_sums = (([xf.T @ _flat2(up, self.out_features)], [up_sum])
+                       if first else ([], []))
+        u = None
+        for k in range(first, self.order):
+            u = np.matmul(ops[k], up, out=u)
             uf = _flat2(u, self.out_features)
             xtg.append(xf.T @ uf)
             g_sums.append(_column_sums(uf) if scale is not None else None)
         self.weight.accumulate(np.stack([
             _input_weight_grad(t, scale, shift, g)
-            for t, g in zip(xtg, g_sums)]))
-        # u still holds the last order's u_k, and each block forms its rows
-        # of the others again
+            for t, g in zip(xtg, g_sums)]).reshape(self.weight.shape))
+
+        def u_rows(k, rows):
+            # u still holds the last operator's u_k, and each block forms
+            # its rows of the others again
+            return (up[rows] if k < first else u[rows] if k == self.order - 1
+                    else ops[k] @ up[rows])
+
         dx = np.empty(shape)
         # a block's rows of up and of dx: N nodes at the wider of the widths
         for rows in _sample_blocks(dx, max(w.shape[1:])):
-            d = _matmul_transposed(up[rows], w[0].T, out=dx[rows])
+            d = _matmul_transposed(u_rows(0, rows), w[0].T, out=dx[rows])
             for k in range(1, self.order):
-                uk = u[rows] if k == self.order - 1 else basis[k] @ up[rows]
-                d += _matmul_transposed(uk, w[k].T)
+                d += _matmul_transposed(u_rows(k, rows), w[k].T)
         return dx if scale is None else (dx, *_input_grad_sums(w, xtg, g_sums))
 
 
-class GCNConv(_Layer):
-    """Symmetric-normalized graph convolution with added self-loops:
-    y = P x theta + bias with P = D^-1/2 (W + I) D^-1/2, the propagation
-    matrix, which ``GraphContext.propagation`` builds once per graph.
-
-    Folded input x * scale + shift projects P x with scale o theta and adds
-    (P 1)(shift theta)^T with the bias (``_add_bias``).
-
-    ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
-    ``_graph_input``) and computes y = x @ M + bias with
-    M[i, n, f] = P[n, i] theta[i, f] in one GEMM; its backward returns no
-    input gradient.  The cache holds P x (the rows for diagonal input), so
-    the backward takes no x back and ignores one; after a folded forward
-    it returns the sums of dx too, from (P x)^T up and the P 1-weighted
-    column sums of up (see Gradient sums handed on).
+class GCNConv(ChebConv):
+    """Kipf & Welling's graph convolution, the first-order ChebNet with
+    the renormalized operator in place of the basis: y = P (x theta) + bias
+    with P = D^-1/2 (W + I) D^-1/2, the propagation matrix, which
+    ``GraphContext.propagation`` builds once per graph.  It is a ChebConv
+    of order 1 whose one operator is P in place of T_0 = I, so its
+    forward and backward are ChebConv's: dtheta = x^T (P up) and
+    dx = (P up) theta^T, with the same folded input, diagonal first layer,
+    cache and sample blocks.  Its weight is one (F_in, F_out) theta, drawn
+    as an order-1 ChebConv draws its (1, F_in, F_out) stack.
     """
 
+    _identity_first = False
+
     def __init__(self, in_features, out_features, *, rng):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(
-            glorot_uniform(rng, (in_features, out_features),
-                           in_features, out_features))
-        self.bias = Parameter(np.zeros(out_features))
+        super().__init__(in_features, out_features, rng=rng)
+        self.weight = Parameter(self.weight.value[0])
 
-    def parameters(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def forward(self, graph, x, *, diagonal=False, scale=None, shift=None):
-        x = _graph_input(self, graph, x, diagonal, scale, shift)
-        prop = graph.propagation()
-        w = _folded(self.weight.value, scale)
-        if diagonal:
-            xin = x
-            y = _diagonal_apply(x, prop[None], w[None], self.bias.value)
-        else:
-            xin = prop @ x
-            y = _add_bias(xin @ w, self.bias.value, shift, prop[None],
-                          self.weight.value[None])
-        self._keep((prop, xin, diagonal, scale, shift))
-        return y
-
-    def backward(self, up, *, x=None):
-        prop, xin, diagonal, scale, shift = self._take()
-        up = np.asarray(up, dtype=np.float64)
-        if diagonal:
-            dw, dbias = _diagonal_weight_grad(prop[None], xin, up)
-            self.weight.accumulate(dw[0])
-            self.bias.accumulate(dbias)
-            return None
-        upf = _flat2(up, self.out_features)
-        self.bias.accumulate(_column_sums(upf))
-        # the shift's rows of P y, and the column sums of dx = P up theta^T,
-        # are P 1 shift^T and (P 1)^T up theta^T: both weigh g by P 1
-        g_sum = None if scale is None else _column_sums(
-            _flat2(prop.sum(axis=-1) @ up, self.out_features))
-        xtg = _flat2(xin, self.in_features).T @ upf
-        self.weight.accumulate(_input_weight_grad(xtg, scale, shift, g_sum))
-        shape = xin.shape
-        del xin     # the cached product is dead: dx may take its memory
-        w = self.weight.value
-        dx = np.empty(shape)
-        for rows in _sample_blocks(dx, self.in_features):
-            # prop is symmetric
-            np.matmul(prop, _matmul_transposed(up[rows], w.T), out=dx[rows])
-        # x^T dx = (P x)^T up theta^T, and xtg holds (P x)^T up
-        return (dx if scale is None
-                else (dx, *_input_grad_sums([w], [xtg], [g_sum])))
+    def _operators(self, graph):
+        return graph.propagation()[None]
 
 
 class GATLayer(_Layer):

@@ -14,9 +14,10 @@ matrix diag(x_b) (node i carries channel i's value as its feature i), which
 makes the first layer's feature width equal the node count.  That matrix is
 never built: the first graph layer takes the (B, C) rows with
 ``diagonal=True`` and computes its output as one product y = x @ M, where for
-ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv: the
-propagation matrix in place of T_0 and K = 1; GATLayer: h = x[..., None] psi).
-The later ChebConv layers apply the same N x N matrices T_k(Ls) to their
+ChebConv M[i, n, f] = sum_k T_k(Ls)[n, i] theta_k[i, f] (GCNConv, an
+order-1 ChebConv whose one operator is the propagation matrix P:
+M[i, n, f] = P[n, i] theta[i, f]; GATLayer: h = x[..., None] psi).  The
+later ChebConv and GCNConv layers apply the same N x N operators to their
 dense (B, N, F) input.
 The diagonal first layer forms no input gradient.  An edge task's first
 graph layer takes the dense (N, F) node features and returns one, which

@@ -254,11 +254,12 @@ def full_cheb_backward(basis, w, x, up):
     return dx, dw
 
 
-def full_gcn_backward(prop, w, xin, up):
-    """(dx, dtheta) of ``GCNConv.backward`` on dense input, dx formed over
-    the whole batch: dtheta = (P x)^T up and dx = P (up theta^T)."""
-    dw = _flat2(xin, w.shape[0]).T @ _flat2(up, w.shape[1])
-    return prop @ _matmul_transposed(up, w.T), dw
+def full_gcn_backward(prop, w, x, up):
+    """(dx, dtheta) of ``GCNConv.backward`` on dense input, formed over the
+    whole batch: with u = P up, dtheta = x^T u and dx = u theta^T."""
+    u = prop @ up
+    dw = _flat2(x, w.shape[0]).T @ _flat2(u, w.shape[1])
+    return _matmul_transposed(u, w.T), dw
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ def one_block_at_any_budget(monkeypatch, x, width):
 
 class TestBlockedForward:
     """ChebConv's dense forward adds its terms T_k(Ls) (x theta_k) in
-    sample blocks; y keeps the bits of the whole-batch form.  Shapes
+    sample blocks, and GCNConv forms P (x theta) in them; y keeps the bits
+    of the whole-batch form.  Shapes
     (B, N, F_in -> F_out, K): sg-product's wide layer, a batch of two
     blocks, one sample, and an edge task's 2-D (N, F) node features, which
     has no sample axis and is one block at any budget."""
@@ -193,11 +194,26 @@ class TestBlockedForward:
                                  layer.bias.value, x)
         assert same_bits(layer.forward(graph, x), want)
 
+    @pytest.mark.parametrize("shape, f_out, order", SHAPES)
+    def test_gcn_matches_whole_batch(self, monkeypatch, shape, f_out, order):
+        """GCNConv projects and then propagates, y = P (x theta) + bias,
+        in the same blocks."""
+        rng = np.random.default_rng(shape[0] + f_out)
+        graph = random_graph(rng, shape[-2])
+        layer = GCNConv(shape[-1], f_out, rng=rng)
+        layer.bias.value[...] = rng.standard_normal(f_out)
+        x = rng.standard_normal(shape)
+        if len(shape) == 2:
+            one_block_at_any_budget(monkeypatch, x, f_out)
+        want = graph.propagation() @ (x @ layer.weight.value) \
+            + layer.bias.value
+        assert same_bits(layer.forward(graph, x), want)
+
 
 class TestBlockedInputGradient:
-    """ChebConv and GCNConv form dx in sample blocks after dropping their
-    cached input; dx and the weight gradient keep the bits of the
-    whole-batch backward.  Shapes (B, N, F_in -> F_out, K): sg-product's
+    """ChebConv and GCNConv form dx in sample blocks from the input handed
+    back; dx and the weight gradient keep the bits of the whole-batch
+    backward.  Shapes (B, N, F_in -> F_out, K): sg-product's
     wide and narrow layers, dataco-csv's first dense layer, a batch that is
     not a multiple of the block, one sample, and an edge task's 2-D (N, F)
     node features, one block at any budget."""
@@ -229,10 +245,9 @@ class TestBlockedInputGradient:
         x = rng.standard_normal(shape)
         up = rng.standard_normal(shape[:-1] + (f_out,))
         if len(shape) == 2:
-            one_block_at_any_budget(monkeypatch, x, shape[-1])
-        layer.forward(graph, x)
-        prop = graph.propagation()
-        want_dx, want_dw = full_gcn_backward(prop, layer.weight.value,
-                                             prop @ x, up)
+            one_block_at_any_budget(monkeypatch, x, max(shape[-1], f_out))
+        layer.forward(graph, x.copy())
+        want_dx, want_dw = full_gcn_backward(graph.propagation(),
+                                             layer.weight.value, x, up)
         assert same_bits(layer.backward(up, x=x), want_dx)
         assert same_bits(layer.weight.grad, 0.0 + want_dw)

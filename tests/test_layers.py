@@ -22,6 +22,7 @@ from chebnet.layers import (
     _row_blocks,
     apply_affine,
     dropout,
+    glorot_uniform,
     leaky_relu_backward,
     log_softmax,
     relu,
@@ -368,15 +369,36 @@ class TestGCNConv:
         expected = x @ layer.weight.value + layer.bias.value
         np.testing.assert_allclose(layer.forward(graph, x), expected)
 
-    def test_backward_frees_its_dead_input(self):
-        """dx = P (up theta^T) is formed in the memory of the cached P x,
-        which only the layer holds, block by block: above what was live
-        before the call the backward allocates at most two sample
-        blocks."""
+    def test_forward_keeps_no_input_sized_cache(self):
+        """A train-mode forward of an sg-product-sized layer, (372, 80, 80)
+        in and (372, 80, 40) out, leaves live only its output and a cache
+        of under 1 MiB: y = P (x theta) needs no P x kept for the backward
+        (which took 18.2 MiB when it did)."""
         rng = np.random.default_rng(48)
+        graph = make_graph(rng, 80)
         layer = GCNConv(80, 40, rng=rng)
-        peak, _, _ = backward_peak(layer, make_graph(rng, 80), rng)
-        assert peak <= 2 * BLOCK_BYTES
+        x = rng.standard_normal((372, 80, 80))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            y = layer.forward(graph, x)
+            live = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert layer._cache is not None
+        assert live - y.nbytes < 2**20
+
+    @pytest.mark.parametrize("f_in, f_out", [(3, 2), (80, 40), (11, 6)])
+    def test_weight_is_one_theta_drawn_as_before(self, f_in, f_out):
+        """The weight stays one (F_in, F_out) theta with the bits of a
+        Glorot draw of that shape from the same seed, so a gcn checkpoint
+        written before GCNConv became an order-1 ChebConv restores."""
+        layer = GCNConv(f_in, f_out, rng=np.random.default_rng(f_in))
+        want = glorot_uniform(np.random.default_rng(f_in), (f_in, f_out),
+                              f_in, f_out)
+        assert layer.weight.shape == layer.weight.grad.shape == (f_in, f_out)
+        assert same_bits(layer.weight.value, want)
+        assert [n for n, _ in layer.parameters()] == ["weight", "bias"]
 
     def test_propagation_symmetric(self):
         rng = np.random.default_rng(10)
@@ -846,11 +868,13 @@ class TestChebBackward:
         in one buffer: above what was live before the call it allocates
         dx, one upstream-sized array and at most two sample blocks, at any
         order (at K = 7 the layer took 56.6 MiB more when it kept all
-        K - 1)."""
+        K - 1).  GCNConv, an order-1 ChebConv whose one operator is P,
+        holds P up the same way."""
         rng = np.random.default_rng(47)
         graph = make_graph(rng, 80)
-        for order in (3, 5, 7):
-            layer = ChebConv(80, 40, order=order, rng=rng)
+        for order in (3, 5, 7, "gcn"):
+            layer = (GCNConv(80, 40, rng=rng) if order == "gcn"
+                     else ChebConv(80, 40, order=order, rng=rng))
             peak, up, dx = backward_peak(layer, graph, rng)
             assert peak <= dx.nbytes + up.nbytes + 2 * BLOCK_BYTES, order
 
@@ -1016,8 +1040,7 @@ class TestFullWidthPasses:
                 want = x @ w[0] + graph.scaled_laplacian @ (x @ w[1]) \
                     + layer.bias.value
             else:
-                want = (graph.propagation() @ x) @ w \
-                    + layer.bias.value
+                want = graph.propagation() @ (x @ w) + layer.bias.value
             got = layer.forward(graph, x)
         assert same_bits(got, want)
 

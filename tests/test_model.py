@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chebnet import model as model_module
 from chebnet.data import (NODE_TASK, conv_inputs_edge, conv_inputs_node,
@@ -361,17 +362,14 @@ class TestGraphLayerInputs:
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_no_cache_holds_the_input(self, variant):
         """After a train-mode forward no graph layer's cache shares memory
-        with its input.  GCNConv keeps P x, not x, and its diagonal first
-        layer references the caller's rows, which cost nothing."""
+        with its input, the diagonal first layer's rows included."""
         rng = np.random.default_rng(16)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             inputs, _ = self.record(model)
             model.graph_forward(graph, feats, edges, training=True, rng=rng)
-            for i, ((layer, _), (x, _, _)) in enumerate(zip(model.blocks,
-                                                             inputs)):
-                if i or variant != "gcn" or not model.head.samples_are_rows:
-                    assert not any(np.shares_memory(a, x)
-                                   for a in cached_arrays(layer._cache))
+            for (layer, _), (x, _, _) in zip(model.blocks, inputs):
+                assert not any(np.shares_memory(a, x)
+                               for a in cached_arrays(layer._cache))
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_hidden_input_is_the_batchnorm_cache(self, variant):
@@ -614,6 +612,49 @@ class TestBlockedEval:
         monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 1 << 62)
         whole = model.graph_forward(graph, x)
         assert blocked.shape == (40, 3)
+        assert blocked.tobytes() == whole.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), variant=st.sampled_from(["cheb", "gcn", "gat"]),
+           nodes=st.integers(2, 600), budget_log2=st.integers(0, 23),
+           seed=st.integers(0, 2**32 - 1))
+    def test_blocks_keep_the_bits_at_any_shape(self, data, variant, nodes,
+                                               budget_log2, seed):
+        """At any node count up to 600, row count and block budget, the
+        blocked eval forward gives each row the bits of a one-block run.
+        Row counts fall as nodes grow, so that GAT's (rows, N, N)
+        attention arrays stay near 16 MiB."""
+        rows = data.draw(st.integers(1, max(3, min(64, 2**21 // nodes**2))),
+                         label="rows")
+        widths = data.draw(st.lists(st.integers(1, 8), min_size=2,
+                                    max_size=3), label="widths")
+        orders = data.draw(st.lists(st.integers(1, 3), min_size=len(widths),
+                                    max_size=len(widths)), label="orders")
+        rng = np.random.default_rng(seed)
+        graph = make_graph(rng, nodes)
+        model = build_model("node-class", variant, nodes, 3, (1, 10),
+                            rng=rng, cheb_orders=orders + [1],
+                            graph_dims=widths + [3])
+        for _, bn in model.blocks:
+            bn.running_mean[...] = rng.standard_normal(bn.width)
+            bn.running_var[...] = rng.uniform(0.5, 2.0, bn.width)
+        x = rng.standard_normal((rows, nodes))
+        sizes = []
+        block = model._graph_block
+        model._graph_block = lambda g, f, *a: (sizes.append(len(f))
+                                               or block(g, f, *a))
+        budget = model_module.EVAL_BLOCK_BYTES
+        try:
+            model_module.EVAL_BLOCK_BYTES = 1 << budget_log2
+            blocked = model.graph_forward(graph, x)
+            assert sum(sizes) == max(rows, 2) and min(sizes) >= 2
+            sizes.clear()
+            model_module.EVAL_BLOCK_BYTES = 1 << 62
+            whole = model.graph_forward(graph, x)
+        finally:
+            model_module.EVAL_BLOCK_BYTES = budget
+        assert sizes == [max(rows, 2)]  # a lone row runs as two copies
+        assert blocked.shape == (rows, 3)
         assert blocked.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("rows", [2, 3, 5, 41])
