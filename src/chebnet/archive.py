@@ -14,6 +14,7 @@ being restored.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -86,8 +87,7 @@ def load_archive(path):
     entries = {}
     for item in header["entries"]:
         shape = tuple(item["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+        nbytes = math.prod(shape) * 8   # exact: no int64 wrap-around
         if offset + nbytes > len(raw):
             raise ArchiveError(f"{path}: truncated payload at {item['name']}")
         arr = np.frombuffer(raw[offset:offset + nbytes],

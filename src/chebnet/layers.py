@@ -73,20 +73,19 @@ BatchNorm's cache xc, which that BatchNorm keeps anyway, so between
 forward and backward each activation is held once and no hidden input is
 formed at all.  The one input-sized array a hidden backward allocates is
 its dx.  ChebConv, and with it GCNConv, an order-1 ChebConv whose one
-operator is P, forms dx in sample blocks of about ``BLOCK_BYTES``
-(``_sample_blocks``).  It forms the propagated gradients u_k = ops[k] up
-one at a time in one buffer for dtheta_k = x^T u_k; the buffer keeps the
-last one for the dx blocks, and each block forms its rows ops[k] up[rows]
-of the others again (u_0 = up needs no product when ops[0] is the
-identity).  Its forward adds the terms ops[k] (x theta_k) block by
-block.  So above what
-was live before the call a ChebConv forward allocates its output and two
-blocks, and a backward dx, one upstream-sized array and two blocks, at
-any K: the whole-batch backward took 2|x| + |up|, and keeping every u_k
-for the dx blocks (K - 1)|up| (see README, Memory).  The price is K - 2
-more N x N products per sample in the backward (none at K <= 2).  Each
-sample's stacked GEMMs and the order of the adds are those of the
-whole-batch form, so y, dx and the weight gradients keep their bits.
+operator is P, runs its forward and its backward as one loop over sample
+blocks of about ``BLOCK_BYTES`` (``_sample_blocks``).  The forward adds
+each block's terms ops[k] (x theta_k).  The backward forms each block's
+u_k = ops[k] up[rows] once (up[rows] itself when ops[0] is the identity)
+and adds x[rows]^T u_k into dtheta_k, colsum(u_k) into the k-th sum it
+hands on, and u_k theta_k^T into dx[rows].  So above what was live before
+the call a ChebConv forward allocates its output and two blocks, and a
+backward dx and two blocks, at any K: the whole-batch backward took
+2|x| + |up|, and keeping every u_k for the dx blocks (K - 1)|up| (see
+README, Memory).  Each sample's stacked GEMMs and the order of the adds
+are those of the whole-batch form, so y and dx keep their bits; dtheta
+and the handed-on sums are sums over the blocks, which agree with the
+whole-batch products to round-off.
 Linear keeps its cached input, and Conv1D hands its cache to
 ``kernels.conv1d_backward``.
 
@@ -470,12 +469,11 @@ class ChebConv(_Layer):
     operator 0 is T_0 = I, which no product applies (``_identity_first``).
     Dense input (N, F_in) or (B, N, F_in) is projected and then propagated
     at the output width, y = sum_k ops[k] (x theta_k), in sample blocks.
-    The backward, handed x back, forms u_k = ops[k] up (u_0 = up for the
-    identity) one at a time for dtheta_k = x^T u_k, and then
-    dx = sum_k u_k theta_k^T block by block in a new array, from the last
-    u_k it kept and each block's rows of the others formed again (the
-    module docstring gives the cost).  The cache holds the operators, x's
-    shape and the input's scale and shift, not x.
+    The backward, handed x back, runs the same blocks: each forms its rows
+    of every u_k = ops[k] up once (u_0 = up for the identity) and adds
+    x^T u_k into dtheta_k and u_k theta_k^T into its rows of dx, a new
+    array (the module docstring gives the cost).  The cache holds the
+    operators, x's shape and the input's scale and shift, not x.
 
     Folded input x * scale + shift projects with scale o theta_k and adds
     sum_k (ops[k] 1)(shift theta_k)^T with the bias (``_add_bias``).
@@ -545,36 +543,28 @@ class ChebConv(_Layer):
             self.weight.accumulate(dw.reshape(self.weight.shape))
             self.bias.accumulate(dbias)
             return None
-        up_sum = _column_sums(_flat2(up, self.out_features))
-        self.bias.accumulate(up_sum)
+        self.bias.accumulate(_column_sums(_flat2(up, self.out_features)))
         w = self._theta()
-        xf = _flat2(x, self.in_features)
         first = int(self._identity_first)
-        # u_0 = up when operator 0 is the identity
-        xtg, g_sums = (([xf.T @ _flat2(up, self.out_features)], [up_sum])
-                       if first else ([], []))
-        u = None
-        for k in range(first, self.order):
-            u = np.matmul(ops[k], up, out=u)
-            uf = _flat2(u, self.out_features)
-            xtg.append(xf.T @ uf)
-            g_sums.append(_column_sums(uf) if scale is not None else None)
-        self.weight.accumulate(np.stack([
-            _input_weight_grad(t, scale, shift, g)
-            for t, g in zip(xtg, g_sums)]).reshape(self.weight.shape))
-
-        def u_rows(k, rows):
-            # u still holds the last operator's u_k, and each block forms
-            # its rows of the others again
-            return (up[rows] if k < first else u[rows] if k == self.order - 1
-                    else ops[k] @ up[rows])
-
+        xtg, g_sums = np.zeros(w.shape), np.zeros((self.order, w.shape[2]))
         dx = np.empty(shape)
         # a block's rows of up and of dx: N nodes at the wider of the widths
         for rows in _sample_blocks(dx, max(w.shape[1:])):
-            d = _matmul_transposed(u_rows(0, rows), w[0].T, out=dx[rows])
-            for k in range(1, self.order):
-                d += _matmul_transposed(u_rows(k, rows), w[k].T)
+            xf = _flat2(x[rows], self.in_features)
+            for k in range(self.order):
+                # u_0 = up when operator 0 is the identity
+                u = up[rows] if k < first else ops[k] @ up[rows]
+                uf = _flat2(u, self.out_features)
+                xtg[k] += xf.T @ uf
+                if scale is not None:
+                    g_sums[k] += _column_sums(uf)
+                if k == 0:
+                    d = _matmul_transposed(u, w[0].T, out=dx[rows])
+                else:
+                    d += _matmul_transposed(u, w[k].T)
+        self.weight.accumulate(np.stack([
+            _input_weight_grad(t, scale, shift, g)
+            for t, g in zip(xtg, g_sums)]).reshape(self.weight.shape))
         return dx if scale is None else (dx, *_input_grad_sums(w, xtg, g_sums))
 
 

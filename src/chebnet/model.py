@@ -317,16 +317,18 @@ class EnsembleModel:
         the forward's cache; returns nothing, since no caller reads the
         gradient of the input.  Each graph layer is handed back its input,
         which it only reads, and the model drops its reference once that
-        layer's backward returns.  A hidden layer's input is folded, so its
-        backward also returns the column sums of dx and of dx * x, which
-        the previous BatchNorm's backward takes as its ``sums``."""
+        layer's backward returns; it drops the dropout mask and each
+        block's sign mask once it has applied them.  A hidden layer's input
+        is folded, so its backward also returns the column sums of dx and
+        of dx * x, which the previous BatchNorm's backward takes as its
+        ``sums``."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
-        dh = dropout_backward(self.head.backward(dout), c["mask"])
-        inputs, sums = c["inputs"], None
+        dh = dropout_backward(self.head.backward(dout), c.pop("mask"))
+        inputs, signs, sums = c["inputs"], c["signs"], None
         for i in reversed(range(len(self.blocks))):
             layer, bn = self.blocks[i]
-            dz = relu_backward(bn.backward(dh, sums=sums), c["signs"][i])
+            dz = relu_backward(bn.backward(dh, sums=sums), signs.pop())
             out = layer.backward(dz, x=inputs.pop())
             if i:   # a hidden layer's input is folded: out is (dx, *sums)
                 assert isinstance(out, tuple), "a hidden layer ran unfolded"

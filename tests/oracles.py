@@ -15,7 +15,8 @@ import os
 import numpy as np
 
 from chebnet import kernels
-from chebnet.layers import _flat2, _matmul_transposed, leaky_relu_backward
+from chebnet.layers import (_flat2, _matmul_transposed, _sample_blocks,
+                            leaky_relu_backward)
 from chebnet.data import (EDGE_TASK, Dataset, _orthonormal_directions,
                           _read_csv)
 from chebnet.graph import (DEFAULT_THRESHOLD, _as_matrix, _check_symmetric,
@@ -252,6 +253,21 @@ def full_cheb_backward(basis, w, x, up):
         dw[k] = xf.T @ _flat2(u, f_out)
         dx += _matmul_transposed(u, w[k].T)
     return dx, dw
+
+
+def blocked_weight_grad(ops, x, up, identity_first):
+    """dtheta of ``ChebConv.backward`` on dense input, summed as the layer
+    sums it: zeros plus x_b^T u_k,b over the layer's ``_sample_blocks`` b
+    (N nodes at the wider of the widths), in block order, with
+    u_k,b = ops[k] up_b, and u_0,b = up_b when operator 0 is the identity.
+    Returns a (K, F_in, F_out) stack."""
+    f_in, f_out = x.shape[-1], up.shape[-1]
+    dw = np.zeros((len(ops), f_in, f_out))
+    for rows in _sample_blocks(x, max(f_in, f_out)):
+        for k, op in enumerate(ops):
+            u = up[rows] if k == 0 and identity_first else op @ up[rows]
+            dw[k] += _flat2(x[rows], f_in).T @ _flat2(u, f_out)
+    return dw
 
 
 def full_gcn_backward(prop, w, x, up):

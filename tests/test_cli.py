@@ -934,6 +934,29 @@ class TestCheckpointFuzz:
                      "--out", str(work / "eval"), *FAST]) in (0, 1)
 
 
+class TestOverflowingShape:
+    def test_names_the_file_and_entry(self, small_checkpoint, capsys):
+        """A manifest shape whose element count overflows 64 bits, here
+        [2^32, 2^32], counts exactly: the archive is too short for it, so
+        eval exits 1 naming the checkpoint and the entry, with no
+        traceback (a wrapped count of 0 passed the length check and failed
+        in reshape with neither)."""
+        raw, work = small_checkpoint
+        hlen = struct.unpack("<I", raw[12:16])[0]
+        header = json.loads(raw[16:16 + hlen])
+        entry = header["entries"][0]
+        entry["shape"] = [2**32, 2**32]
+        body = json.dumps(header).encode("utf-8")
+        path = work / "overflow.bin"
+        path.write_bytes(raw[:12] + struct.pack("<I", len(body)) + body
+                         + raw[16 + hlen:])
+        assert main(["eval", "--checkpoint", str(path),
+                     "--out", str(work / "eval"), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: truncated payload at {entry['name']}" in err
+        assert "Traceback" not in err
+
+
 def rewrite_entry(raw, path, name, corrupt):
     """Write the archive bytes ``raw`` to ``path`` with ``corrupt`` applied
     in place to its entry ``name`` (no entry when None)."""

@@ -13,9 +13,10 @@ from chebnet.layers import (_SHORT_CONTRACTION, ChebConv, GCNConv,
                             leaky_relu_backward)
 from chebnet.model import _node_mean
 
-from oracles import (broadcast_bias_conv1d, full_cheb_backward,
-                     full_cheb_forward, full_gcn_backward, masked_leaky_relu_backward,
-                     mean_readout, transposed_view_product)
+from oracles import (blocked_weight_grad, broadcast_bias_conv1d,
+                     full_cheb_backward, full_cheb_forward, full_gcn_backward,
+                     masked_leaky_relu_backward, mean_readout,
+                     transposed_view_product)
 
 # the planted infinities and NaNs make overflow and invalid-value warnings
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -210,10 +211,18 @@ class TestBlockedForward:
         assert same_bits(layer.forward(graph, x), want)
 
 
+def assert_round_off(got, want):
+    """got agrees with want within 1e-12 of max|want|."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
 class TestBlockedInputGradient:
     """ChebConv and GCNConv form dx in sample blocks from the input handed
-    back; dx and the weight gradient keep the bits of the whole-batch
-    backward.  Shapes (B, N, F_in -> F_out, K): sg-product's
+    back; dx keeps the bits of the whole-batch backward.  The weight
+    gradient is summed over the same blocks: it keeps the bits of that
+    blocked sum (``blocked_weight_grad``) and agrees with the whole-batch
+    one to round-off.  Shapes (B, N, F_in -> F_out, K): sg-product's
     wide and narrow layers, dataco-csv's first dense layer, a batch that is
     not a multiple of the block, one sample, and an edge task's 2-D (N, F)
     node features, one block at any budget."""
@@ -235,7 +244,9 @@ class TestBlockedInputGradient:
         want_dx, want_dw = full_cheb_backward(graph.cheb_basis(order),
                                               layer.weight.value, x, up)
         assert same_bits(layer.backward(up, x=x), want_dx)
-        assert same_bits(layer.weight.grad, 0.0 + want_dw)
+        blocked = blocked_weight_grad(graph.cheb_basis(order), x, up, True)
+        assert same_bits(layer.weight.grad, blocked)
+        assert_round_off(layer.weight.grad, want_dw)
 
     @pytest.mark.parametrize("shape, f_out, order", SHAPES)
     def test_gcn_matches_whole_batch(self, monkeypatch, shape, f_out, order):
@@ -250,4 +261,6 @@ class TestBlockedInputGradient:
         want_dx, want_dw = full_gcn_backward(graph.propagation(),
                                              layer.weight.value, x, up)
         assert same_bits(layer.backward(up, x=x), want_dx)
-        assert same_bits(layer.weight.grad, 0.0 + want_dw)
+        blocked = blocked_weight_grad(graph.propagation()[None], x, up, False)
+        assert same_bits(layer.weight.grad, blocked[0])
+        assert_round_off(layer.weight.grad, want_dw)

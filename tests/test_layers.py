@@ -390,14 +390,14 @@ class TestGCNConv:
 
     def test_backward_frees_its_dead_input(self):
         """The forward keeps no P x, so no dead input-sized cache outlives
-        it: the backward, handed x back, holds P up in one buffer as an
-        order-1 ChebConv does, allocates above what was live before the
-        call dx, that upstream-sized array and at most two sample blocks,
-        and drops the layer's cache."""
+        it: the backward, handed x back, forms P up one sample block at a
+        time as an order-1 ChebConv does, allocates above what was live
+        before the call dx and at most two sample blocks, and drops the
+        layer's cache."""
         rng = np.random.default_rng(48)
         layer = GCNConv(80, 40, rng=rng)
-        peak, up, dx = backward_peak(layer, make_graph(rng, 80), rng)
-        assert peak <= dx.nbytes + up.nbytes + 2 * BLOCK_BYTES
+        peak, dx = backward_peak(layer, make_graph(rng, 80), rng)
+        assert peak <= dx.nbytes + 2 * BLOCK_BYTES
         assert layer._cache is None
 
     @pytest.mark.parametrize("f_in, f_out", [(3, 2), (80, 40), (11, 6)])
@@ -854,45 +854,26 @@ class TestChebBackward:
         assert same_bits(layer.weight.grad, dw)
         assert same_bits(dx, want_dx)
 
-    def test_backward_holds_two_terms(self):
-        """One backward of an sg-product-sized layer, (372, 80, 80) in and
-        (372, 80, 40) out at K = 3, allocates at most dx, one product of
-        dx's shape and one term of the upstream gradient's shape at a time
-        (the whole basis, K terms, is three times that upstream size)."""
-        rng = np.random.default_rng(44)
-        graph = make_graph(rng, 80)
-        layer = ChebConv(80, 40, order=3, rng=rng)
-        x = rng.standard_normal((372, 80, 80))
-        up = rng.standard_normal((372, 80, 40))
-        layer.forward(graph, x)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            dx = layer.backward(up, x=x)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert dx.shape == x.shape
-        assert peak <= 2 * x.nbytes + up.nbytes + 2**20
-
     def test_backward_holds_one_propagated_gradient(self):
-        """The backward holds one propagated gradient T_k(Ls) up at a time,
-        in one buffer: above what was live before the call it allocates
-        dx, one upstream-sized array and at most two sample blocks, at any
-        order (at K = 7 the layer took 56.6 MiB more when it kept all
-        K - 1)."""
+        """The backward forms each propagated gradient T_k(Ls) up one
+        sample block at a time: above what was live before the call it
+        allocates dx and at most two sample blocks, at any order (at K = 7
+        the layer took 56.6 MiB more when it kept all K - 1, and 9.5 MiB
+        more, one upstream-sized array, when it formed each whole-batch
+        u_k in turn).  At this shape it is tighter than 2|x| + |up|, the
+        whole-batch backward's two terms."""
         rng = np.random.default_rng(47)
         graph = make_graph(rng, 80)
         for order in (3, 5, 7):
             layer = ChebConv(80, 40, order=order, rng=rng)
-            peak, up, dx = backward_peak(layer, graph, rng)
-            assert peak <= dx.nbytes + up.nbytes + 2 * BLOCK_BYTES, order
+            peak, dx = backward_peak(layer, graph, rng)
+            assert peak <= dx.nbytes + 2 * BLOCK_BYTES, order
 
 
 def backward_peak(layer, graph, rng, batch=372):
     """tracemalloc peak of one backward of a graph layer above the memory
     live before the call, on a (batch, N, F_in) input handed back to it,
-    which the backward leaves as it is; returns (peak, up, dx)."""
+    which the backward leaves as it is; returns (peak, dx)."""
     n = graph.n_nodes
     tracemalloc.start()
     try:
@@ -908,7 +889,7 @@ def backward_peak(layer, graph, rng, batch=372):
         tracemalloc.stop()
     assert dx.shape == x.shape and not np.shares_memory(dx, x)
     assert x.tobytes() == before
-    return peak, up, dx
+    return peak, dx
 
 
 def block_sizes(n_rows, row_bytes, budget):

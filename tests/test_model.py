@@ -469,15 +469,17 @@ class TestGraphLayerInputs:
 
 class TestTrainingStepMemory:
     """One training epoch at the benchmark workloads' shapes stays under a
-    tracemalloc peak set from the measured one (62.9 MiB at sg-product's,
-    55.5 MiB at dataco-csv's; 60.7 MiB at dataco-csv's while each hidden
+    tracemalloc peak set from the measured one (51.6 MiB at sg-product's,
+    50.4 MiB at dataco-csv's; 62.7 and 55.5 MiB while ChebConv's backward
+    formed each whole-batch propagated gradient and the graph backward
+    held its masks to the end, 60.7 MiB at dataco-csv's while each hidden
     BatchNorm formed its output, and 71.0 and 82.3 MiB while each graph
     layer kept its input and ChebConv its K - 1 propagated gradients)."""
 
     @pytest.mark.parametrize("rows, channels, classes, conv_shape, orders, "
                              "bound_mib", [
-                                 (372, 80, 3, (4, 20), (3, 3, 3, 3), 66),
-                                 (20000, 11, 2, (1, 11), (1, 1, 1, 1), 59),
+                                 (372, 80, 3, (4, 20), (3, 3, 3, 3), 55),
+                                 (20000, 11, 2, (1, 11), (1, 1, 1, 1), 54),
                              ], ids=["sg-product", "dataco-csv"])
     def test_peak(self, rows, channels, classes, conv_shape, orders,
                   bound_mib):
@@ -496,6 +498,45 @@ class TestTrainingStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn"])
+    def test_backward_drops_each_mask_once_used(self, variant):
+        """``graph_backward`` drops the dropout mask and each block's sign
+        mask once it has applied them: at the entry of the second graph
+        layer's backward on a (20000, 11) batch the live memory is lower,
+        by at least the dropout mask's size, than when the test holds the
+        masks to the end."""
+        def live_at_second_layer(hold):
+            rng = np.random.default_rng(23)
+            feats = rng.standard_normal((20000, 11))
+            graph = graph_from_features(feats, 0.5)
+            model = build_model(NODE_TASK, variant, 11, 2, (1, 11), rng)
+            layer, seen = model.blocks[1][0], []
+            inner = layer.backward
+
+            def backward(up, *, x):
+                seen.append(tracemalloc.get_traced_memory()[0])
+                return inner(up, x=x)
+            layer.backward = backward
+            tracemalloc.start()
+            try:
+                glp = model.graph_forward(graph, feats, training=True,
+                                          rng=rng)
+                cache = model._gcache
+                held = [cache["mask"], *cache["signs"]] if hold else None
+                mask_bytes = cache["mask"].nbytes
+                del cache
+                base = tracemalloc.get_traced_memory()[0]
+                model.graph_backward(np.ones_like(glp))
+                del held    # the masks it holds lived through the backward
+            finally:
+                tracemalloc.stop()
+            return seen[0] - base, mask_bytes
+
+        dropped, mask_bytes = live_at_second_layer(hold=False)
+        held, _ = live_at_second_layer(hold=True)
+        assert dropped <= held - mask_bytes
 
 
 class TestCallerArraysUntouched:
