@@ -547,10 +547,11 @@ def _load_edge_csv(path, n_products):
         labels.append(lab)
     if not edges:
         raise SchemaError(f"{path}: no edges")
-    labels = np.array(labels, dtype=np.int64)
-    uniq = np.unique(labels)
-    remap = {v: i for i, v in enumerate(uniq.tolist())}
-    dense = np.array([remap[v] for v in labels.tolist()], dtype=np.int64)
+    # sorted(set(...)) rather than np.unique, whose first call imports
+    # numpy.ma (9-13 ms of every supply-graph process)
+    uniq = sorted(set(labels))
+    remap = {v: i for i, v in enumerate(uniq)}
+    dense = np.array([remap[v] for v in labels], dtype=np.int64)
     return np.array(edges, dtype=np.int64), dense, tuple(str(v) for v in uniq)
 
 

@@ -5,33 +5,36 @@ Every layer follows one cache rule, kept by the ``_Layer`` base: a layer's
 forward caches what the backward reads, an eval-mode forward caches nothing
 and clears the cache, and the backward takes the cache once, so each
 backward needs a train-mode forward of its own.  The backward accumulates
-parameter gradients into ``Parameter.grad`` and returns the gradient with
-respect to the layer's input; a graph layer's backward takes the keyword
-``x`` as well (see Inputs handed back).  The graph branch's two heads in
-``chebnet.model``, ``NodeReadout`` and ``EdgeHead``, are layers under this
-rule too: ``forward(h, edges)`` returns log-probabilities and
-``backward(dout)`` the gradient with respect to h; EdgeHead's cache and
-its two Linears' caches are each taken once.  Only Conv1D's backward takes
-``input_grad=False``, which skips that gradient and returns None.  Graph
-layers accept a single graph signal (N, F) or a batch (B, N, F), or with
-``diagonal=True`` (B, N) rows that stand for diagonal node-signal matrices,
-for which their backward forms no input gradient and returns None; Linear
-and BatchNorm likewise broadcast over leading batch dimensions, and Conv1D
-takes (B, C, L) only.  The activation backwards take the bool sign mask
-x > 0.0 of the activation's input, which is all they read.  There is no
-general autodiff: the fixed two-branch topology is differentiated by hand
-and validated against finite differences in the tests.
+parameter gradients into ``Parameter.grad``.  Linear's and Conv1D's return
+the gradient with respect to the layer's input; a graph layer's returns
+None and hands that gradient to the BatchNorm before it (see Hand-over),
+and takes the keyword ``x`` as well (see Inputs handed back).  The graph
+branch's two heads in ``chebnet.model``, ``NodeReadout`` and ``EdgeHead``,
+are layers under this rule too: ``forward(h, edges)`` returns
+log-probabilities and ``backward(dout)`` the gradient with respect to h;
+EdgeHead's cache and its two Linears' caches are each taken once.  Only
+Conv1D's backward takes ``input_grad=False``, which skips that gradient
+and returns None.  Graph layers accept a single graph signal (N, F) or a
+batch (B, N, F), or with ``diagonal=True`` (B, N) rows that stand for
+diagonal node-signal matrices, for which their backward forms no input
+gradient; Linear and BatchNorm likewise broadcast over leading batch
+dimensions, and Conv1D takes (B, C, L) only.  The activation backwards
+take the bool sign mask x > 0.0 of the activation's input, which is all
+they read.  There is no general autodiff: the fixed two-branch topology is
+differentiated by hand and validated against finite differences in the
+tests.
 
-Ownership: ``relu``, ``relu_backward``, ``leaky_relu_backward``,
-``BatchNorm.forward`` in train mode and ``BatchNorm.backward`` overwrite
-the array they are given and return it (the train-mode BatchNorm returns
-its input centred in place, which it keeps as its cache, and an eval-mode
-one returns its input untouched).  A caller passes them only an
-array it owns and no longer reads, such as a layer's fresh output or a
-fresh upstream gradient, and takes any sign mask it keeps before the
-activation overwrites its input.  Every other layer leaves its arguments
-as they are.  An in-place ufunc gives the bits of its out-of-place form,
-so this changes no result.
+Ownership: ``relu``, ``relu_backward``, ``leaky_relu_backward`` and
+``BatchNorm.forward`` in train mode overwrite the array they are given and
+return it (the train-mode BatchNorm returns its input centred in place,
+which it keeps as its cache, and an eval-mode one returns its input
+untouched).  ``BatchNorm.backward`` overwrites the upstream gradient it is
+given and writes its result over the rows of its own cache, which it
+returns.  A caller passes them only an array it owns and no longer reads,
+such as a layer's fresh output or a fresh upstream gradient, and takes any
+sign mask it keeps before the activation overwrites its input.  Every
+other layer leaves its arguments as they are.  An in-place ufunc gives the
+bits of its out-of-place form, so this changes no result.
 
 Folded input: a BatchNorm forms no output.  Its forward returns
 (x, scale, shift), which stands for y = x * scale + shift per channel,
@@ -42,24 +45,37 @@ it projects x with scale o theta (``_folded``) and adds the share of the
 shift as a per-(node, channel) constant in its bias add
 (``_add_bias``).  Its backward forms the weight gradient
 y^T g = scale o (x^T g) + shift (x) colsum(g) from the same x
-(``_input_weight_grad``) and returns dy = dL/dy, computed with the
-unfolded weights, in a new array.  ``apply_affine`` forms y where it is
-needed as an array: after the last block, and for ``layer_activations``.
+(``_input_weight_grad``) and forms dy = dL/dy with the unfolded weights.
+``apply_affine`` forms y where it is needed as an array: after the last
+block, and for ``layer_activations``.
 
-Gradient sums handed on: a BatchNorm's backward reads two sums over the
-rows of its upstream gradient dy, colsum(dy) and colsum(dy * xc).  When
-dy is the dx of the graph layer that took the BatchNorm's cache xc as
-its x, that layer has already formed what those sums need: with
-dy = sum_k u_k theta_k^T, colsum(dy) = sum_k theta_k colsum(u_k) and
-colsum(dy * x) = sum_k rowsum(theta_k o x^T u_k), where x^T u_k is its
-weight gradient's product and colsum(u_k) its shift term's
-(``_input_grad_sums``; GCNConv's u_0 is P up).  So a backward whose
-forward took a folded input returns (dy, colsum(dy), colsum(dy * x)) at
-the cost of a few (F_in, F_out) products, and
-``BatchNorm.backward(up, sums=...)`` takes them instead of two passes
-over its input-sized arrays.  The sums are
-taken in another order than the passes would, so they agree to
-round-off, not bit for bit.
+Hand-over: a hidden graph layer's x is the previous BatchNorm's cache xc,
+and the dy it forms is what that BatchNorm's backward reads: first two
+sums over all rows, colsum(dy) and colsum(dy * xc), then dy row by row.
+So a hidden layer's backward is handed that BatchNorm and its block's
+ReLU sign mask, as the keywords ``bn`` and ``positive``, and makes two
+passes over its sample blocks (``_sample_blocks``).  Pass 1 forms the
+weight and bias gradients from x^T u_k and colsum(u_k), and from the same
+products the two sums: with dy = sum_k u_k theta_k^T,
+colsum(dy) = sum_k theta_k colsum(u_k) and
+colsum(dy * x) = sum_k rowsum(theta_k o x^T u_k) (``_input_grad_sums``;
+GCNConv's u_0 is P up, GATLayer's one u is its dh).  It hands them to
+``BatchNorm.take_sums``, which accumulates dgamma and dbeta and fixes its
+per-channel constants m1, c2 and s.  Pass 2 forms each block's rows of dy
+(ChebConv and GCNConv form u_k = ops[k] up[rows] again, which costs
+nothing for operator 0 = I; GATLayer reads them from its dh), and
+``BatchNorm.backward`` writes ((dy - m1) - xc c2) s, masked by the sign
+mask, over those rows of xc (``_hand_over``).  That is dL/dz of the
+previous block, which its layer's backward reads next: it lives in memory
+the forward already holds, and no hidden backward allocates an
+input-sized array.  The last BatchNorm, which feeds the head, is handed
+the head's whole gradient and no sums, and forms them itself; the
+formula is the same.  A layer with no block before it, the diagonal
+first layer or an edge task's dense first layer, is handed nothing and
+forms no input gradient.  Every per-element operation runs in the order
+of the whole-array form, so dL/dz keeps its bits; the sums are taken in
+another order than passes over dy would take them, so dgamma and dbeta
+agree with those to round-off.
 
 The diagonal first layer's bias rides in its one GEMM: [x 1] @ [M; bias]
 (``_diagonal_apply``), and its gradient in the ones row of the weight
@@ -67,24 +83,25 @@ gradient's GEMM [x 1]^T up (``_diagonal_weight_grad``), so neither pass
 over its (B, N, F) output or upstream gradient is made.
 
 Inputs handed back: no graph layer keeps its input from forward to
-backward, and no backward writes to it.  Each gets it back as the
-backward's keyword ``x``; the model hands a hidden layer the previous
-BatchNorm's cache xc, which that BatchNorm keeps anyway, so between
-forward and backward each activation is held once and no hidden input is
-formed at all.  The one input-sized array a hidden backward allocates is
-its dx.  ChebConv, and with it GCNConv, an order-1 ChebConv whose one
-operator is P, runs its forward and its backward as one loop over sample
-blocks of about ``BLOCK_BYTES`` (``_sample_blocks``).  The forward adds
-each block's terms ops[k] (x theta_k).  The backward forms each block's
-u_k = ops[k] up[rows] once (up[rows] itself when ops[0] is the identity)
-and adds x[rows]^T u_k into dtheta_k, colsum(u_k) into the k-th sum it
-hands on, and u_k theta_k^T into dx[rows].  So above what was live before
+backward.  Each gets it back as the backward's keyword ``x``; the model
+hands a hidden layer the previous BatchNorm's cache xc, which that
+BatchNorm keeps anyway, so between forward and backward each activation
+is held once and no hidden input is formed at all.  Pass 1 only reads x;
+pass 2 leaves dL/dz in it, through the BatchNorm, once pass 1 has read
+its last row.  A first layer's x, the caller's features, is only read.
+ChebConv, and with it GCNConv, an order-1 ChebConv whose one operator is
+P, runs its forward and both backward passes as loops over sample blocks
+of about ``BLOCK_BYTES``.  The forward adds each block's terms
+ops[k] (x theta_k).  Pass 1 forms each block's u_k = ops[k] up[rows]
+(up[rows] itself when ops[0] is the identity) and adds x[rows]^T u_k into
+dtheta_k and colsum(u_k) into the k-th sum; pass 2 forms them again and
+adds u_k theta_k^T into the block's dy.  So above what was live before
 the call a ChebConv forward allocates its output and two blocks, and a
-backward dx and two blocks, at any K: the whole-batch backward took
-2|x| + |up|, and keeping every u_k for the dx blocks (K - 1)|up| (see
+backward at most three blocks, at any K: the whole-batch backward took
+2|x| + |up|, and one that formed a new dx |x| more than the blocks (see
 README, Memory).  Each sample's stacked GEMMs and the order of the adds
-are those of the whole-batch form, so y and dx keep their bits; dtheta
-and the handed-on sums are sums over the blocks, which agree with the
+are those of the whole-batch form, so y and dL/dz keep their bits;
+dtheta and the sums are sums over the blocks, which agree with the
 whole-batch products to round-off.
 Linear keeps its cached input, and Conv1D hands its cache to
 ``kernels.conv1d_backward``.
@@ -420,10 +437,21 @@ def _input_grad_sums(w, xtg, g_sums):
     rows, from the products the weight gradient takes, xtg[k] = x^T u_k,
     and the column sums g_sums[k] of u_k: sum_k w[k] g_sums[k] and
     sum_k rowsum(w[k] o xtg[k]).  They are the two sums BatchNorm's
-    backward reads when x is its cache (see Gradient sums handed on)."""
+    backward reads when x is its cache (see Hand-over)."""
     dx_sum = sum(wk @ gk for wk, gk in zip(w, g_sums))
     dx_x = sum(np.einsum("if,if->i", wk, tk) for wk, tk in zip(w, xtg))
     return dx_sum, dx_x
+
+
+def _hand_over(bn, positive, w, xtg, g_sums, blocks, dx_rows):
+    """Hand a hidden graph layer's input gradient dx = sum_k u_k w[k]^T to
+    ``bn``, the BatchNorm whose cache is the layer's x, with its block's
+    ReLU sign mask ``positive`` (see Hand-over): first the two sums, from
+    the weight gradient's products xtg and the column sums g_sums of the
+    u_k, then ``dx_rows(rows)``, dx's rows, for each sample block."""
+    bn.take_sums(*_input_grad_sums(w, xtg, g_sums))
+    for rows in blocks:
+        bn.backward(dx_rows(rows), rows=rows, positive=positive)
 
 
 def _with_ones(x):
@@ -470,10 +498,12 @@ class ChebConv(_Layer):
     Dense input (N, F_in) or (B, N, F_in) is projected and then propagated
     at the output width, y = sum_k ops[k] (x theta_k), in sample blocks.
     The backward, handed x back, runs the same blocks: each forms its rows
-    of every u_k = ops[k] up once (u_0 = up for the identity) and adds
-    x^T u_k into dtheta_k and u_k theta_k^T into its rows of dx, a new
-    array (the module docstring gives the cost).  The cache holds the
-    operators, x's shape and the input's scale and shift, not x.
+    of every u_k = ops[k] up (u_0 = up for the identity) and adds x^T u_k
+    into dtheta_k.  Handed the BatchNorm before it and that block's sign
+    mask (``bn`` and ``positive``), it then hands dx = sum_k u_k theta_k^T
+    to it, one block of rows at a time, after the sums that BatchNorm
+    reads (see Hand-over; the module docstring gives the cost).  The cache
+    holds the operators, x's shape and the input's scale and shift, not x.
 
     Folded input x * scale + shift projects with scale o theta_k and adds
     sum_k (ops[k] 1)(shift theta_k)^T with the bias (``_add_bias``).
@@ -481,12 +511,8 @@ class ChebConv(_Layer):
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``): then y = x @ M + bias with
     M[i, n, f] = sum_k ops[k][n, i] theta_k[i, f], one GEMM that adds the
-    bias too, and no (B, N, N) array is formed.  Its backward returns no
+    bias too, and no (B, N, N) array is formed.  Its backward forms no
     input gradient.
-
-    After a folded forward the backward returns (dx, colsum(dx),
-    colsum(dx * x)), the sums formed from x^T u_k and colsum(u_k) (see
-    Gradient sums handed on).
     """
 
     # operator 0 is T_0 = I, which no product applies
@@ -534,7 +560,22 @@ class ChebConv(_Layer):
         self._keep((ops, diagonal, x.shape, scale, shift))
         return y
 
-    def backward(self, up, *, x):
+    def _propagated(self, ops, up):
+        """Each u_k = ops[k] up of a block ``up``, in turn: up itself when
+        operator 0 is the identity."""
+        for k in range(self.order):
+            yield up if k == 0 and self._identity_first else ops[k] @ up
+
+    def _input_grad(self, ops, w, up):
+        """dx = sum_k u_k w[k]^T of a block ``up``."""
+        for k, u in enumerate(self._propagated(ops, up)):
+            if k == 0:
+                dx = _matmul_transposed(u, w[0].T)
+            else:
+                dx += _matmul_transposed(u, w[k].T)
+        return dx
+
+    def backward(self, up, *, x, bn=None, positive=None):
         ops, diagonal, shape, scale, shift = self._take()
         x = _backward_input(x, shape)
         up = np.asarray(up, dtype=np.float64)
@@ -545,27 +586,22 @@ class ChebConv(_Layer):
             return None
         self.bias.accumulate(_column_sums(_flat2(up, self.out_features)))
         w = self._theta()
-        first = int(self._identity_first)
         xtg, g_sums = np.zeros(w.shape), np.zeros((self.order, w.shape[2]))
-        dx = np.empty(shape)
         # a block's rows of up and of dx: N nodes at the wider of the widths
-        for rows in _sample_blocks(dx, max(w.shape[1:])):
+        blocks = _sample_blocks(x, max(w.shape[1:]))
+        for rows in blocks:
             xf = _flat2(x[rows], self.in_features)
-            for k in range(self.order):
-                # u_0 = up when operator 0 is the identity
-                u = up[rows] if k < first else ops[k] @ up[rows]
+            for k, u in enumerate(self._propagated(ops, up[rows])):
                 uf = _flat2(u, self.out_features)
                 xtg[k] += xf.T @ uf
-                if scale is not None:
-                    g_sums[k] += _column_sums(uf)
-                if k == 0:
-                    d = _matmul_transposed(u, w[0].T, out=dx[rows])
-                else:
-                    d += _matmul_transposed(u, w[k].T)
+                g_sums[k] += _column_sums(uf)
         self.weight.accumulate(np.stack([
             _input_weight_grad(t, scale, shift, g)
             for t, g in zip(xtg, g_sums)]).reshape(self.weight.shape))
-        return dx if scale is None else (dx, *_input_grad_sums(w, xtg, g_sums))
+        if bn is not None:
+            _hand_over(bn, positive, w, xtg, g_sums, blocks,
+                       lambda rows: self._input_grad(ops, w, up[rows]))
+        return None
 
 
 class GCNConv(ChebConv):
@@ -576,8 +612,8 @@ class GCNConv(ChebConv):
     of order 1 whose one operator is P in place of T_0 = I, so its
     forward and backward are ChebConv's: dtheta = x^T (P up) and
     dx = (P up) theta^T, with the same folded input, diagonal first layer,
-    cache and sample blocks.  Its weight is one (F_in, F_out) theta, drawn
-    as an order-1 ChebConv draws its (1, F_in, F_out) stack.
+    hand-over, cache and sample blocks.  Its weight is one (F_in, F_out)
+    theta, drawn as an order-1 ChebConv draws its (1, F_in, F_out) stack.
     """
 
     _identity_first = False
@@ -605,11 +641,11 @@ class GATLayer(_Layer):
 
     ``diagonal=True`` takes (B, N) rows that stand for diag(x_b) (see
     ``_graph_input``), whose transform is h = x[..., None] * psi; its
-    backward returns no input gradient.  The cache keeps the leaky
+    backward forms no input gradient.  The cache keeps the leaky
     activations' sign masks, not their inputs, and not x, which the
-    backward is handed back.  After a folded forward the backward returns
-    the sums of dx too, from x^T dh and colsum(dh) (see Gradient sums
-    handed on).
+    backward is handed back.  Handed the BatchNorm before it, the backward
+    hands it the sums of dx = dh psi^T, from x^T dh and colsum(dh), and
+    then dx one sample block of dh at a time (see Hand-over).
     """
 
     LOGIT_SLOPE = 0.2
@@ -654,7 +690,7 @@ class GATLayer(_Layer):
                     "shift": shift})
         return leaky_relu_backward(agg, agg_positive, self.ACTIVATION_SLOPE)
 
-    def backward(self, up, *, x):
+    def backward(self, up, *, x, bn=None, positive=None):
         c = self._take()
         x = _backward_input(x, c["shape"])
         # the activation backward works in place, and ``up`` is the caller's
@@ -683,15 +719,18 @@ class GATLayer(_Layer):
         if c["diagonal"]:
             self.transform.accumulate(np.einsum("bi,bif->if", x, dh))
             return None
-        scale, psi = c["scale"], self.transform.value
+        psi = self.transform.value
         dhf = _flat2(dh, self.out_features)
         xtg = _flat2(x, self.in_features).T @ dhf
-        g_sum = _column_sums(dhf) if scale is not None else None
-        self.transform.accumulate(_input_weight_grad(xtg, scale, c["shift"],
-                                                     g_sum))
-        dx = _matmul_transposed(dh, psi.T)
-        return (dx if scale is None
-                else (dx, *_input_grad_sums([psi], [xtg], [g_sum])))
+        g_sum = _column_sums(dhf)
+        self.transform.accumulate(_input_weight_grad(xtg, c["scale"],
+                                                     c["shift"], g_sum))
+        if bn is not None:
+            blocks = _sample_blocks(x, max(self.in_features,
+                                           self.out_features))
+            _hand_over(bn, positive, [psi], [xtg], [g_sum], blocks,
+                       lambda rows: _matmul_transposed(dh[rows], psi.T))
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -795,18 +834,28 @@ class BatchNorm(_Layer):
     eval mode x' is the input itself, with scale = gamma * inv_std and
     shift = beta - running_mean * scale, and the forward makes no pass
     over it.  Every per-channel statistic is one einsum reduction over the
-    rows, which builds no (rows, width) temporary.  The backward's two,
-    colsum(up) and colsum(up * xc), can be handed in as ``sums`` instead:
-    the model hands a hidden BatchNorm the ones the next graph layer formed
-    (see Gradient sums handed on).
+    rows, which builds no (rows, width) temporary.
+
+    The backward comes in two steps (see Hand-over in the module
+    docstring).  ``take_sums`` is handed colsum(up) and colsum(up * xc)
+    over every row of the upstream gradient up, accumulates dgamma and
+    dbeta, and fixes the per-channel constants dx reads, which it keeps in
+    place of the forward's cache.  ``backward`` is then handed up's rows,
+    one sample block at a time, and writes dx = ((up - m1) - xc c2) s,
+    masked by a ReLU sign mask when one is given, over those rows of xc;
+    the constants go once the last rows are written.  Handed all of up
+    without the sums, as the model hands the last BatchNorm the head's
+    gradient, ``backward`` forms them itself first.
 
     Both passes overwrite the array they are given (see the module
     docstring): a train-mode forward centres x in place and caches it as
-    xc, and the backward forms dx in ``up``'s memory.
+    xc, and the backward forms dx in ``up``'s memory and then over xc.
     """
 
     EPS = 1e-5
     MOMENTUM = 0.1
+    # the constants of a backward between ``take_sums`` and its last rows
+    _grad = None
 
     def __init__(self, width):
         self.width = width
@@ -826,6 +875,7 @@ class BatchNorm(_Layer):
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.width:
             raise ValueError(f"expected width {self.width}, got {x.shape[-1]}")
+        self._grad = None
         if not self.training:
             self._keep(None)
             scale = self.gamma.value * (
@@ -847,21 +897,45 @@ class BatchNorm(_Layer):
         return (xc.reshape(x.shape), self.gamma.value * inv_std,
                 self.beta.value.copy())
 
-    def backward(self, up, *, sums=None):
-        xc, inv_std, shape = self._take()
-        upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
-        rows = upf.shape[0]
+    def take_sums(self, up_sum, up_xc):
+        """Take the forward's cache and the sums colsum(up) and
+        colsum(up * xc) over every row of the upstream gradient up:
+        accumulate dgamma and dbeta and fix the constants ``backward``
+        forms dx with."""
+        self._start(self._take(), up_sum, up_xc)
+
+    def _start(self, cache, up_sum, up_xc):
         # with xhat = xc * inv_std: dgamma = sum(up * xhat) and
         # dx = gamma * inv_std * (up - mean(up) - xhat * mean(up * xhat))
-        if sums is None:
-            sums = np.einsum("ij->j", upf), np.einsum("ij,ij->j", upf, xc)
-        up_sum, up_xc = sums
+        xc, inv_std, shape = cache
+        rows = xc.shape[0]
         self.gamma.accumulate(up_xc * inv_std)
         self.beta.accumulate(up_sum)
-        dx = _channelwise(np.subtract, upf, up_sum / rows, out=upf)
-        # xc is no longer cached: reuse it
-        _channelwise(np.multiply, xc, np.square(inv_std) * up_xc / rows,
-                     out=xc)
-        dx -= xc
-        _channelwise(np.multiply, dx, self.gamma.value * inv_std, out=dx)
-        return dx.reshape(shape)
+        self._grad = (xc.reshape(shape), up_sum / rows,
+                      np.square(inv_std) * up_xc / rows,
+                      self.gamma.value * inv_std)
+
+    def backward(self, up, *, rows=slice(None), positive=None):
+        """dL/dx for the sample rows ``rows`` of the cached input, from
+        ``up``, those rows of the upstream gradient, masked by the sign mask
+        ``positive`` of the whole input when given: written over those rows
+        of the cache xc and returned.  Without ``take_sums`` first, up must
+        be every row, whose sums it forms itself."""
+        upf = _flat2(np.asarray(up, dtype=np.float64), self.width)
+        if self._grad is None:
+            cache = self._take()
+            if rows != slice(None) or upf.shape != cache[0].shape:
+                raise ValueError("BatchNorm.backward of some rows needs the "
+                                 "sums over all of them from take_sums")
+            self._start(cache, np.einsum("ij->j", upf),
+                        np.einsum("ij,ij->j", upf, cache[0]))
+        xc, up_mean, c2, s = self._grad
+        if rows.stop is None or rows.stop >= len(xc):
+            self._grad = None
+        dx = xc[rows]   # each row of xc is read once, here, then written
+        dxf = _flat2(dx, self.width)
+        _channelwise(np.subtract, upf, up_mean, out=upf)
+        _channelwise(np.multiply, dxf, c2, out=dxf)
+        np.subtract(upf, dxf, out=dxf)
+        _channelwise(np.multiply, dxf, s, out=dxf)
+        return dx if positive is None else relu_backward(dx, positive[rows])

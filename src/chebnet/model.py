@@ -19,10 +19,10 @@ order-1 ChebConv whose one operator is the propagation matrix P:
 M[i, n, f] = P[n, i] theta[i, f]; GATLayer: h = x[..., None] psi).  The
 later ChebConv and GCNConv layers apply the same N x N operators to their
 dense (B, N, F) input.
-The diagonal first layer forms no input gradient.  An edge task's first
-graph layer takes the dense (N, F) node features and returns one, which
-nothing reads.  The first Conv1D is called with ``input_grad=False`` (only
-Conv1D takes it) and computes none.
+The first graph layer forms no input gradient: nothing is handed to it,
+neither the diagonal layer of a node task nor an edge task's, which takes
+the dense (N, F) node features.  The first Conv1D is called with
+``input_grad=False`` (only Conv1D takes it) and computes none.
 
 Both branches keep the cache rule of ``chebnet.layers`` (``take_once``),
 and the heads are layers under it.  Of every ReLU and LeakyReLU
@@ -35,19 +35,22 @@ eval mode the ReLU output itself, so no hidden BatchNorm makes a pass of
 its own there.  Only the last block's output, which feeds dropout and
 the head, and ``layer_activations`` form y, with ``apply_affine``.  No
 graph layer keeps its input: ``graph_backward`` hands it back, the
-caller's features or a BatchNorm's cached xc, and no backward writes to
-it.  A hidden layer's backward hands on the two column sums of its dx
-that the previous BatchNorm's backward reads (Gradient sums handed on in
-``chebnet.layers``), so that backward makes no pass to form them.  An
-eval-mode forward (prediction, ``layer_activations``) keeps nothing.
+caller's features or a BatchNorm's cached xc.  A hidden layer's backward
+is handed the previous block's BatchNorm and ReLU sign mask too, and
+leaves dL/dz of that block in that BatchNorm's cache, its own x (Hand-over
+in ``chebnet.layers``), which is what the previous layer's backward reads
+next.  The last BatchNorm is handed the head's gradient and leaves dL/dz
+of the last block in its cache the same way.  So the graph backward
+allocates no input gradient of a hidden layer.  An eval-mode forward
+(prediction, ``layer_activations``) keeps nothing.
 
 The activations and BatchNorm overwrite the array they are given (see
 ``chebnet.layers``), and the model passes them only arrays it owns: a
 layer's fresh output or a fresh upstream gradient, never the caller's
-features or conv sequences.  So a block's ReLU and BatchNorm centring
-(train) take no new array, and in the backward BatchNorm forms dx in its
-upstream gradient, which the ReLU backward then masks in place.  Sign
-masks are taken before the activation runs.
+features or conv sequences, which no backward writes either.  So a
+block's ReLU and BatchNorm centring (train) take no new array, and in the
+backward each block's dL/dz takes the memory of its BatchNorm's cache.
+Sign masks are taken before the activation runs.
 
 The per-epoch passes follow the fast-path rules of ``chebnet.layers``:
 the conv branch's LeakyReLUs take the unmasked ``leaky_relu_backward``,
@@ -316,23 +319,25 @@ class EnsembleModel:
         """Accumulate the graph branch's parameter gradients and release
         the forward's cache; returns nothing, since no caller reads the
         gradient of the input.  Each graph layer is handed back its input,
-        which it only reads, and the model drops its reference once that
-        layer's backward returns; it drops the dropout mask and each
-        block's sign mask once it has applied them.  A hidden layer's input
-        is folded, so its backward also returns the column sums of dx and
-        of dx * x, which the previous BatchNorm's backward takes as its
-        ``sums``."""
+        and the model drops its reference once that layer's backward
+        returns; it drops the dropout mask and each block's sign mask once
+        they are applied.  The last BatchNorm writes dL/dz of the last
+        block over its cache; each hidden layer, handed the previous
+        BatchNorm and sign mask, has dL/dz of the previous block written
+        over its input x, that BatchNorm's cache (see Hand-over in
+        ``chebnet.layers``), which the previous layer reads next."""
         c = take_once(self, "_gcache",
                       "graph_backward without a training-mode graph_forward")
         dh = dropout_backward(self.head.backward(dout), c.pop("mask"))
-        inputs, signs, sums = c["inputs"], c["signs"], None
-        for i in reversed(range(len(self.blocks))):
-            layer, bn = self.blocks[i]
-            dz = relu_backward(bn.backward(dh, sums=sums), signs.pop())
-            out = layer.backward(dz, x=inputs.pop())
-            if i:   # a hidden layer's input is folded: out is (dx, *sums)
-                assert isinstance(out, tuple), "a hidden layer ran unfolded"
-                dh, *sums = out
+        inputs, signs = c["inputs"], c["signs"]
+        dz = self.blocks[-1][1].backward(dh, positive=signs.pop())
+        del dh
+        for i in reversed(range(1, len(self.blocks))):
+            x = inputs.pop()
+            self.blocks[i][0].backward(dz, x=x, bn=self.blocks[i - 1][1],
+                                       positive=signs.pop())
+            dz = x      # dL/dz of block i - 1, left there by its BatchNorm
+        self.blocks[0][0].backward(dz, x=inputs.pop())
 
     # -- conv branch ----------------------------------------------------------
 

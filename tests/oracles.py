@@ -5,7 +5,9 @@ oracle, the finite-difference gradient checker, an edge-relation dataset
 generator, a reader for the adjacency CSV that ``chebnet export --what
 graph`` writes, LeakyReLU as a function of its input, and the plain numpy
 forms of the per-epoch passes that the package computes another, faster
-or leaner way, and a list of this process's live child processes.  None
+or leaner way (the graph branch's whole-array backward among them), a
+hand-over target that collects a graph layer's input gradient, and a
+list of this process's live child processes.  None
 of them is on a path the ``chebnet`` commands run.
 """
 
@@ -15,8 +17,11 @@ import os
 import numpy as np
 
 from chebnet import kernels
-from chebnet.layers import (_flat2, _matmul_transposed, _sample_blocks,
-                            leaky_relu_backward)
+from chebnet.layers import (GATLayer, _channelwise, _column_sums, _flat2,
+                            _input_grad_sums, _input_weight_grad,
+                            _matmul_transposed, _sample_blocks,
+                            dropout_backward, leaky_relu_backward,
+                            relu_backward, take_once)
 from chebnet.data import (EDGE_TASK, Dataset, _orthonormal_directions,
                           _read_csv)
 from chebnet.graph import (DEFAULT_THRESHOLD, _as_matrix, _check_symmetric,
@@ -276,6 +281,144 @@ def full_gcn_backward(prop, w, x, up):
     u = prop @ up
     dw = _flat2(x, w.shape[0]).T @ _flat2(u, w.shape[1])
     return _matmul_transposed(u, w.T), dw
+
+
+# ---------------------------------------------------------------------------
+# the whole-array graph backward
+
+
+class RowCollector:
+    """A hand-over target that stands where a graph layer's backward hands
+    its input gradient to a BatchNorm: it keeps the two sums it is handed
+    and collects the rows of dx into ``dx``, a new array of the layer's
+    input shape, so a test can read the gradient a layer forms."""
+
+    def __init__(self, shape):
+        self.dx = np.full(shape, np.nan)
+        self.sums = None
+
+    def take_sums(self, dx_sum, dx_x):
+        self.sums = (dx_sum, dx_x)
+
+    def backward(self, dx, *, rows, positive):
+        assert positive is None
+        self.dx[rows] = dx
+        return self.dx[rows]
+
+
+def input_grad(layer, up, x):
+    """(dx, (colsum(dx), colsum(dx * x))) of a dense graph layer's backward
+    after its train-mode forward, read through a ``RowCollector``."""
+    target = RowCollector(np.shape(x))
+    assert layer.backward(up, x=x, bn=target) is None
+    return target.dx, target.sums
+
+
+def whole_array_layer_backward(layer, up, x):
+    """A dense graph layer's backward as it ran before the hand-over: the
+    parameter gradients accumulated as the layer accumulates them, and dx
+    formed over the whole batch in a new array.  Returns dx, or
+    (dx, colsum(dx), colsum(dx * x)) after a folded forward."""
+    if isinstance(layer, GATLayer):
+        return _whole_array_gat_backward(layer, up, x)
+    ops, diagonal, shape, scale, shift = layer._take()
+    assert not diagonal and x.shape == shape
+    up = np.asarray(up, dtype=np.float64)
+    layer.bias.accumulate(_column_sums(_flat2(up, layer.out_features)))
+    w = layer._theta()
+    first = int(layer._identity_first)
+    xtg, g_sums = np.zeros(w.shape), np.zeros((layer.order, w.shape[2]))
+    dx = np.empty(shape)
+    for rows in _sample_blocks(dx, max(w.shape[1:])):
+        xf = _flat2(x[rows], layer.in_features)
+        for k in range(layer.order):
+            u = up[rows] if k < first else ops[k] @ up[rows]
+            uf = _flat2(u, layer.out_features)
+            xtg[k] += xf.T @ uf
+            if scale is not None:
+                g_sums[k] += _column_sums(uf)
+            if k == 0:
+                d = _matmul_transposed(u, w[0].T, out=dx[rows])
+            else:
+                d += _matmul_transposed(u, w[k].T)
+    layer.weight.accumulate(np.stack([
+        _input_weight_grad(t, scale, shift, g)
+        for t, g in zip(xtg, g_sums)]).reshape(layer.weight.shape))
+    return dx if scale is None else (dx, *_input_grad_sums(w, xtg, g_sums))
+
+
+def _whole_array_gat_backward(layer, up, x):
+    c = layer._take()
+    assert not c["diagonal"] and x.shape == c["shape"]
+    dagg = leaky_relu_backward(np.array(up, dtype=np.float64),
+                               c["agg_positive"], layer.ACTIVATION_SLOPE)
+    alpha, h = c["alpha"], c["h"]
+    dalpha = _matmul_transposed(dagg, h.swapaxes(-1, -2))
+    dh = alpha.swapaxes(-1, -2) @ dagg
+    dact = alpha * (dalpha - (alpha * dalpha).sum(axis=-1, keepdims=True))
+    dlogits = leaky_relu_backward(dact, c["logits_positive"],
+                                  layer.LOGIT_SLOPE)
+    ds = dlogits.sum(axis=-1)
+    dd = dlogits.sum(axis=-2)
+    a_src = layer.attention.value[: layer.out_features]
+    a_dst = layer.attention.value[layer.out_features:]
+    dh += ds[..., None] * a_src + dd[..., None] * a_dst
+    layer.attention.accumulate(np.concatenate([
+        (_flat2(h, layer.out_features) * ds.reshape(-1, 1)).sum(axis=0),
+        (_flat2(h, layer.out_features) * dd.reshape(-1, 1)).sum(axis=0),
+    ]))
+    scale, psi = c["scale"], layer.transform.value
+    dhf = _flat2(dh, layer.out_features)
+    xtg = _flat2(x, layer.in_features).T @ dhf
+    g_sum = _column_sums(dhf) if scale is not None else None
+    layer.transform.accumulate(_input_weight_grad(xtg, scale, c["shift"],
+                                                  g_sum))
+    dx = _matmul_transposed(dh, psi.T)
+    return (dx if scale is None
+            else (dx, *_input_grad_sums([psi], [xtg], [g_sum])))
+
+
+def whole_array_batchnorm_backward(bn, up, sums=None):
+    """BatchNorm's backward as it ran before the hand-over: dx formed in
+    ``up``'s memory from the handed ``sums`` of up, or its own."""
+    xc, inv_std, shape = bn._take()
+    upf = _flat2(np.asarray(up, dtype=np.float64), bn.width)
+    rows = upf.shape[0]
+    if sums is None:
+        sums = np.einsum("ij->j", upf), np.einsum("ij,ij->j", upf, xc)
+    up_sum, up_xc = sums
+    bn.gamma.accumulate(up_xc * inv_std)
+    bn.beta.accumulate(up_sum)
+    dx = _channelwise(np.subtract, upf, up_sum / rows, out=upf)
+    _channelwise(np.multiply, xc, np.square(inv_std) * up_xc / rows, out=xc)
+    dx -= xc
+    _channelwise(np.multiply, dx, bn.gamma.value * inv_std, out=dx)
+    return dx.reshape(shape)
+
+
+def whole_array_graph_backward(model, dout, keep=True):
+    """``EnsembleModel.graph_backward`` as it ran before the hand-over:
+    each block's BatchNorm backward (with the sums the next layer handed
+    on, the last with its own), then the ReLU mask, then the layer's
+    backward, which forms dx over the whole batch.  Returns copies of each
+    block's dL/dz, first block first, or none when ``keep`` is false."""
+    c = take_once(model, "_gcache", "no training-mode graph_forward")
+    dh = dropout_backward(model.head.backward(dout), c.pop("mask"))
+    inputs, signs, sums, dz_all = c["inputs"], c["signs"], None, []
+    for i in reversed(range(len(model.blocks))):
+        layer, bn = model.blocks[i]
+        dz = relu_backward(whole_array_batchnorm_backward(bn, dh, sums),
+                           signs.pop())
+        if keep:
+            dz_all.append(dz.copy())
+        x = inputs.pop()
+        if i:
+            dh, *sums = whole_array_layer_backward(layer, dz, x)
+        elif model.head.samples_are_rows:
+            layer.backward(dz, x=x)     # diagonal: no input gradient
+        else:
+            whole_array_layer_backward(layer, dz, x)
+    return dz_all[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from unittest import mock
@@ -700,6 +702,32 @@ class TestSupplyGraphLoader:
         assert set(sg.edges) == {"product_group", "plant"}
         assert sg.groups is not None
         assert len(sg.group_names) == 2
+
+    def test_loading_never_imports_numpy_ma(self, tmp_path):
+        """The edge labels' codes come from ``sorted(set(...))``, not
+        ``np.unique``, whose first call imports ``numpy.ma`` (9-13 ms of a
+        fresh process): loading a directory with both edge files leaves
+        ``numpy.ma`` out of ``sys.modules``, and the codes and class names
+        are those ``np.unique`` gives."""
+        d = write_supplygraph_dir(str(tmp_path / "sg"), seed=0)
+        script = ("import sys\n"
+                  "from chebnet.data import load_supplygraph\n"
+                  "load_supplygraph(sys.argv[1])\n"
+                  "sys.exit(3 * ('numpy.ma' in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(datamod.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, d], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for kind, (_, codes, names) in load_supplygraph(d).edges.items():
+            with open(os.path.join(d, f"edges_{kind}.csv"),
+                      encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            labels = np.array([int(r[2]) for r in rows])
+            uniq, inverse = np.unique(labels, return_inverse=True)
+            np.testing.assert_array_equal(codes, inverse)
+            assert names == tuple(str(v) for v in uniq)
 
     def test_toy_directory_shapes(self, tmp_path):
         d = tmp_path / "sg"

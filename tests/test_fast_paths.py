@@ -15,7 +15,7 @@ from chebnet.model import _node_mean
 
 from oracles import (blocked_weight_grad, broadcast_bias_conv1d,
                      full_cheb_backward, full_cheb_forward, full_gcn_backward,
-                     masked_leaky_relu_backward, mean_readout,
+                     input_grad, masked_leaky_relu_backward, mean_readout,
                      transposed_view_product)
 
 # the planted infinities and NaNs make overflow and invalid-value warnings
@@ -219,7 +219,8 @@ def assert_round_off(got, want):
 
 class TestBlockedInputGradient:
     """ChebConv and GCNConv form dx in sample blocks from the input handed
-    back; dx keeps the bits of the whole-batch backward.  The weight
+    back and hand its rows over (read here through a target that collects
+    them); dx keeps the bits of the whole-batch backward.  The weight
     gradient is summed over the same blocks: it keeps the bits of that
     blocked sum (``blocked_weight_grad``) and agrees with the whole-batch
     one to round-off.  Shapes (B, N, F_in -> F_out, K): sg-product's
@@ -243,7 +244,7 @@ class TestBlockedInputGradient:
         layer.forward(graph, x.copy())
         want_dx, want_dw = full_cheb_backward(graph.cheb_basis(order),
                                               layer.weight.value, x, up)
-        assert same_bits(layer.backward(up, x=x), want_dx)
+        assert same_bits(input_grad(layer, up, x)[0], want_dx)
         blocked = blocked_weight_grad(graph.cheb_basis(order), x, up, True)
         assert same_bits(layer.weight.grad, blocked)
         assert_round_off(layer.weight.grad, want_dw)
@@ -260,7 +261,7 @@ class TestBlockedInputGradient:
         layer.forward(graph, x.copy())
         want_dx, want_dw = full_gcn_backward(graph.propagation(),
                                              layer.weight.value, x, up)
-        assert same_bits(layer.backward(up, x=x), want_dx)
+        assert same_bits(input_grad(layer, up, x)[0], want_dx)
         blocked = blocked_weight_grad(graph.propagation()[None], x, up, False)
         assert same_bits(layer.weight.grad, blocked[0])
         assert_round_off(layer.weight.grad, want_dw)

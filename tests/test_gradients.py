@@ -25,7 +25,7 @@ from chebnet.layers import (
 )
 from chebnet.model import EdgeHead, NodeReadout
 
-from oracles import grad_check, leaky_relu
+from oracles import grad_check, input_grad, leaky_relu
 
 TOL = 1e-4
 
@@ -37,7 +37,9 @@ def make_graph(rng, n):
 
 
 def check_graph_layer(layer, graph, x, proj):
-    """Scalar-projected forward/backward closure for graph layers."""
+    """Scalar-projected forward/backward closure for graph layers, whose
+    input gradient is read through a hand-over target that collects the
+    rows it is given."""
     arrays = [p.value for _, p in layer.parameters()] + [x]
 
     def f():
@@ -45,7 +47,7 @@ def check_graph_layer(layer, graph, x, proj):
             p.zero_grad()
         y = layer.forward(graph, x)
         loss = float((y * proj).sum())
-        dx = layer.backward(proj, x=x)
+        dx, _ = input_grad(layer, proj, x)
         grads = [p.grad.copy() for _, p in layer.parameters()] + [dx]
         return loss, grads
 
@@ -167,10 +169,10 @@ class TestLayerGradients:
                              ids=["node-batch", "edge-nodes"])
     def test_folded_input(self, seed, kind, shape):
         """A hidden layer handed (x, scale, shift) for its input
-        y = x * scale + shift: the parameter gradients, through the
-        returned dy the gradient of x (dy * scale), and the returned sums
-        as the gradients of scale (the row sums of dy * x) and shift (the
-        row sums of dy)."""
+        y = x * scale + shift: the parameter gradients, through the dy it
+        hands over the gradient of x (dy * scale), and the sums it hands
+        over as the gradients of scale (the row sums of dy * x) and shift
+        (the row sums of dy)."""
         rng = np.random.default_rng(1000 + seed)
         graph = make_graph(rng, shape[-2])
         layer = {"cheb": lambda: ChebConv(3, 2, order=3, rng=rng),
@@ -185,7 +187,7 @@ class TestLayerGradients:
             for _, p in layer.parameters():
                 p.zero_grad()
             y = layer.forward(graph, x, scale=scale, shift=shift)
-            dy, dy_sum, dy_x = layer.backward(proj, x=x)
+            dy, (dy_sum, dy_x) = input_grad(layer, proj, x)
             return (float((y * proj).sum()),
                     [p.grad.copy() for _, p in layer.parameters()]
                     + [dy * scale, dy_x, dy_sum])

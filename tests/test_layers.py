@@ -20,6 +20,7 @@ from chebnet.layers import (
     Linear,
     _channelwise,
     _row_blocks,
+    _sample_blocks,
     apply_affine,
     dropout,
     glorot_uniform,
@@ -29,7 +30,7 @@ from chebnet.layers import (
     relu_backward,
 )
 
-from oracles import (gat_attention_oracle, leaky_relu,
+from oracles import (gat_attention_oracle, input_grad, leaky_relu,
                      spectral_filter_oracle)
 
 
@@ -128,15 +129,25 @@ class TestInPlace:
         assert relu(x) is x
 
     def test_batchnorm_works_in_the_given_arrays(self):
-        """A train-mode forward hands over x centred in place, its cache;
-        an eval-mode forward hands over x itself and makes no pass."""
+        """A train-mode forward hands over x centred in place, its cache,
+        and the backward writes dx over that cache, in x's memory, block
+        by block; an eval-mode forward hands over x itself and makes no
+        pass."""
         rng = np.random.default_rng(5)
         bn = BatchNorm(3)
         x, up = rng.standard_normal((2, 4, 5, 3))
         xc, _, _ = bn.forward(x)
         assert np.shares_memory(bn._cache[0], x)   # xc is x, centred
         assert np.shares_memory(xc, x) and xc.shape == x.shape
-        assert np.shares_memory(bn.backward(up), up)
+        dx = bn.backward(up)
+        assert np.shares_memory(dx, x) and dx.shape == x.shape
+        bn.forward(x)
+        upf = up.reshape(-1, 3)
+        bn.take_sums(upf.sum(axis=0), (upf * xc.reshape(-1, 3)).sum(axis=0))
+        for rows in (slice(0, 1), slice(1, 4)):
+            assert np.shares_memory(bn.backward(up[rows].copy(), rows=rows),
+                                    x[rows])
+        assert bn._grad is None and bn._cache is None
         bn.training = False
         x = rng.standard_normal((4, 5, 3))
         before = x.tobytes()
@@ -200,13 +211,13 @@ class TestChebConv:
         up = rng.standard_normal((4, 2))
 
         layer.forward(graph, x)
-        dx1 = layer.backward(up, x=x.copy())
+        dx1, _ = input_grad(layer, up, x.copy())
         g1 = layer.weight.grad.copy()
 
         for _, p in layer.parameters():
             p.zero_grad()
         layer.forward(graph, x)
-        dx2 = layer.backward(2.0 * up, x=x.copy())
+        dx2, _ = input_grad(layer, 2.0 * up, x.copy())
         g2 = layer.weight.grad.copy()
 
         np.testing.assert_allclose(dx2, 2.0 * dx1, atol=1e-12)
@@ -218,7 +229,7 @@ class TestChebConv:
         layer = ChebConv(2, 3, order=2, rng=rng)
         x = rng.standard_normal((4, 2))
         layer.forward(graph, x)
-        dx = layer.backward(np.zeros((4, 3)), x=x)
+        dx, _ = input_grad(layer, np.zeros((4, 3)), x)
         assert (layer.weight.grad == 0).all()
         assert (layer.bias.grad == 0).all()
         assert (dx == 0).all()
@@ -291,7 +302,8 @@ class TestFoldedInput:
     output and gradients of the same layer on the formed
     y = x * scale + shift: forward, weight and bias gradients and dy agree
     within 1e-12 of each one's largest magnitude (round-off of a sum taken
-    in another order), and x keeps its bits."""
+    in another order), and x keeps its bits.  dy is read through a target
+    that collects the rows it is handed."""
 
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("shape", [(4, 7, 5), (7, 5)],
@@ -305,8 +317,8 @@ class TestFoldedInput:
         got = folded.forward(graph, x, scale=scale, shift=shift)
         want = formed.forward(graph, y)
         up = rng.standard_normal(want.shape)
-        dy, _, _ = folded.backward(up, x=x)     # with its gradient sums
-        pairs = [(got, want), (dy, formed.backward(up, x=y))]
+        dy, _ = input_grad(folded, up, x)
+        pairs = [(got, want), (dy, input_grad(formed, up, y)[0])]
         pairs += [(a.grad, b.grad) for (_, a), (_, b)
                   in zip(folded.parameters(), formed.parameters())]
         for a, b in pairs:
@@ -336,22 +348,29 @@ class TestFoldedInput:
     @pytest.mark.parametrize("kind", ["cheb1", "cheb2", "cheb3", "gcn",
                                       "gat"])
     def test_gradient_sums(self, kind, shape, folded):
-        """The backward returns the column sums of dy and of dy * x over
-        all rows exactly when its forward took a folded input, formed from
-        the layer's own products: each within 1e-12 of the sum of its
-        terms' magnitudes of the sums over the arrays.  After a plain
-        forward it returns dy alone."""
+        """Before any row of dy, the backward hands its target the column
+        sums of dy and of dy * x over all rows, formed from the layer's own
+        products, after a folded or a plain forward: each within 1e-12 of
+        the sum of its terms' magnitudes of the sums over the arrays."""
         graph, layer, _, (x, scale, shift), y, rng = folded_case(
             kind, shape, True, 62)
         if not folded:
             x, scale, shift = y, None, None
         layer.forward(graph, x, scale=scale, shift=shift)
         up = rng.standard_normal(shape[:-1] + (3,))
-        out = layer.backward(up, x=x)
-        if not folded:
-            assert isinstance(out, np.ndarray) and out.shape == x.shape
-            return
-        dy, dy_sum, dy_x = out
+        events = []
+
+        class Target:
+            def take_sums(self, *sums):
+                events.append(sums)
+
+            def backward(self, dy, *, rows, positive):
+                events.append((rows, dy.copy()))
+
+        assert layer.backward(up, x=x, bn=Target()) is None
+        (dy_sum, dy_x), *handed = events
+        dy = np.concatenate([d for _, d in handed])
+        assert [r for r, _ in handed] == _sample_blocks(x, 5)
         rows = dy.reshape(-1, 5)
         for got, terms in ((dy_sum, rows), (dy_x, rows * x.reshape(-1, 5))):
             assert got.shape == (5,)
@@ -391,13 +410,14 @@ class TestGCNConv:
     def test_backward_frees_its_dead_input(self):
         """The forward keeps no P x, so no dead input-sized cache outlives
         it: the backward, handed x back, forms P up one sample block at a
-        time as an order-1 ChebConv does, allocates above what was live
-        before the call dx and at most two sample blocks, and drops the
+        time as an order-1 ChebConv does, hands dx to the BatchNorm before
+        it block by block, allocates above what was live before the call
+        at most three sample blocks and no input-sized array, and drops the
         layer's cache."""
         rng = np.random.default_rng(48)
         layer = GCNConv(80, 40, rng=rng)
-        peak, dx = backward_peak(layer, make_graph(rng, 80), rng)
-        assert peak <= dx.nbytes + 2 * BLOCK_BYTES
+        assert backward_peak(layer, make_graph(rng, 80), rng) \
+            <= 3 * BLOCK_BYTES
         assert layer._cache is None
 
     @pytest.mark.parametrize("f_in, f_out", [(3, 2), (80, 40), (11, 6)])
@@ -576,23 +596,37 @@ class TestBatchNorm:
             BatchNorm(2).forward(np.ones((1, 2)))
 
     def test_backward_takes_the_sums(self):
-        """Handed the column sums of up and of up * xc, as the next graph
-        layer forms them, the backward uses them in place of its own: with
-        its own einsum sums it keeps every bit."""
+        """Handed the column sums of up and of up * xc by ``take_sums``, as
+        the next graph layer forms them, and then up's rows in sample
+        blocks, the backward uses them in place of its own: with its own
+        einsum sums, formed from all of up at once, it keeps every bit, a
+        ReLU sign mask applied or not.  Without the sums it refuses a
+        block of rows."""
         rng = np.random.default_rng(28)
         x = rng.standard_normal((6, 4, 3)) * 2.0 + 1.0
         up = rng.standard_normal((6, 4, 3))
-        results = []
-        for given in (False, True):
-            bn = BatchNorm(3)
-            xc = bn.forward(x.copy())[0].reshape(-1, 3)
-            upf = up.reshape(-1, 3)
-            sums = ((np.einsum("ij->j", upf), np.einsum("ij,ij->j", upf, xc))
-                    if given else None)
-            results.append((bn.backward(up.copy(), sums=sums), bn.gamma.grad,
-                            bn.beta.grad))
-        for got, want in zip(*results):
-            assert same_bits(got, want)
+        for positive in (None, rng.standard_normal((6, 4, 3)) > 0.0):
+            results = []
+            for given in (False, True):
+                bn = BatchNorm(3)
+                xc = bn.forward(x.copy())[0]
+                if not given:
+                    dx = bn.backward(up.copy(), positive=positive).copy()
+                else:
+                    upf, xf = up.reshape(-1, 3), xc.reshape(-1, 3)
+                    bn.take_sums(np.einsum("ij->j", upf),
+                                 np.einsum("ij,ij->j", upf, xf))
+                    for rows in (slice(0, 2), slice(2, 3), slice(3, 6)):
+                        bn.backward(up[rows].copy(), rows=rows,
+                                    positive=positive)
+                    dx = xc
+                results.append((dx, bn.gamma.grad, bn.beta.grad))
+            for got, want in zip(*results):
+                assert same_bits(got, want)
+        bn = BatchNorm(3)
+        bn.forward(x.copy())
+        with pytest.raises(ValueError, match="take_sums"):
+            bn.backward(up[:2].copy(), rows=slice(0, 2))
 
     def test_eval_uses_running_stats(self):
         rng = np.random.default_rng(26)
@@ -841,7 +875,7 @@ class TestChebBackward:
         x = rng.standard_normal(shape)
         up = rng.standard_normal(shape[:-1] + (3,))
         layer.forward(graph, x)
-        dx = layer.backward(up, x=x.copy())
+        dx, _ = input_grad(layer, up, x.copy())
 
         t = cheb_matrices(graph, order)
         u = [up] + [t[k] @ up for k in range(1, order)]
@@ -856,40 +890,44 @@ class TestChebBackward:
 
     def test_backward_holds_one_propagated_gradient(self):
         """The backward forms each propagated gradient T_k(Ls) up one
-        sample block at a time: above what was live before the call it
-        allocates dx and at most two sample blocks, at any order (at K = 7
-        the layer took 56.6 MiB more when it kept all K - 1, and 9.5 MiB
-        more, one upstream-sized array, when it formed each whole-batch
-        u_k in turn).  At this shape it is tighter than 2|x| + |up|, the
-        whole-batch backward's two terms."""
+        sample block at a time, in each of its two passes, and hands dx to
+        the BatchNorm before it block by block: above what was live before
+        the call it allocates at most three sample blocks, at any order,
+        and no input-sized array (it took dx and two blocks while it formed
+        a new dx; at K = 7 56.6 MiB more when it kept all K - 1 u_k, and
+        9.5 MiB more, one upstream-sized array, when it formed each
+        whole-batch u_k in turn)."""
         rng = np.random.default_rng(47)
         graph = make_graph(rng, 80)
-        for order in (3, 5, 7):
+        for order in (1, 3, 5, 7):
             layer = ChebConv(80, 40, order=order, rng=rng)
-            peak, dx = backward_peak(layer, graph, rng)
-            assert peak <= dx.nbytes + 2 * BLOCK_BYTES, order
+            assert backward_peak(layer, graph, rng) <= 3 * BLOCK_BYTES, order
 
 
 def backward_peak(layer, graph, rng, batch=372):
-    """tracemalloc peak of one backward of a graph layer above the memory
-    live before the call, on a (batch, N, F_in) input handed back to it,
-    which the backward leaves as it is; returns (peak, dx)."""
+    """tracemalloc peak of one backward of a hidden graph layer above the
+    memory live before the call: its (batch, N, F_in) input is a
+    BatchNorm's cache, to which the backward hands dx with a ReLU sign
+    mask, and which then holds the masked dL/dz."""
     n = graph.n_nodes
     tracemalloc.start()
     try:
-        x = rng.standard_normal((batch, n, layer.in_features))
-        layer.forward(graph, x)
+        z = rng.standard_normal((batch, n, layer.in_features))
+        positive = z > 0.0
+        bn = BatchNorm(layer.in_features)
+        x, scale, shift = bn.forward(relu(z))
+        layer.forward(graph, x, scale=scale, shift=shift)
         up = rng.standard_normal((batch, n, layer.out_features))
-        before = x.tobytes()
+        want = x.copy()
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        dx = layer.backward(up, x=x)
+        assert layer.backward(up, x=x, bn=bn, positive=positive) is None
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert dx.shape == x.shape and not np.shares_memory(dx, x)
-    assert x.tobytes() == before
-    return peak, dx
+    assert bn._cache is None and bn._grad is None
+    assert not np.array_equal(x, want) and (x[~positive] == 0.0).all()
+    return peak
 
 
 def block_sizes(n_rows, row_bytes, budget):

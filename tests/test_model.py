@@ -1,5 +1,6 @@
 """Ensemble model assembly: parameter layout, diagonal input, branch shapes."""
 
+import copy
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chebnet import layers as layers_module
 from chebnet import model as model_module
 from chebnet.data import (NODE_TASK, conv_inputs_edge, conv_inputs_node,
                           synth_generate, zscore_normalize, Dataset)
@@ -16,7 +18,7 @@ from chebnet.model import build_model, default_graph_dims
 from chebnet.training import (TrainingConfig, cross_validate, predict,
                               train_model)
 
-from oracles import synth_edge_generate
+from oracles import synth_edge_generate, whole_array_graph_backward
 
 
 def make_graph(rng, n):
@@ -239,6 +241,8 @@ def held_caches(model):
     layers += model.conv_layers
     held = {f"{type(layer).__name__}#{i}": layer._cache
             for i, layer in enumerate(layers)}
+    held.update({f"BatchNorm#{i}.grad": bn._grad
+                 for i, (_, bn) in enumerate(model.blocks)})
     held.update(gcache=model._gcache, ccache=model._ccache)
     return {owner: cache for owner, cache in held.items() if cache is not None}
 
@@ -293,29 +297,59 @@ class TestCacheLifecycle:
 class TestInputGradient:
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_first_block_returns_none(self, variant):
-        """The diagonal first layer of a node model forms no input
-        gradient; an edge model's dense first layer returns one of its
-        input's shape, which graph_backward discards."""
+        """Every graph layer's backward returns None.  Each hidden one is
+        handed the previous block's BatchNorm and sign mask; the first
+        layer, the diagonal one of a node model and the dense one of an
+        edge model alike, is handed neither."""
         rng = np.random.default_rng(15)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             returned = []
             for layer, _ in model.blocks:
                 def backward(up, *, _inner=layer.backward, **kwargs):
                     out = _inner(up, **kwargs)
-                    returned.append(out[0] if isinstance(out, tuple)
-                                    else out)
+                    returned.append((out, kwargs))
                     return out
                 layer.backward = backward
             glp = model.graph_forward(graph, feats, edges, training=True,
                                       rng=rng)
             model.graph_backward(np.ones_like(glp))
-            *upper, first = returned    # backward runs last block first
-            if not model.head.samples_are_rows:
-                assert isinstance(first, np.ndarray)
-                assert first.shape == feats.shape
-            else:
-                assert first is None
-            assert all(isinstance(dx, np.ndarray) for dx in upper)
+            returned.reverse()      # the backward runs last block first
+            assert [out for out, _ in returned] == [None] * len(model.blocks)
+            (_, first), *upper = returned
+            assert set(first) == {"x"}
+            for (_, bn), (_, kwargs) in zip(model.blocks, upper):
+                assert kwargs["bn"] is bn
+                assert kwargs["positive"].dtype == bool
+
+    @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
+    def test_edge_first_layer_forms_no_input_gradient(self, monkeypatch,
+                                                      variant):
+        """An edge model's first graph layer takes the dense (N, F) node
+        features, and nothing is handed to it: its backward makes no
+        (N, F) input-gradient product, while each hidden layer makes its
+        own."""
+        products = []
+        real = layers_module._matmul_transposed
+        monkeypatch.setattr(layers_module, "_matmul_transposed",
+                            lambda a, bt, **k: products.append(
+                                (a.shape[:-1] + bt.shape[-1:]))
+                            or real(a, bt, **k))
+        rng = np.random.default_rng(24)
+        model, graph, (feats, edges), _ = node_and_edge_cases(variant)[1]
+        per_layer = []
+        for layer, _ in model.blocks:
+            def backward(up, *, _inner=layer.backward, **kwargs):
+                products.clear()
+                _inner(up, **kwargs)
+                per_layer.append(list(products))
+            layer.backward = backward
+        glp = model.graph_forward(graph, feats, edges, training=True,
+                                  rng=rng)
+        model.graph_backward(np.ones_like(glp))
+        *hidden, first = per_layer      # the backward runs last block first
+        assert feats.shape not in first
+        for (layer, _), made in zip(model.blocks[1:], reversed(hidden)):
+            assert (graph.n_nodes, layer.in_features) in made
 
 
 def same_bits(got, want):
@@ -333,17 +367,17 @@ def cached_arrays(cache):
 
 
 class TestGraphLayerInputs:
-    """No graph layer keeps its input from forward to backward, and no
-    backward writes to it: the model hands each layer its input back.  A
-    hidden layer's input is the previous BatchNorm's cached xc with that
-    BatchNorm's scale and shift, which the layer folds into its weights,
-    so no hidden BatchNorm output is formed."""
+    """No graph layer keeps its input from forward to backward: the model
+    hands each layer its input back.  A hidden layer's input is the
+    previous BatchNorm's cached xc with that BatchNorm's scale and shift,
+    which the layer folds into its weights, so no hidden BatchNorm output
+    is formed; its backward leaves dL/dz of the previous block there."""
 
     @staticmethod
     def record(model):
         """Wrap every graph layer's forward and backward; returns the lists
         of forward (x, x bytes, keywords) and of backward (x, x bytes at
-        the call, x bytes after it, dx)."""
+        the call, x bytes after it, up)."""
         inputs, calls = [], []
         for layer, _ in model.blocks:
             def forward(graph, x, *, _inner=layer.forward, **kwargs):
@@ -353,8 +387,7 @@ class TestGraphLayerInputs:
             def backward(up, *, x, _inner=layer.backward, **kwargs):
                 seen = x.tobytes()
                 out = _inner(up, x=x, **kwargs)
-                dx = out[0] if isinstance(out, tuple) else out
-                calls.append((x, seen, x.tobytes(), dx))
+                calls.append((x, seen, x.tobytes(), up))
                 return out
             layer.forward, layer.backward = forward, backward
         return inputs, calls
@@ -390,57 +423,67 @@ class TestGraphLayerInputs:
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_handed_back_input_keeps_its_bits(self, variant):
-        """Each backward is handed its forward's input, bit for bit, and
-        leaves it so; its dx is a new array."""
+        """Each backward is handed its forward's input, bit for bit.  The
+        first layer's, the caller's features, keeps its bits; each hidden
+        one, a BatchNorm's cache, then holds dL/dz of the previous block,
+        which is what the previous layer's backward is handed, in the
+        same memory."""
         rng = np.random.default_rng(17)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
+            before = feats.tobytes()
             inputs, calls = self.record(model)
             glp = model.graph_forward(graph, feats, edges, training=True,
                                       rng=rng)
             model.graph_backward(np.ones_like(glp))
-            # the backward runs last block first
-            for (want, want_bytes, _), (x, seen, after, dx) in zip(
-                    inputs, reversed(calls)):
-                assert x is want and seen == after == want_bytes
-                assert dx is None or not np.shares_memory(dx, x)
+            calls.reverse()     # the backward runs last block first
+            for (want, want_bytes, _), (x, seen, _, _) in zip(inputs, calls):
+                assert x is want and seen == want_bytes
+            assert calls[0][0] is feats and feats.tobytes() == before
+            for (x, _, after, _), (_, _, _, up) in zip(calls[1:], calls):
+                assert up is x and after == up.tobytes()
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
     def test_hidden_batchnorm_takes_the_next_layers_sums(self, variant):
-        """Each hidden BatchNorm's backward is handed the column sums of its
-        upstream gradient and of that gradient times its cached xc, which
-        the next graph layer formed from its own products: each within
-        1e-12 of the sum of its terms' magnitudes of the sums over the
-        arrays.  The last BatchNorm, which feeds the head, forms its own."""
+        """Each hidden BatchNorm is handed, before any row of its upstream
+        gradient, the column sums of that gradient and of that gradient
+        times its cached xc, which the next graph layer formed from its
+        own products: each within 1e-12 of the sum of its terms'
+        magnitudes of the sums over the arrays.  The last BatchNorm, which
+        feeds the head, is handed none and forms its own."""
         rng = np.random.default_rng(21)
         for model, graph, (feats, edges), _ in node_and_edge_cases(variant):
             seen = []
             for _, bn in model.blocks:
-                def backward(up, *, sums=None, _bn=bn, _inner=bn.backward):
-                    seen.append((up.reshape(-1, _bn.width).copy(),
-                                 _bn._cache[0].copy(), sums))
-                    return _inner(up, sums=sums)
-                bn.backward = backward
+                def take_sums(*sums, _bn=bn, _inner=bn.take_sums):
+                    seen.append((_bn, _bn._cache[0].copy(), sums, []))
+                    return _inner(*sums)
+
+                def backward(up, *, _bn=bn, _inner=bn.backward, **kwargs):
+                    if seen and seen[-1][0] is _bn:
+                        seen[-1][3].append(up.reshape(-1, _bn.width).copy())
+                    return _inner(up, **kwargs)
+                bn.take_sums, bn.backward = take_sums, backward
             glp = model.graph_forward(graph, feats, edges, training=True,
                                       rng=rng)
             model.graph_backward(np.ones_like(glp))
-            (_, _, last), *hidden = seen    # the last block runs first
-            assert last is None and len(hidden) == len(model.blocks) - 1
-            for up, xc, (up_sum, up_xc) in hidden:
+            # the backward runs last block first
+            assert [b for b, _, _, _ in seen] == \
+                [bn for _, bn in model.blocks[-2::-1]]
+            for _, xc, (up_sum, up_xc), blocks in seen:
+                up = np.concatenate(blocks)
                 for got, terms in ((up_sum, up), (up_xc, up * xc)):
                     assert np.all(np.abs(got - terms.sum(axis=0))
                                   <= 1e-12 * np.abs(terms).sum(axis=0))
 
     def test_a_hidden_dx_without_sums_is_refused(self):
-        """A hidden layer's backward that returned dx alone would be split
-        along the sample axis, three rows into dh and two "sums";
-        ``graph_backward`` refuses it instead."""
+        """A hidden layer's backward that handed its BatchNorm rows of dx
+        without the sums over all of them would leave dL/dz formed with
+        another block's constants; the BatchNorm refuses it instead."""
         rng = np.random.default_rng(22)
         model, graph, (rows, _), _ = node_and_edge_cases("cheb")[0]
-        layer = model.blocks[-1][0]
-        inner = layer.backward
-        layer.backward = lambda up, **kwargs: inner(up, **kwargs)[0]
+        model.blocks[-2][1].take_sums = lambda *sums: None
         glp = model.graph_forward(graph, rows[:3], training=True, rng=rng)
-        with pytest.raises(AssertionError, match="unfolded"):
+        with pytest.raises(ValueError, match="take_sums"):
             model.graph_backward(np.ones_like(glp))
 
     @pytest.mark.parametrize("variant", ["cheb", "gcn", "gat"])
@@ -467,10 +510,102 @@ class TestGraphLayerInputs:
                 model.graph_backward(np.ones_like(out))
 
 
+def hand_over_case(variant, order, task, rng):
+    """(model, graph, features, edges) with every graph layer of the given
+    order: a node task on 23 rows of 9 channels, or an edge task on 9
+    nodes of 6 features."""
+    graph = make_graph(rng, 9)
+    if task == "node":
+        model = build_model("node-class", variant, 9, 3, (1, 9), rng=rng,
+                            cheb_orders=(order,) * 4)
+        return model, graph, rng.standard_normal((23, 9)), None
+    model = build_model("edge-class", variant, 6, 3, (1, 6), rng=rng,
+                        cheb_orders=(order,) * 3)
+    edges = np.array([[0, 1], [2, 3], [4, 8], [1, 4], [5, 5], [7, 2]])
+    return model, graph, rng.standard_normal((9, 6)), edges
+
+
+class TestHandOver:
+    """Each hidden layer's backward hands dx to the previous BatchNorm,
+    which writes dL/dz of its block over its own cache, block by block;
+    the bits are those of the whole-array form, where each layer formed a
+    new dx and the BatchNorm then took the handed sums and the ReLU its
+    mask (``oracles.whole_array_graph_backward``)."""
+
+    @pytest.mark.parametrize("task", ["node", "edge"])
+    @pytest.mark.parametrize("variant, order", [("cheb", 1), ("cheb", 3),
+                                                ("gcn", 1), ("gat", 1)],
+                             ids=["cheb1", "cheb3", "gcn", "gat"])
+    def test_matches_the_whole_array_backward(self, monkeypatch, variant,
+                                              order, task):
+        """Every parameter gradient and the dL/dz each block's layer is
+        handed keep the bits of the whole-array form; a hidden layer's
+        dL/dz is the next layer's input x, the BatchNorm's cache.  The
+        node rows span several sample blocks (a 3000-byte budget cuts the
+        23 rows of 9 nodes at width 9 into six blocks)."""
+        monkeypatch.setattr(layers_module, "BLOCK_BYTES", 3000)
+        model, graph, feats, edges = hand_over_case(
+            variant, order, task, np.random.default_rng(31))
+        oracle = copy.deepcopy(model)
+        handed = []
+        for layer, _ in model.blocks:
+            def backward(up, *, x, _inner=layer.backward, **kwargs):
+                handed.append((up, up.copy(), x))
+                return _inner(up, x=x, **kwargs)
+            layer.backward = backward
+        outs = [m.graph_forward(graph, feats, edges, training=True,
+                                rng=np.random.default_rng(1))
+                for m in (model, oracle)]
+        dout = np.random.default_rng(2).standard_normal(outs[0].shape)
+        model.graph_backward(dout.copy())
+        want_dz = whole_array_graph_backward(oracle, dout.copy())
+        handed.reverse()        # the backward runs last block first
+        for (_, dz, _), want in zip(handed, want_dz):
+            assert same_bits(dz, want)
+        for (up, _, _), (_, _, x) in zip(handed, handed[1:]):
+            assert up is x
+        if task == "node":
+            assert len(layers_module._sample_blocks(
+                handed[1][2], model.blocks[1][0].in_features)) > 1
+        for got, want in zip(model.graph_parameters(),
+                             oracle.graph_parameters()):
+            assert same_bits(got.grad, want.grad)
+
+    def test_graph_backward_peaks_a_dx_below_the_whole_array_form(self):
+        """At sg-product's shape, 372 windows of 80 channel nodes at
+        K = 3, whose second layer maps (372, 80, 80) to 40 channels, the
+        graph backward's tracemalloc peak is at least that layer's dx,
+        18.2 MiB, below the whole-array form's (5.6 against 30.1 MiB)."""
+        rng = np.random.default_rng(3)
+        feats = rng.standard_normal((372, 80))
+        graph = graph_from_features(feats, 0.5)
+        graph.cheb_basis(3)     # built once per graph, not per backward
+        model = build_model(NODE_TASK, "cheb", 80, 3, (4, 20), rng=rng,
+                            cheb_orders=(3, 3, 3, 3))
+        assert model.blocks[1][0].in_features == 80
+        dx_bytes = feats.size * 80 * feats.itemsize
+        peaks = []
+        for backward in (lambda m, d: whole_array_graph_backward(m, d, False),
+                         lambda m, d: m.graph_backward(d)):
+            run = copy.deepcopy(model)
+            glp = run.graph_forward(graph, feats, training=True,
+                                    rng=np.random.default_rng(1))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                backward(run, np.ones_like(glp))
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        whole, handed = peaks
+        assert handed <= whole - dx_bytes
+
+
 class TestTrainingStepMemory:
     """One training epoch at the benchmark workloads' shapes stays under a
-    tracemalloc peak set from the measured one (51.6 MiB at sg-product's,
-    50.4 MiB at dataco-csv's; 62.7 and 55.5 MiB while ChebConv's backward
+    tracemalloc peak set from the measured one (36.4 MiB at sg-product's,
+    50.4 MiB at dataco-csv's; 51.6 MiB at sg-product's while each hidden
+    graph layer formed a new dx; 62.7 and 55.5 MiB while ChebConv's backward
     formed each whole-batch propagated gradient and the graph backward
     held its masks to the end, 60.7 MiB at dataco-csv's while each hidden
     BatchNorm formed its output, and 71.0 and 82.3 MiB while each graph
@@ -478,7 +613,7 @@ class TestTrainingStepMemory:
 
     @pytest.mark.parametrize("rows, channels, classes, conv_shape, orders, "
                              "bound_mib", [
-                                 (372, 80, 3, (4, 20), (3, 3, 3, 3), 55),
+                                 (372, 80, 3, (4, 20), (3, 3, 3, 3), 40),
                                  (20000, 11, 2, (1, 11), (1, 1, 1, 1), 54),
                              ], ids=["sg-product", "dataco-csv"])
     def test_peak(self, rows, channels, classes, conv_shape, orders,
@@ -515,9 +650,9 @@ class TestTrainingStepMemory:
             layer, seen = model.blocks[1][0], []
             inner = layer.backward
 
-            def backward(up, *, x):
+            def backward(up, **kwargs):
                 seen.append(tracemalloc.get_traced_memory()[0])
-                return inner(up, x=x)
+                return inner(up, **kwargs)
             layer.backward = backward
             tracemalloc.start()
             try:
